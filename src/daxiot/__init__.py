@@ -13,7 +13,6 @@ from .credential import (
     RevocationRegistry,
     SdJwtCredential,
     TrustedIssuerList,
-    hash_disclosure,
     issue,
     present,
     verify_presentation,
@@ -61,7 +60,6 @@ __all__ = [
     "didkey_decode",
     "didkey_encode",
     "generate_signing_keypair",
-    "hash_disclosure",
     "issue",
     "present",
     "to_agreement_keypair",

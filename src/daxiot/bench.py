@@ -18,16 +18,15 @@ from __future__ import annotations
 import asyncio
 import statistics
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerThread
+from .broker_service import BrokerThread, EventLoopThread, read_frame
 from .errors import DaxiotError
 from .scenario import build_scenario
 from .transport import TcpClientConnection, run_handshake
-from .wire import MAX_FRAME, Packet, PacketKind, ReasonCode, decode_frame, encode_frame
+from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
 
 MODES = ("plaintext", "daxiot")
 DEFAULT_CONNECTS = 1000
@@ -74,30 +73,26 @@ class LatencyStats:
 # Plaintext baseline broker (no authentication, no encryption)
 # ---------------------------------------------------------------------------
 
-class PlaintextBroker:
+class PlaintextBroker(EventLoopThread):
     """Minimal pub/sub server speaking the same framing with raw fields."""
 
     def __init__(self, host: str = "127.0.0.1") -> None:
+        super().__init__("plaintext-broker")
         self._host = host
         self.port: int | None = None
         self._topics: dict[bytes, set[asyncio.StreamWriter]] = {}
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
+        self._server: asyncio.Server | None = None
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             while True:
                 try:
-                    header = await reader.readexactly(4)
-                except (asyncio.IncompleteReadError, ConnectionError):
+                    frame = await read_frame(reader)
+                    if frame is None:
+                        break
+                    packet = decode_frame(frame)
+                except DaxiotError:
                     break
-                length = int.from_bytes(header, "big")
-                if length == 0 or length > MAX_FRAME:
-                    break
-                body = await reader.readexactly(length)
-                packet = decode_frame(header + body)
                 if packet.kind is PacketKind.CONNECT:
                     writer.write(encode_frame(Packet(kind=PacketKind.CONNACK, reason_code=ReasonCode.SUCCESS)))
                 elif packet.kind is PacketKind.SUBSCRIBE and packet.topic is not None:
@@ -116,27 +111,13 @@ class PlaintextBroker:
                 subscribers.discard(writer)
             writer.close()
 
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._handle, self._host, 0)
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        async with server:
-            await self._stop.wait()
+    async def _open(self) -> None:
+        self._server = await asyncio.start_server(self._handle, self._host, 0)
+        self.port = self._server.sockets[0].getsockname()[1]
 
-    def start(self) -> "PlaintextBroker":
-        self._thread = threading.Thread(target=lambda: asyncio.run(self._main()), daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise DaxiotError("plaintext broker did not start in time")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+    async def _close(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
 
 
 # ---------------------------------------------------------------------------

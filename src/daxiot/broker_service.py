@@ -44,6 +44,22 @@ def load_signing_key(path: Path | str) -> SigningKeyPair:
     return generate_signing_keypair(seed)
 
 
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """Read one length-checked frame; ``None`` when the peer closed between frames."""
+    try:
+        header = await reader.readexactly(4)
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    length = int.from_bytes(header, "big")
+    if length == 0 or length > MAX_FRAME:
+        raise FramingError(f"invalid frame length {length}")
+    try:
+        body = await reader.readexactly(length)
+    except (asyncio.IncompleteReadError, ConnectionError) as exc:
+        raise FramingError("connection closed mid-frame") from exc
+    return header + body
+
+
 @dataclass
 class BrokerConfig:
     listen_address: str
@@ -158,25 +174,11 @@ class BrokerService:
 
     # -- connection handling ------------------------------------------------------
 
-    async def _read_frame(self, reader: asyncio.StreamReader) -> bytes | None:
-        try:
-            header = await reader.readexactly(4)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        length = int.from_bytes(header, "big")
-        if length == 0 or length > MAX_FRAME:
-            raise FramingError(f"invalid frame length {length}")
-        try:
-            body = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError) as exc:
-            raise FramingError("connection closed mid-frame") from exc
-        return header + body
-
     async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         session_id: str | None = None
         try:
             while True:
-                frame = await self._read_frame(reader)
+                frame = await read_frame(reader)
                 if frame is None:
                     break
                 packet = decode_frame(frame)
@@ -223,48 +225,52 @@ async def run(config: BrokerConfig) -> None:
     await service.serve_forever()
 
 
-class BrokerThread:
-    """Run a BrokerService on a background event-loop thread.
+class EventLoopThread:
+    """Serve on a background event-loop thread until :meth:`stop`.
 
-    Configuration errors raise in the caller's thread during construction;
-    after :meth:`start` returns the service is bound and accepting.
+    Subclasses bind in :meth:`_open` and release in :meth:`_close`. An error
+    raised while binding re-raises in the caller's thread; after :meth:`start`
+    returns the server is bound and accepting.
     """
 
-    def __init__(self, config: BrokerConfig, plaintext_tap: list | None = None) -> None:
-        self.service = BrokerService(config, plaintext_tap=plaintext_tap)
+    def __init__(self, name: str) -> None:
+        self._name = name
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
 
-    def start(self) -> "BrokerThread":
-        self._thread = threading.Thread(target=self._run, name="daxiot-broker", daemon=True)
+    async def _open(self) -> None:
+        raise NotImplementedError
+
+    async def _close(self) -> None:
+        raise NotImplementedError
+
+    def start(self) -> EventLoopThread:
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()), name=self._name, daemon=True
+        )
         self._thread.start()
         self._ready.wait(timeout=10)
         if self._startup_error is not None:
             raise self._startup_error
         if not self._ready.is_set():
-            raise ConfigError("broker thread did not start in time")
+            raise ConfigError(f"{self._name} thread did not start in time")
         return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         try:
-            await self.service.start()
+            await self._open()
         except BaseException as exc:  # surfaced to the starting thread
             self._startup_error = exc
             self._ready.set()
             return
         self._ready.set()
-        serve = asyncio.ensure_future(self.service.serve_forever())
         await self._stop.wait()
-        serve.cancel()
-        await self.service.shutdown()
+        await self._close()
 
     def stop(self) -> None:
         if self._loop is not None and self._stop is not None:
@@ -272,12 +278,29 @@ class BrokerThread:
         if self._thread is not None:
             self._thread.join(timeout=10)
 
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def __enter__(self) -> "BrokerThread":
+    def __enter__(self) -> EventLoopThread:
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class BrokerThread(EventLoopThread):
+    """Run a BrokerService on a background event-loop thread.
+
+    Configuration errors raise in the caller's thread during construction.
+    """
+
+    def __init__(self, config: BrokerConfig, plaintext_tap: list | None = None) -> None:
+        self.service = BrokerService(config, plaintext_tap=plaintext_tap)
+        super().__init__("daxiot-broker")
+
+    async def _open(self) -> None:
+        await self.service.start()
+
+    async def _close(self) -> None:
+        await self.service.shutdown()
+
+    @property
+    def port(self) -> int:
+        return self.service.port

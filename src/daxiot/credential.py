@@ -140,11 +140,6 @@ class Disclosure:
         return AuthorizationClaim.from_value(self.key, self.value)
 
 
-def hash_disclosure(disclosure: Disclosure) -> str:
-    """Digest of the canonical disclosure bytes: base64url(SHA-256(bytes))."""
-    return disclosure.digest()
-
-
 # ---------------------------------------------------------------------------
 # Credential and presentation
 # ---------------------------------------------------------------------------

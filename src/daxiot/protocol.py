@@ -12,12 +12,14 @@ The handshake runs over the connect/challenge/response exchange:
   the client's static identity to the broker, and the verified disclosures
   become the session's publish/subscribe grant.
 
-Nonce discipline after the challenge: the client-to-broker direction counts
-up from the challenge nonce, one value per encryption; a publish uses two
-consecutive values (topic at n, payload at n+1) so the broker can prove both
-fields belong to the same message. The broker-to-client direction uses a
-separate prefix announced in the success acknowledgement, so the two
-directions never share nonce space under the one session key.
+Nonce discipline after the challenge: each direction of a session is one
+:class:`Channel`, a run of prefix||counter nonces under the session key. The
+client-to-broker channel starts at the challenge nonce; the broker-to-client
+channel starts at a fresh prefix announced in the success acknowledgement, so
+the two directions never share nonce space under the one session key. Every
+envelope takes the next value of its channel, and a receiver accepts exactly
+that value and nothing else; a publish takes two consecutive values (topic at
+n, payload at n+1), which proves both fields belong to the same message.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .crypto import (
     generate_signing_keypair,
     to_agreement_keypair,
 )
-from .did import Did, DidDocument, Resolver, didkey_encode
+from .did import Did, Resolver, didkey_encode
 from .errors import (
     AuthenticationError,
     ConnectionRejected,
@@ -86,6 +88,49 @@ def _aad(kind: PacketKind, ephemeral_did: str) -> bytes:
     return bytes([kind]) + ephemeral_did.encode("utf-8")
 
 
+class Channel:
+    """One direction of a session: its key, its AAD binding, its next nonce.
+
+    The only owner of a direction's nonce state. :meth:`seal` encrypts under
+    the next nonces and :meth:`open` accepts exactly those, so a nonce is
+    never used twice under the key; the successor is worked out before
+    anything is committed, so an exhausted channel raises
+    :class:`NonceOverflowError` and stays where it was.
+    """
+
+    def __init__(self, key: SessionKey, ephemeral_did: str, nonce: Nonce) -> None:
+        self.key = key
+        self.ephemeral_did = ephemeral_did
+        self.nonce = nonce
+
+    def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[AeadEnvelope]:
+        """Encrypt each plaintext under the next consecutive nonce."""
+        nonces = [self.nonce]
+        for _ in plaintexts[1:]:
+            nonces.append(nonces[-1].next())
+        successor = nonces[-1].next()
+        aad = _aad(kind, self.ephemeral_did)
+        envelopes = [
+            aead_encrypt(self.key, nonce, plaintext, aad)
+            for nonce, plaintext in zip(nonces, plaintexts)
+        ]
+        self.nonce = successor
+        return envelopes
+
+    def open(self, kind: PacketKind, *envelopes: AeadEnvelope) -> list[bytes]:
+        """Decrypt envelopes that carry exactly the next consecutive nonces."""
+        for offset, envelope in enumerate(envelopes):
+            if (
+                envelope.nonce.prefix != self.nonce.prefix
+                or envelope.nonce.counter != self.nonce.counter + offset
+            ):
+                raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
+        aad = _aad(kind, self.ephemeral_did)
+        plaintexts = [aead_decrypt(self.key, envelope, aad) for envelope in envelopes]
+        self.nonce = envelopes[-1].nonce.next()
+        return plaintexts
+
+
 def _envelope(data: bytes | None, what: str) -> AeadEnvelope:
     if data is None:
         raise ProtocolError(f"{what} is missing its encrypted field")
@@ -120,7 +165,6 @@ class DaxiotClient:
         disclosures: Iterable[Disclosure],
         resolver: Resolver,
     ) -> None:
-        self._static = static_keypair
         self._static_agreement = to_agreement_keypair(static_keypair)
         self.static_did = str(didkey_encode(static_keypair.public))
         self._credential = credential
@@ -132,14 +176,10 @@ class DaxiotClient:
     def _reset_session(self) -> None:
         self.ephemeral_did: str | None = None
         self.broker_did: str | None = None
-        self.broker_document: DidDocument | None = None
-        self._ephemeral: SigningKeyPair | None = None
+        self._broker_agreement_key: bytes | None = None
         self._ephemeral_agreement = None
-        self.k_es: SessionKey | None = None
-        self.k_1pu: SessionKey | None = None
-        self._send_nonce: Nonce | None = None
-        self._recv_prefix: bytes | None = None
-        self._recv_counter: int = 0
+        self._send: Channel | None = None
+        self._recv: Channel | None = None
         self._pending_subacks = 0
         self._pending_pubacks = 0
 
@@ -171,12 +211,10 @@ class DaxiotClient:
             _aad(PacketKind.CONNECT, ephemeral_did),
         )
 
-        self._ephemeral = ephemeral
         self._ephemeral_agreement = ephemeral_agreement
         self.ephemeral_did = ephemeral_did
         self.broker_did = broker_did
-        self.broker_document = document
-        self.k_es = k_es
+        self._broker_agreement_key = document.agreement_key
         self.phase = ClientPhase.CONNECT_SENT
         return Packet(
             kind=PacketKind.CONNECT,
@@ -195,7 +233,7 @@ class DaxiotClient:
         k_1pu = ecdh_1pu(
             self._static_agreement.secret,
             self._ephemeral_agreement.secret,
-            self.broker_document.agreement_key,
+            self._broker_agreement_key,
             _one_pu_context(self.static_did, self.broker_did),
         )
         try:
@@ -210,14 +248,9 @@ class DaxiotClient:
             raise ProtocolError(f"challenge payload is not a nonce: {exc}") from exc
 
         presentation = present(self._credential, self._disclosures, self.broker_did)
-        response = aead_encrypt(
-            k_1pu,
-            challenge_nonce,
-            presentation.compact().encode("utf-8"),
-            _aad(PacketKind.AUTH_RESPONSE, self.ephemeral_did),
-        )
-        self.k_1pu = k_1pu
-        self._send_nonce = challenge_nonce.next()
+        send = Channel(k_1pu, self.ephemeral_did, challenge_nonce)
+        (response,) = send.seal(PacketKind.AUTH_RESPONSE, presentation.compact().encode("utf-8"))
+        self._send = send
         self.phase = ClientPhase.CHALLENGED
         return Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=response.to_bytes())
 
@@ -238,33 +271,21 @@ class DaxiotClient:
         envelope = _envelope(packet.auth_data, "connection ack")
         if envelope.nonce.counter != 0:
             raise ProtocolOrderError("broker receive prefix must start at counter zero")
+        recv = Channel(self._send.key, self.ephemeral_did, envelope.nonce)
         try:
-            status = aead_decrypt(
-                self.k_1pu, envelope, _aad(PacketKind.CONNACK, self.ephemeral_did)
-            )
+            (status,) = recv.open(PacketKind.CONNACK, envelope)
         except IntegrityError as exc:
             raise AuthenticationError("connection ack failed authentication") from exc
         if status != bytes([ReasonCode.SUCCESS]):
             raise AuthenticationError("connection ack payload contradicts its reason code")
-        self._recv_prefix = envelope.nonce.prefix
-        self._recv_counter = 0
+        self._recv = recv
         self.phase = ClientPhase.ESTABLISHED
 
     # -- established-session operations --------------------------------------
 
-    def _consume_send_nonce(self) -> Nonce:
-        nonce = self._send_nonce
-        self._send_nonce = nonce.next()
-        return nonce
-
     def subscribe(self, topic: str) -> Packet:
         self._require(ClientPhase.ESTABLISHED, "subscribe")
-        envelope = aead_encrypt(
-            self.k_1pu,
-            self._consume_send_nonce(),
-            topic.encode("utf-8"),
-            _aad(PacketKind.SUBSCRIBE, self.ephemeral_did),
-        )
+        (envelope,) = self._send.seal(PacketKind.SUBSCRIBE, topic.encode("utf-8"))
         self._pending_subacks += 1
         return Packet(kind=PacketKind.SUBSCRIBE, topic=envelope.to_bytes())
 
@@ -279,9 +300,9 @@ class DaxiotClient:
     def publish(self, topic: str, payload: bytes) -> Packet:
         """Step J, publisher side: topic at counter n, payload at n+1."""
         self._require(ClientPhase.ESTABLISHED, "publish")
-        aad = _aad(PacketKind.PUBLISH, self.ephemeral_did)
-        topic_envelope = aead_encrypt(self.k_1pu, self._consume_send_nonce(), topic.encode("utf-8"), aad)
-        payload_envelope = aead_encrypt(self.k_1pu, self._consume_send_nonce(), payload, aad)
+        topic_envelope, payload_envelope = self._send.seal(
+            PacketKind.PUBLISH, topic.encode("utf-8"), payload
+        )
         self._pending_pubacks += 1
         return Packet(
             kind=PacketKind.PUBLISH,
@@ -302,22 +323,12 @@ class DaxiotClient:
         self._require(ClientPhase.ESTABLISHED, "receive a publish")
         if packet.kind is not PacketKind.PUBLISH:
             raise ProtocolOrderError(f"expected a publish, got {packet.kind.name}")
-        topic_envelope = _envelope(packet.topic, "publish topic")
-        payload_envelope = _envelope(packet.payload, "publish payload")
-        if (
-            topic_envelope.nonce.prefix != self._recv_prefix
-            or payload_envelope.nonce.prefix != self._recv_prefix
-        ):
-            raise ReplayError("forwarded publish uses a foreign nonce prefix")
-        if topic_envelope.nonce.counter <= self._recv_counter:
-            raise ReplayError("forwarded publish counter regressed")
-        if payload_envelope.nonce.counter != topic_envelope.nonce.counter + 1:
-            raise ReplayError("forwarded topic and payload counters are not consecutive")
-        aad = _aad(PacketKind.PUBLISH, self.ephemeral_did)
-        topic = aead_decrypt(self.k_1pu, topic_envelope, aad).decode("utf-8")
-        payload = aead_decrypt(self.k_1pu, payload_envelope, aad)
-        self._recv_counter = payload_envelope.nonce.counter
-        return topic, payload
+        topic, payload = self._recv.open(
+            PacketKind.PUBLISH,
+            _envelope(packet.topic, "publish topic"),
+            _envelope(packet.payload, "publish payload"),
+        )
+        return topic.decode("utf-8"), payload
 
     def disconnect(self) -> Packet:
         """Leave the session; the next connect gets a fresh ephemeral identity."""
@@ -339,16 +350,12 @@ class BrokerPhase(Enum):
 class BrokerSession:
     """Per-client broker state keyed by the client's ephemeral DID."""
 
-    session_id: str
     ephemeral_did: str
     static_did: str
-    k_es: SessionKey
-    k_1pu: SessionKey
-    expected_nonce: Nonce
+    c2b: Channel
     phase: BrokerPhase = BrokerPhase.AWAIT_AUTH
     grant: AuthorizationGrant | None = None
-    b2c_nonce: Nonce | None = None
-    seen_es_nonces: set[bytes] = field(default_factory=set)
+    b2c: Channel | None = None
 
 
 @dataclass
@@ -386,7 +393,6 @@ class DaxiotBroker:
         event_sink: Callable[[dict], None] | None = None,
         plaintext_tap: list | None = None,
     ) -> None:
-        self._keypair = signing_keypair
         self._agreement = to_agreement_keypair(signing_keypair)
         self.broker_did = str(Did.parse(broker_did))
         self._resolver = resolver
@@ -396,7 +402,7 @@ class DaxiotBroker:
         self._plaintext_tap = plaintext_tap
         self.sessions: dict[str, BrokerSession] = {}
         self.topics: dict[str, set[str]] = {}
-        self._seen_es_nonces: set[bytes] = set()
+        self._seen_connect_nonces: set[bytes] = set()
 
     # -- helpers --------------------------------------------------------------
 
@@ -407,11 +413,6 @@ class DaxiotBroker:
     def _tap(self, plaintext: bytes) -> None:
         if self._plaintext_tap is not None:
             self._plaintext_tap.append(plaintext)
-
-    def _decrypt(self, key: SessionKey, envelope: AeadEnvelope, aad: bytes) -> bytes:
-        plaintext = aead_decrypt(key, envelope, aad)
-        self._tap(plaintext)
-        return plaintext
 
     def _session(self, session_id: str) -> BrokerSession:
         session = self.sessions.get(session_id)
@@ -484,9 +485,8 @@ class DaxiotBroker:
         # Replay detection comes first: an exactly re-delivered connect must
         # be classified as a replay even while its original session lives.
         nonce_bytes = envelope.nonce.to_bytes()
-        if nonce_bytes in self._seen_es_nonces:
+        if nonce_bytes in self._seen_connect_nonces:
             raise ReplayError("connect replays a previously seen nonce")
-        self._seen_es_nonces.add(nonce_bytes)
 
         if ephemeral_did in self.sessions:
             raise ProtocolOrderError(f"client id {ephemeral_did} already has a session")
@@ -498,11 +498,14 @@ class DaxiotBroker:
             _es_context(ephemeral_did, self.broker_did),
         )
         try:
-            static_did_raw = self._decrypt(k_es, envelope, _aad(PacketKind.CONNECT, ephemeral_did))
+            static_did_raw = aead_decrypt(k_es, envelope, _aad(PacketKind.CONNECT, ephemeral_did))
         except IntegrityError as exc:
             raise AuthenticationError(
                 "connect authentication data does not decrypt; sender does not hold the ephemeral key"
             ) from exc
+        # Only a connect that decrypts is remembered, so garbage cannot grow the set.
+        self._seen_connect_nonces.add(nonce_bytes)
+        self._tap(static_did_raw)
         try:
             static = Did.parse(static_did_raw.decode("utf-8"))
         except (UnicodeDecodeError, DidError) as exc:
@@ -527,13 +530,9 @@ class DaxiotBroker:
             _aad(PacketKind.AUTH_CHALLENGE, ephemeral_did),
         )
         session = BrokerSession(
-            session_id=ephemeral_did,
             ephemeral_did=ephemeral_did,
             static_did=static_did,
-            k_es=k_es,
-            k_1pu=k_1pu,
-            expected_nonce=challenge_nonce,
-            seen_es_nonces={nonce_bytes},
+            c2b=Channel(k_1pu, ephemeral_did, challenge_nonce),
         )
         self.sessions[ephemeral_did] = session
         self._emit("challenge_sent", ephemeral_did)
@@ -552,7 +551,7 @@ class DaxiotBroker:
             error: DaxiotError
             try:
                 envelope = _envelope(packet.auth_data, "authentication response")
-                if envelope.nonce != session.expected_nonce:
+                if envelope.nonce != session.c2b.nonce:
                     error = ReplayError("authentication response replays a stale nonce")
                 else:
                     error = ProtocolOrderError("authentication response outside the handshake")
@@ -573,17 +572,9 @@ class DaxiotBroker:
 
         try:
             envelope = _envelope(packet.auth_data, "authentication response")
+            (compact,) = session.c2b.open(PacketKind.AUTH_RESPONSE, envelope)
         except ProtocolError as error:
             return fail(error, ReasonCode.PROTOCOL_ERROR)
-        if envelope.nonce != session.expected_nonce:
-            return fail(
-                ReplayError("authentication response does not use the challenge nonce"),
-                ReasonCode.PROTOCOL_ERROR,
-            )
-        try:
-            compact = self._decrypt(
-                session.k_1pu, envelope, _aad(PacketKind.AUTH_RESPONSE, session.ephemeral_did)
-            )
         except IntegrityError:
             return fail(
                 AuthenticationError(
@@ -591,6 +582,7 @@ class DaxiotBroker:
                 ),
                 ReasonCode.PROTOCOL_ERROR,
             )
+        self._tap(compact)
 
         try:
             presentation = Presentation.parse(compact.decode("utf-8"))
@@ -607,17 +599,9 @@ class DaxiotBroker:
             return fail(error, ReasonCode.NOT_AUTHORIZED)
 
         session.grant = grant
-        session.expected_nonce = envelope.nonce.next()
         session.phase = BrokerPhase.ESTABLISHED
-
-        b2c_nonce = Nonce.fresh()
-        connack_envelope = aead_encrypt(
-            session.k_1pu,
-            b2c_nonce,
-            bytes([ReasonCode.SUCCESS]),
-            _aad(PacketKind.CONNACK, session.ephemeral_did),
-        )
-        session.b2c_nonce = b2c_nonce.next()
+        session.b2c = Channel(session.c2b.key, session.ephemeral_did, Nonce.fresh())
+        (connack_envelope,) = session.b2c.seal(PacketKind.CONNACK, bytes([ReasonCode.SUCCESS]))
         self._emit("authenticated", session_id, reason=session.static_did)
         return Reply(
             packets=[
@@ -634,8 +618,8 @@ class DaxiotBroker:
     def _check_established(self, session: BrokerSession, ack_kind: PacketKind) -> Reply | None:
         if session.phase is not BrokerPhase.ESTABLISHED:
             error = ProtocolOrderError(f"{ack_kind.name} traffic before the session is established")
-            self._emit("protocol_error", session.session_id, reason=type(error).__name__)
-            self._evict(session.session_id)
+            self._emit("protocol_error", session.ephemeral_did, reason=type(error).__name__)
+            self._evict(session.ephemeral_did)
             return _rejection(
                 Packet(kind=ack_kind, reason_code=ReasonCode.PROTOCOL_ERROR),
                 Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
@@ -643,6 +627,15 @@ class DaxiotBroker:
                 error=error,
             )
         return None
+
+    def _exhausted(self, session_id: str, error: NonceOverflowError) -> Reply:
+        self._emit("session_exhausted", session_id)
+        self._evict(session_id)
+        return _rejection(
+            Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
+            close=True,
+            error=error,
+        )
 
     def handle_subscribe(self, session_id: str, packet: Packet) -> Reply:
         """Step I: decrypt the topic, enforce the subscribe grant, register."""
@@ -658,20 +651,16 @@ class DaxiotBroker:
             )
 
         try:
-            envelope = _envelope(packet.topic, "subscribe")
-        except ProtocolError as error:
+            (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, _envelope(packet.topic, "subscribe"))
+        except NonceOverflowError as error:
+            return self._exhausted(session_id, error)
+        except (ProtocolError, IntegrityError) as error:
             return reject(error)
-        if envelope.nonce != session.expected_nonce:
-            return reject(ReplayError("subscribe does not use the next expected nonce"))
+        self._tap(raw)
         try:
-            topic = self._decrypt(
-                session.k_1pu, envelope, _aad(PacketKind.SUBSCRIBE, session.ephemeral_did)
-            ).decode("utf-8")
-        except IntegrityError as error:
-            return reject(error)
+            topic = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             return reject(ProtocolError(f"subscribe topic is not UTF-8: {exc}"))
-        session.expected_nonce = envelope.nonce.next()
 
         if topic not in session.grant.subscribe_topics:
             self._emit("subscribe_denied", session_id)
@@ -696,37 +685,21 @@ class DaxiotBroker:
             )
 
         try:
-            topic_envelope = _envelope(packet.topic, "publish topic")
-            payload_envelope = _envelope(packet.payload, "publish payload")
-        except ProtocolError as error:
-            return reject(error)
-        if topic_envelope.nonce != session.expected_nonce:
-            return reject(ReplayError("publish topic does not use the next expected nonce"))
-        if (
-            payload_envelope.nonce.prefix != topic_envelope.nonce.prefix
-            or payload_envelope.nonce.counter != topic_envelope.nonce.counter + 1
-        ):
-            return reject(
-                ReplayError("publish payload nonce is not the successor of the topic nonce")
+            raw_topic, payload = session.c2b.open(
+                PacketKind.PUBLISH,
+                _envelope(packet.topic, "publish topic"),
+                _envelope(packet.payload, "publish payload"),
             )
-        aad = _aad(PacketKind.PUBLISH, session.ephemeral_did)
-        try:
-            topic = self._decrypt(session.k_1pu, topic_envelope, aad).decode("utf-8")
-            payload = self._decrypt(session.k_1pu, payload_envelope, aad)
-        except IntegrityError as error:
+        except NonceOverflowError as error:
+            return self._exhausted(session_id, error)
+        except (ProtocolError, IntegrityError) as error:
             return reject(error)
+        self._tap(raw_topic)
+        self._tap(payload)
+        try:
+            topic = raw_topic.decode("utf-8")
         except UnicodeDecodeError as exc:
             return reject(ProtocolError(f"publish topic is not UTF-8: {exc}"))
-        try:
-            session.expected_nonce = payload_envelope.nonce.next()
-        except NonceOverflowError as error:
-            self._emit("session_exhausted", session_id)
-            self._evict(session_id)
-            return _rejection(
-                Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-                close=True,
-                error=error,
-            )
 
         if topic not in session.grant.publish_topics:
             self._emit("publish_denied", session_id)
@@ -751,12 +724,9 @@ class DaxiotBroker:
         )
 
     def _forward(self, subscriber: BrokerSession, topic: str, payload: bytes) -> Packet:
-        aad = _aad(PacketKind.PUBLISH, subscriber.ephemeral_did)
-        topic_nonce = subscriber.b2c_nonce
-        payload_nonce = topic_nonce.next()
-        subscriber.b2c_nonce = payload_nonce.next()
-        topic_envelope = aead_encrypt(subscriber.k_1pu, topic_nonce, topic.encode("utf-8"), aad)
-        payload_envelope = aead_encrypt(subscriber.k_1pu, payload_nonce, payload, aad)
+        topic_envelope, payload_envelope = subscriber.b2c.seal(
+            PacketKind.PUBLISH, topic.encode("utf-8"), payload
+        )
         return Packet(
             kind=PacketKind.PUBLISH,
             topic=topic_envelope.to_bytes(),
@@ -784,13 +754,13 @@ class DaxiotBroker:
         for session in list(self.sessions.values()):
             snapshot.append(
                 {
-                    "session": session.session_id,
+                    "session": session.ephemeral_did,
                     "static_did": session.static_did,
                     "phase": session.phase.value,
                     "publish_grants": len(session.grant.publish_topics) if session.grant else 0,
                     "subscribe_grants": len(session.grant.subscribe_topics) if session.grant else 0,
-                    "expected_counter": session.expected_nonce.counter,
-                    "b2c_counter": session.b2c_nonce.counter if session.b2c_nonce else None,
+                    "expected_counter": session.c2b.nonce.counter,
+                    "b2c_counter": session.b2c.nonce.counter if session.b2c else None,
                 }
             )
         return snapshot

@@ -14,7 +14,6 @@ from daxiot.credential import (
     RevocationRegistry,
     SdJwtCredential,
     TrustedIssuerList,
-    hash_disclosure,
     issue,
     load_credential_files,
     present,
@@ -72,13 +71,23 @@ class TestIssue:
         assert [d.digest() for d in disclosures] == payload["_sd"]
 
     def test_payload_contains_no_plaintext_claims(self, issuer_setup):
-        # Scan the decoded segments: short names like "t1" show up by chance
-        # inside base64 text, so the encoded form proves nothing either way.
+        # The payload holds only fixed fields, the subject, and the disclosure
+        # digests. Short names like "t3" show up by chance inside the random
+        # did:key and base64url digests, so those are checked by value and
+        # only the remaining text is scanned for claim names.
         issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
-        credential, _ = issue(issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS, "jti-1")
-        decoded = json.dumps(credential.header) + json.dumps(credential.payload)
+        credential, disclosures = issue(
+            issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS, "jti-1"
+        )
+        payload = credential.payload
+        assert set(payload) == {"iss", "sub", "type", "jti", "_sd"}
+        assert payload["sub"] == subject_did
+        assert payload["_sd"] == [d.digest() for d in disclosures]
+        scanned = json.dumps(credential.header) + json.dumps(
+            [sorted(payload), payload["iss"], payload["type"], payload["jti"]]
+        )
         for secret in ("t1", "t2", "t3", "t4", BROKER_1, BROKER_2):
-            assert secret not in decoded
+            assert secret not in scanned
 
     def test_single_claim_containment(self, issuer_setup):
         issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
@@ -86,7 +95,7 @@ class TestIssue:
             issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS[:1], "jti-2"
         )
         assert len(credential.payload["_sd"]) == 1
-        assert hash_disclosure(disclosures[0]) in credential.payload["_sd"]
+        assert disclosures[0].digest() in credential.payload["_sd"]
 
     def test_fresh_salts_give_fresh_digests(self, issuer_setup):
         issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
@@ -116,7 +125,7 @@ class TestHashDisclosure:
         assert disclosure.serialize() == (
             b'["2GLC42sKQveCfGfryNRN9w","did:web:broker1.com",{"sub":["t1"],"pub":["t2"]}]'
         )
-        assert hash_disclosure(disclosure) == "gzeP7HGRxonHlR1sUkn_a7bHOSQHuLVeRdWNdFMhRVw"
+        assert disclosure.digest() == "gzeP7HGRxonHlR1sUkn_a7bHOSQHuLVeRdWNdFMhRVw"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -127,7 +136,7 @@ class TestHashDisclosure:
     def test_matches_independent_oracle(self, salt, broker, topics):
         value = {"pub": topics}
         disclosure = Disclosure(salt=salt, key=broker, value=value)
-        assert hash_disclosure(disclosure) == disclosure_digest_oracle(salt, broker, value)
+        assert disclosure.digest() == disclosure_digest_oracle(salt, broker, value)
 
     def test_salt_change_changes_digest(self):
         base = Disclosure(salt="aaaa", key=BROKER_1, value={"pub": ["t2"]})

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import establish
 from daxiot.credential import AuthorizationClaim, issue
+import daxiot.protocol
 from daxiot.crypto import AeadEnvelope, Nonce, aead_encrypt
 from daxiot.errors import (
     AuthenticationError,
     ConnectionRejected,
     DidError,
     IntegrityError,
+    NonceOverflowError,
     NothingToPresent,
     ProtocolMismatch,
     ProtocolOrderError,
@@ -22,11 +24,28 @@ from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_fra
 from helpers import PermissionOracle
 
 
+LAST_COUNTER = 2**64 - 1
+
+
 def _tamper_envelope(data: bytes) -> bytes:
     # Flip one bit inside the ciphertext section, past the 24-byte nonce.
     mutated = bytearray(data)
     mutated[24] ^= 0x01
     return bytes(mutated)
+
+
+def _renonce(data: bytes, nonce: Nonce) -> bytes:
+    return AeadEnvelope(nonce, AeadEnvelope.from_bytes(data).ciphertext).to_bytes()
+
+
+def _subscribed_pair(env, loopback):
+    """An established publisher, and a subscriber registered on env.topic."""
+    publisher, subscriber = env.publisher_client(), env.subscriber_client()
+    publisher_conn = establish(loopback, publisher, env.broker_did)
+    subscriber_conn = establish(loopback, subscriber, env.broker_did)
+    subscriber_conn.send(subscriber.subscribe(env.topic))
+    assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
+    return publisher, publisher_conn, subscriber, subscriber_conn
 
 
 class TestHandshake:
@@ -37,8 +56,12 @@ class TestHandshake:
 
         assert publisher.phase is ClientPhase.ESTABLISHED
         assert session.phase is BrokerPhase.ESTABLISHED
-        assert publisher.k_1pu.key == session.k_1pu.key
-        assert publisher.k_es.key == session.k_es.key
+        # Both directions share the one-pass unified key and stand at the
+        # same next nonce on either end. (The ES key agreed, or the broker
+        # could not have decrypted the connect.)
+        assert publisher._send.key == session.c2b.key == session.b2c.key == publisher._recv.key
+        assert publisher._send.nonce == session.c2b.nonce
+        assert publisher._recv.nonce == session.b2c.nonce
         assert session.static_did == publisher.static_did
         assert session.grant.publish_topics == frozenset({env.topic})
         assert session.grant.subscribe_topics == frozenset()
@@ -221,11 +244,44 @@ class TestReplayProtection:
         with pytest.raises(ReplayError):
             subscriber.handle_publish(forwarded)
 
+    def test_forwarded_publish_counter_skip_rejected_by_client(self, env, loopback):
+        publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, loopback)
+        for payload in (b"first", b"second"):
+            publisher_conn.send(publisher.publish(env.topic, payload))
+            publisher.handle_puback(publisher_conn.recv())
+        subscriber_conn.recv()  # the first forward is lost on its way
+        with pytest.raises(ReplayError):
+            subscriber.handle_publish(subscriber_conn.recv())
+
+    def test_forwarded_publish_foreign_prefix_rejected_by_client(self, env, loopback):
+        publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, loopback)
+        publisher_conn.send(publisher.publish(env.topic, b"payload"))
+        publisher.handle_puback(publisher_conn.recv())
+        forwarded = subscriber_conn.recv()
+        topic_nonce = AeadEnvelope.from_bytes(forwarded.topic).nonce
+        foreign = Nonce.fresh()
+        forwarded.topic = _renonce(forwarded.topic, Nonce(foreign.prefix, topic_nonce.counter))
+        forwarded.payload = _renonce(forwarded.payload, Nonce(foreign.prefix, topic_nonce.counter + 1))
+        with pytest.raises(ReplayError):
+            subscriber.handle_publish(forwarded)
+
+    def test_undecryptable_connects_leave_replay_set_unchanged(self, env, loopback):
+        establish(loopback, env.publisher_client(), env.broker_did)
+        seen = len(loopback.engine._seen_connect_nonces)
+        assert seen == 1
+        for _ in range(50):
+            packet = env.publisher_client().begin_connect(env.broker_did)
+            packet.auth_data = _tamper_envelope(packet.auth_data)
+            session_id, reply = loopback.engine.handle_connect(packet)
+            assert session_id is None
+            assert isinstance(reply.error, AuthenticationError)
+        assert len(loopback.engine._seen_connect_nonces) == seen
+
     def test_broker_to_client_prefix_is_distinct(self, env, loopback):
         publisher = env.publisher_client()
         establish(loopback, publisher, env.broker_did)
         session = loopback.engine.sessions[publisher.ephemeral_did]
-        assert session.b2c_nonce.prefix != session.expected_nonce.prefix
+        assert session.b2c.nonce.prefix != session.c2b.nonce.prefix
 
 
 class TestTampering:
@@ -311,8 +367,8 @@ class TestTampering:
         payload_env = AeadEnvelope.from_bytes(packet.payload)
         foreign = Packet(
             kind=PacketKind.PUBLISH,
-            topic=AeadEnvelope(session_b.expected_nonce, topic_env.ciphertext).to_bytes(),
-            payload=AeadEnvelope(session_b.expected_nonce.next(), payload_env.ciphertext).to_bytes(),
+            topic=AeadEnvelope(session_b.c2b.nonce, topic_env.ciphertext).to_bytes(),
+            payload=AeadEnvelope(session_b.c2b.nonce.next(), payload_env.ciphertext).to_bytes(),
         )
         reply = loopback.engine.handle_packet(publisher_b.ephemeral_did, foreign)
         assert isinstance(reply.error, IntegrityError)
@@ -352,7 +408,7 @@ class TestAuthorization:
         connection.send(client.begin_connect(env.broker_did))
         client.handle_challenge(connection.recv())  # no response sent
         envelope = aead_encrypt(
-            client.k_1pu,
+            client._send.key,
             Nonce.fresh(),
             env.topic.encode(),
             bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode(),
@@ -432,14 +488,99 @@ class TestBrokerState:
         publisher = env.publisher_client()
         connection = establish(loopback, publisher, env.broker_did)
         session = loopback.engine.sessions[publisher.ephemeral_did]
-        seen = [session.expected_nonce.counter]
+        seen = [session.c2b.nonce.counter]
         for _ in range(3):
             connection.send(publisher.publish(env.topic, b"x"))
             publisher.handle_puback(connection.recv())
-            seen.append(session.expected_nonce.counter)
+            seen.append(session.c2b.nonce.counter)
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
         assert seen[0] == 1  # challenge consumed counter zero
+
+    @pytest.mark.parametrize("kind", [PacketKind.PUBLISH, PacketKind.SUBSCRIBE])
+    def test_exhausted_sender_is_evicted(self, env, loopback, kind):
+        client = env.publisher_client()
+        establish(loopback, client, env.broker_did)
+        session = loopback.engine.sessions[client.ephemeral_did]
+        fields = [env.topic.encode(), b"last"] if kind is PacketKind.PUBLISH else [env.topic.encode()]
+        prefix, first = session.c2b.nonce.prefix, LAST_COUNTER + 1 - len(fields)
+        session.c2b.nonce = Nonce(prefix, first)
+        aad = bytes([kind]) + client.ephemeral_did.encode()
+        envelopes = [
+            aead_encrypt(client._send.key, Nonce(prefix, first + i), field, aad).to_bytes()
+            for i, field in enumerate(fields)
+        ]
+        packet = Packet(kind=kind, topic=envelopes[0], payload=envelopes[1] if len(envelopes) > 1 else None)
+        reply = loopback.engine.handle_packet(client.ephemeral_did, packet)
+        assert isinstance(reply.error, NonceOverflowError)
+        assert reply.close
+        assert [p.kind for p in reply.packets] == [PacketKind.DISCONNECT]
+        assert client.ephemeral_did not in loopback.engine.sessions
+        assert {"event": "session_exhausted", "session": client.ephemeral_did, "reason": None} in loopback.events
+
+    def test_exhausted_subscriber_is_evicted_alone(self, env, loopback):
+        publisher, _, subscriber, _ = _subscribed_pair(env, loopback)
+        b2c = loopback.engine.sessions[subscriber.ephemeral_did].b2c
+        b2c.nonce = Nonce(b2c.nonce.prefix, LAST_COUNTER - 1)
+        reply = loopback.engine.handle_packet(
+            publisher.ephemeral_did, publisher.publish(env.topic, b"x")
+        )
+        assert reply.error is None
+        assert [(p.kind, p.reason_code) for p in reply.packets] == [(PacketKind.PUBACK, ReasonCode.SUCCESS)]
+        assert reply.forwards == []
+        assert subscriber.ephemeral_did not in loopback.engine.sessions
+        assert publisher.ephemeral_did in loopback.engine.sessions
+        assert any(
+            e["event"] == "session_exhausted" and e["session"] == subscriber.ephemeral_did
+            for e in loopback.events
+        )
+
+    def test_exhausted_client_never_reuses_a_nonce(self, env, loopback):
+        client = env.publisher_client()
+        establish(loopback, client, env.broker_did)
+        client._send.nonce = Nonce(client._send.nonce.prefix, LAST_COUNTER - 1)
+        used = []
+        for make in (
+            lambda: client.publish(env.topic, b"x"),  # needs two values and a successor
+            lambda: client.subscribe(env.topic),  # takes LAST_COUNTER - 1
+            lambda: client.subscribe(env.topic),  # LAST_COUNTER has no successor
+            lambda: client.publish(env.topic, b"x"),
+        ):
+            try:
+                packet = make()
+            except NonceOverflowError:
+                continue
+            used += [AeadEnvelope.from_bytes(f).nonce for f in (packet.topic, packet.payload) if f]
+        assert [n.counter for n in used] == [LAST_COUNTER - 1]
+        assert client._send.nonce.counter == LAST_COUNTER
+
+    def test_aead_call_counts(self, env, loopback, monkeypatch):
+        # The benchmark's traced runs rebind these two names in
+        # daxiot.protocol and count on every AEAD call going through them.
+        calls = []
+        for name in ("aead_encrypt", "aead_decrypt"):
+            original = getattr(daxiot.protocol, name)
+            monkeypatch.setattr(
+                daxiot.protocol, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+            )
+        publisher = env.publisher_client()
+        publisher_conn = establish(loopback, publisher, env.broker_did)
+        assert len(calls) == 8
+        assert calls.count("aead_encrypt") == calls.count("aead_decrypt") == 4
+
+        subscribers = []
+        for _ in range(2):
+            subscriber = env.subscriber_client()
+            connection = establish(loopback, subscriber, env.broker_did)
+            connection.send(subscriber.subscribe(env.topic))
+            subscriber.handle_suback(connection.recv())
+            subscribers.append((subscriber, connection))
+        calls.clear()
+        publisher_conn.send(publisher.publish(env.topic, b"fan-out"))
+        assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+        for subscriber, connection in subscribers:
+            assert subscriber.handle_publish(connection.recv()) == (env.topic, b"fan-out")
+        assert len(calls) == 4 + 4 * 2
 
     def test_status_snapshot(self, env, loopback):
         assert loopback.engine.status() == []
