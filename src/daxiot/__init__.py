@@ -26,7 +26,7 @@ from .crypto import (
     generate_signing_keypair,
     to_agreement_keypair,
 )
-from .did import Did, DidDocument, DirectoryWebSource, HttpWebSource, Resolver, didkey_decode, didkey_encode
+from .did import Did, DidDocument, DirectoryWebSource, Resolver, didkey_decode, didkey_encode
 from .errors import DaxiotError
 from .protocol import DaxiotBroker, DaxiotClient
 from .wire import Packet, PacketKind, ReasonCode
@@ -45,7 +45,6 @@ __all__ = [
     "DidDocument",
     "DirectoryWebSource",
     "Disclosure",
-    "HttpWebSource",
     "Nonce",
     "Packet",
     "PacketKind",

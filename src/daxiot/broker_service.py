@@ -23,7 +23,7 @@ from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypa
 from .did import DirectoryWebSource, Resolver
 from .errors import BindError, ConfigError, DaxiotError, FramingError
 from .protocol import DaxiotBroker
-from .wire import MAX_FRAME, Packet, PacketKind, ReasonCode, decode_frame, encode_frame
+from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
 
 logger = logging.getLogger("daxiot.broker")
 
@@ -50,11 +50,8 @@ async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
         header = await reader.readexactly(4)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    length = int.from_bytes(header, "big")
-    if length == 0 or length > MAX_FRAME:
-        raise FramingError(f"invalid frame length {length}")
     try:
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(frame_length(header))
     except (asyncio.IncompleteReadError, ConnectionError) as exc:
         raise FramingError("connection closed mid-frame") from exc
     return header + body
@@ -217,12 +214,6 @@ class BrokerService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-
-async def run(config: BrokerConfig) -> None:
-    """Validate, bind, and serve until cancelled."""
-    service = BrokerService(config)
-    await service.serve_forever()
 
 
 class EventLoopThread:

@@ -16,7 +16,6 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -76,31 +75,10 @@ class AgreementKeyPair:
 
 
 @dataclass(frozen=True)
-class SharedSecret:
-    """Raw Diffie-Hellman output, prior to any key derivation.
-
-    32 bytes for a single agreement, 64 bytes for the concatenated
-    ephemeral-then-static pair used by the one-pass unified model.
-    """
-
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.data) not in (32, 64):
-            raise CryptoError(f"shared secret must be 32 or 64 bytes, got {len(self.data)}")
-
-
-class KeyKind(Enum):
-    ES = "ES"
-    ONE_PU = "1PU"
-
-
-@dataclass(frozen=True)
 class SessionKey:
-    """A derived 32-byte AEAD key. Only :func:`kdf` produces these."""
+    """A 32-byte AEAD key derived by one of the ``ecdh_*`` agreements."""
 
     key: bytes
-    kind: KeyKind
 
     def __post_init__(self) -> None:
         if len(self.key) != KEY_LEN:
@@ -256,13 +234,15 @@ def _dh(secret: bytes, peer_public: bytes) -> bytes:
     return shared
 
 
-def kdf(secret: SharedSecret, context: bytes) -> bytes:
-    """Derive a 32-byte key with HKDF-SHA-256 (empty salt, context as info)."""
+def kdf(secret: bytes, context: bytes) -> bytes:
+    """Derive a 32-byte key from raw Diffie-Hellman output with HKDF-SHA-256.
+
+    Empty salt, context as info; ``secret`` is one 32-byte agreement or the
+    concatenated ephemeral-then-static pair of the one-pass unified model.
+    """
     if not context:
         raise CryptoError("KDF context must not be empty")
-    return HKDF(algorithm=hashes.SHA256(), length=KEY_LEN, salt=None, info=context).derive(
-        secret.data
-    )
+    return HKDF(algorithm=hashes.SHA256(), length=KEY_LEN, salt=None, info=context).derive(secret)
 
 
 def ecdh_es(ephemeral_secret: bytes, peer_static_public: bytes, context: bytes) -> SessionKey:
@@ -271,8 +251,7 @@ def ecdh_es(ephemeral_secret: bytes, peer_static_public: bytes, context: bytes) 
     Symmetric between the two party forms: the receiver calls this with its
     static secret and the sender's ephemeral public key.
     """
-    shared = SharedSecret(_dh(ephemeral_secret, peer_static_public))
-    return SessionKey(key=kdf(shared, context), kind=KeyKind.ES)
+    return SessionKey(key=kdf(_dh(ephemeral_secret, peer_static_public), context))
 
 
 def ecdh_1pu(
@@ -289,7 +268,7 @@ def ecdh_1pu(
     """
     z_e = _dh(sender_ephemeral_secret, receiver_static_public)
     z_s = _dh(sender_static_secret, receiver_static_public)
-    return SessionKey(key=kdf(SharedSecret(z_e + z_s), context), kind=KeyKind.ONE_PU)
+    return SessionKey(key=kdf(z_e + z_s, context))
 
 
 def ecdh_1pu_receiver(
@@ -301,7 +280,7 @@ def ecdh_1pu_receiver(
     """One-pass unified model, receiver form; yields the sender-form key."""
     z_e = _dh(receiver_static_secret, sender_ephemeral_public)
     z_s = _dh(receiver_static_secret, sender_static_public)
-    return SessionKey(key=kdf(SharedSecret(z_e + z_s), context), kind=KeyKind.ONE_PU)
+    return SessionKey(key=kdf(z_e + z_s, context))
 
 
 # ---------------------------------------------------------------------------

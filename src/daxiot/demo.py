@@ -9,6 +9,7 @@ its step letter (A through J) so failures name exactly where they happened.
 from __future__ import annotations
 
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,9 +54,9 @@ def run_demo(
         echo(f"revoked publisher credential {env.publisher.jti} before connecting")
 
     try:
-        with BrokerThread(env.config) as broker:
+        with BrokerThread(env.config) as broker, ExitStack() as connections:
             echo(f"broker {env.broker_did} listening on {env.host}:{broker.port}")
-            _run_flow(env, broker, echo)
+            _run_flow(env, broker, echo, connections)
     except DemoFailure as failure:
         echo(f"FAILED at step {failure.step}: {failure.cause}")
         return 1
@@ -63,7 +64,8 @@ def run_demo(
     return 0
 
 
-def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo) -> None:
+def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo, connections: ExitStack) -> None:
+    """Steps A-J; every connection opened here is closed by ``connections``."""
     publisher = env.publisher_client()
     subscriber = env.subscriber_client()
 
@@ -75,7 +77,7 @@ def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo) -> None:
     echo(f"step A: publisher created ephemeral identity {publisher.ephemeral_did}")
 
     try:
-        publisher_conn = TcpClientConnection(env.host, broker.port)
+        publisher_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
         publisher_conn.send(connect_packet)
     except (DaxiotError, OSError) as exc:
         raise DemoFailure("B", f"{type(exc).__name__}: {exc}") from exc
@@ -114,7 +116,7 @@ def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo) -> None:
 
     # --- subscriber connects and subscribes (step I) ---
     try:
-        subscriber_conn = TcpClientConnection(env.host, broker.port)
+        subscriber_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
         subscriber_conn.send(subscriber.begin_connect(env.broker_did))
         subscriber_conn.send(subscriber.handle_challenge(subscriber_conn.recv()))
         subscriber.handle_connack(subscriber_conn.recv())
@@ -143,5 +145,3 @@ def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo) -> None:
 
     publisher_conn.send(publisher.disconnect())
     subscriber_conn.send(subscriber.disconnect())
-    publisher_conn.close()
-    subscriber_conn.close()

@@ -2,15 +2,14 @@
 
 did:key identifiers are resolved locally by decoding the multibase-encoded
 public key they carry. did:web identifiers are resolved through a pluggable
-document source; the default is a directory of JSON files so nothing here
-ever needs a network, with an HTTPS fetcher available for live deployments.
+document source, a directory of JSON files, so nothing here ever needs a
+network.
 """
 
 from __future__ import annotations
 
 import json
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,9 @@ _B58_INDEX = {ch: i for i, ch in enumerate(_B58_ALPHABET)}
 
 ED25519_MULTICODEC = b"\xed\x01"
 X25519_MULTICODEC = b"\xec\x01"
+
+# "z" + base58btc of the 34-byte multicodec-prefixed key; always this long.
+_DIDKEY_ED25519_LEN = 48
 
 
 def base58btc_encode(data: bytes) -> str:
@@ -104,6 +106,11 @@ def didkey_decode(did: Did | str) -> bytes:
     did = Did.parse(did)
     if did.method != "key":
         raise DidError(f"expected a did:key, got {did}")
+    # base58 decoding is quadratic in its input; bound it before it runs.
+    if len(did.identifier) != _DIDKEY_ED25519_LEN:
+        raise DidError(
+            f"did:key identifier has {len(did.identifier)} characters, expected {_DIDKEY_ED25519_LEN}"
+        )
     payload = multibase_decode(did.identifier)
     if not payload.startswith(ED25519_MULTICODEC):
         raise DidError("did:key payload does not carry the Ed25519 multicodec")
@@ -184,23 +191,6 @@ class DirectoryWebSource:
             raise DidResolutionError(f"no document for did:web:{identifier} under {self.root}") from exc
 
 
-class HttpWebSource:
-    """did:web document source fetching https://<host>/<path>/did.json."""
-
-    def __init__(self, timeout: float = 10.0) -> None:
-        self.timeout = timeout
-
-    def fetch(self, identifier: str) -> bytes:
-        segments = [urllib.parse.unquote(part) for part in identifier.split(":")]
-        host, path = segments[0], segments[1:] or [".well-known"]
-        url = f"https://{host}/" + "/".join(path) + "/did.json"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
-                return response.read()
-        except OSError as exc:
-            raise DidResolutionError(f"fetching {url} failed: {exc}") from exc
-
-
 class Resolver:
     """Resolves did:key locally and did:web through the injected source.
 
@@ -208,7 +198,7 @@ class Resolver:
     resolution never touches the web source.
     """
 
-    def __init__(self, web_source: DirectoryWebSource | HttpWebSource | None = None) -> None:
+    def __init__(self, web_source: DirectoryWebSource | None = None) -> None:
         self.web_source = web_source
 
     def resolve(self, did: Did | str) -> DidDocument:

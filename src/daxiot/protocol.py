@@ -20,6 +20,10 @@ the two directions never share nonce space under the one session key. Every
 envelope takes the next value of its channel, and a receiver accepts exactly
 that value and nothing else; a publish takes two consecutive values (topic at
 n, payload at n+1), which proves both fields belong to the same message.
+
+Refusals: the broker's handlers only raise; :meth:`DaxiotBroker._refuse` alone
+turns the error into an event, a reply and, where the table says so, the end
+of the session. The README's refusal table lists every case.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .errors import (
     DaxiotError,
     DidError,
     IntegrityError,
+    MalformedCredential,
     NonceOverflowError,
     ProtocolError,
     ProtocolMismatch,
@@ -138,6 +143,13 @@ def _envelope(data: bytes | None, what: str) -> AeadEnvelope:
         return AeadEnvelope.from_bytes(data)
     except CryptoError as exc:
         raise ProtocolError(f"{what} carries a malformed envelope: {exc}") from exc
+
+
+def _utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"{what} is not UTF-8: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +380,12 @@ class Reply:
     error: DaxiotError | None = None
 
 
-def _rejection(
-    *packets: Packet, close: bool = False, error: DaxiotError | None = None
-) -> Reply:
-    return Reply(packets=list(packets), close=close, error=error)
+# The acknowledgement a refused packet gets, for the kinds that have one.
+_ACKS = {
+    PacketKind.AUTH_RESPONSE: PacketKind.CONNACK,
+    PacketKind.SUBSCRIBE: PacketKind.SUBACK,
+    PacketKind.PUBLISH: PacketKind.PUBACK,
+}
 
 
 class DaxiotBroker:
@@ -414,67 +428,85 @@ class DaxiotBroker:
         if self._plaintext_tap is not None:
             self._plaintext_tap.append(plaintext)
 
-    def _session(self, session_id: str) -> BrokerSession:
+    def _session(self, session_id: str, phase: BrokerPhase | None = None) -> BrokerSession:
         session = self.sessions.get(session_id)
         if session is None:
             raise ProtocolOrderError(f"no session {session_id}")
+        if phase is not None and session.phase is not phase:
+            raise ProtocolOrderError(f"session is {session.phase.value}, not {phase.value}")
         return session
+
+    # -- refusal policy ------------------------------------------------------------
+
+    def _refuse(self, session_id: str | None, kind: PacketKind, error: DaxiotError) -> Reply:
+        """The one refusal policy: which event, which reply, whether the session ends.
+
+        ``session_id`` is None for the first packet of a connection. The rules
+        apply in order; the README's refusal table lists them.
+        """
+        reason: str | None = type(error).__name__
+        code = (
+            ReasonCode.NOT_AUTHORIZED if isinstance(error, CredentialError) else ReasonCode.PROTOCOL_ERROR
+        )
+        session = self.sessions.get(session_id)
+        established = session is not None and session.phase is BrokerPhase.ESTABLISHED
+        ack = [Packet(kind=_ACKS[kind], reason_code=code)] if kind in _ACKS else []
+        if isinstance(error, NonceOverflowError):
+            event, reason, packets, ends = "session_exhausted", None, [], True
+        elif session_id is None:
+            event, packets, ends = "connect_rejected", [], True
+        elif kind is PacketKind.AUTH_RESPONSE and established:
+            # Only a replay or an injection gets here; a recorded frame must
+            # not be able to kick a live session off the broker.
+            event, packets, ends = "auth_rejected", [], False
+        elif kind is PacketKind.AUTH_RESPONSE:
+            event, packets, ends = "auth_rejected", ack, True
+        elif kind in (PacketKind.SUBSCRIBE, PacketKind.PUBLISH) and established:
+            event, packets, ends = f"{kind.name.lower()}_rejected", ack, False
+        else:
+            event, packets, ends = "protocol_error", ack, True
+        self._emit(event, session_id, reason=reason)
+        if not ends:
+            return Reply(packets=packets, error=error)
+        if session_id is not None:
+            self._evict(session_id)
+        packets.append(Packet(kind=PacketKind.DISCONNECT, reason_code=code))
+        return Reply(packets=packets, close=True, error=error)
 
     # -- dispatch --------------------------------------------------------------
 
     def handle_packet(self, session_id: str, packet: Packet) -> Reply:
         """Route one post-connect packet from an existing session."""
-        if packet.kind is PacketKind.CONNECT:
-            return _rejection(
-                Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-                close=True,
-                error=ProtocolOrderError("duplicate connect on an open session"),
-            )
-        if packet.kind is PacketKind.AUTH_RESPONSE:
-            return self.handle_auth_response(session_id, packet)
-        if packet.kind is PacketKind.SUBSCRIBE:
-            return self.handle_subscribe(session_id, packet)
-        if packet.kind is PacketKind.PUBLISH:
-            return self.handle_publish(session_id, packet)
         if packet.kind is PacketKind.DISCONNECT:
             return self.handle_disconnect(session_id)
-        return _rejection(
-            Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-            close=True,
-            error=ProtocolOrderError(f"client must not send {packet.kind.name}"),
-        )
+        self._session(session_id)  # an unknown session raises: there is nothing to refuse
+        try:
+            if packet.kind is PacketKind.AUTH_RESPONSE:
+                return self.handle_auth_response(session_id, packet)
+            if packet.kind is PacketKind.SUBSCRIBE:
+                return self.handle_subscribe(session_id, packet)
+            if packet.kind is PacketKind.PUBLISH:
+                return self.handle_publish(session_id, packet)
+            raise ProtocolOrderError(f"client must not send {packet.kind.name} on an open session")
+        except DaxiotError as error:
+            return self._refuse(session_id, packet.kind, error)
 
     # -- handshake ---------------------------------------------------------------
 
     def handle_connect(self, packet: Packet) -> tuple[str | None, Reply]:
         """Steps C and D: authenticate the ephemeral identity, issue a challenge."""
-        if packet.kind is not PacketKind.CONNECT:
-            return None, _rejection(
-                Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-                close=True,
-                error=ProtocolOrderError("first packet must be a connect"),
-            )
-        if packet.auth_method != AUTH_METHOD:
-            error = ProtocolMismatch(
-                f"authentication method {packet.auth_method!r} is not {AUTH_METHOD!r}"
-            )
-            self._emit("connect_rejected", packet.client_id, reason=type(error).__name__)
-            return None, _rejection(
-                Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-                close=True,
-                error=error,
-            )
         try:
             return self._process_connect(packet)
         except DaxiotError as error:
-            self._emit("connect_rejected", packet.client_id, reason=type(error).__name__)
-            return None, _rejection(
-                Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-                close=True,
-                error=error,
-            )
+            return None, self._refuse(None, packet.kind, error)
 
     def _process_connect(self, packet: Packet) -> tuple[str, Reply]:
+        if packet.kind is not PacketKind.CONNECT:
+            raise ProtocolOrderError("first packet must be a connect")
+        if packet.auth_method != AUTH_METHOD:
+            raise ProtocolMismatch(
+                f"authentication method {packet.auth_method!r} is not {AUTH_METHOD!r}"
+            )
         if not packet.client_id:
             raise ProtocolError("connect carries no client id")
         if Did.parse(packet.client_id).method != "key":
@@ -543,61 +575,31 @@ class DaxiotBroker:
     def handle_auth_response(self, session_id: str, packet: Packet) -> Reply:
         """Steps G and H: authenticate the static identity, verify the credential."""
         session = self._session(session_id)
-
+        envelope = _envelope(packet.auth_data, "authentication response")
         if session.phase is not BrokerPhase.AWAIT_AUTH:
-            # An established session only ever sees this packet from a replay
-            # or an injection; reject without evicting, so a recorded frame
-            # cannot kick a live session off the broker.
-            error: DaxiotError
-            try:
-                envelope = _envelope(packet.auth_data, "authentication response")
-                if envelope.nonce != session.c2b.nonce:
-                    error = ReplayError("authentication response replays a stale nonce")
-                else:
-                    error = ProtocolOrderError("authentication response outside the handshake")
-            except ProtocolError as exc:
-                error = exc
-            self._emit("auth_rejected", session_id, reason=type(error).__name__)
-            return Reply(error=error)
-
-        def fail(error: DaxiotError, reason_code: ReasonCode) -> Reply:
-            self._emit("auth_rejected", session_id, reason=type(error).__name__)
-            self._evict(session_id)
-            return _rejection(
-                Packet(kind=PacketKind.CONNACK, reason_code=reason_code),
-                Packet(kind=PacketKind.DISCONNECT, reason_code=reason_code),
-                close=True,
-                error=error,
-            )
-
+            if envelope.nonce != session.c2b.nonce:
+                raise ReplayError("authentication response replays a stale nonce")
+            raise ProtocolOrderError("authentication response outside the handshake")
         try:
-            envelope = _envelope(packet.auth_data, "authentication response")
             (compact,) = session.c2b.open(PacketKind.AUTH_RESPONSE, envelope)
-        except ProtocolError as error:
-            return fail(error, ReasonCode.PROTOCOL_ERROR)
-        except IntegrityError:
-            return fail(
-                AuthenticationError(
-                    "authentication response does not decrypt; sender does not hold the static key"
-                ),
-                ReasonCode.PROTOCOL_ERROR,
-            )
+        except IntegrityError as exc:
+            raise AuthenticationError(
+                "authentication response does not decrypt; sender does not hold the static key"
+            ) from exc
         self._tap(compact)
-
         try:
-            presentation = Presentation.parse(compact.decode("utf-8"))
-            grant = verify_presentation(
-                presentation,
-                expected_subject=session.static_did,
-                verifier_did=self.broker_did,
-                til=self._til_source(),
-                rr=self._rr_source(),
-                resolver=self._resolver,
-            )
-        except (CredentialError, UnicodeDecodeError) as exc:
-            error = exc if isinstance(exc, CredentialError) else ProtocolError(str(exc))
-            return fail(error, ReasonCode.NOT_AUTHORIZED)
+            text = compact.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedCredential(f"presentation is not UTF-8: {exc}") from exc
 
+        grant = verify_presentation(
+            Presentation.parse(text),
+            expected_subject=session.static_did,
+            verifier_did=self.broker_did,
+            til=self._til_source(),
+            rr=self._rr_source(),
+            resolver=self._resolver,
+        )
         session.grant = grant
         session.phase = BrokerPhase.ESTABLISHED
         session.b2c = Channel(session.c2b.key, session.ephemeral_did, Nonce.fresh())
@@ -615,52 +617,12 @@ class DaxiotBroker:
 
     # -- established-session operations -----------------------------------------
 
-    def _check_established(self, session: BrokerSession, ack_kind: PacketKind) -> Reply | None:
-        if session.phase is not BrokerPhase.ESTABLISHED:
-            error = ProtocolOrderError(f"{ack_kind.name} traffic before the session is established")
-            self._emit("protocol_error", session.ephemeral_did, reason=type(error).__name__)
-            self._evict(session.ephemeral_did)
-            return _rejection(
-                Packet(kind=ack_kind, reason_code=ReasonCode.PROTOCOL_ERROR),
-                Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-                close=True,
-                error=error,
-            )
-        return None
-
-    def _exhausted(self, session_id: str, error: NonceOverflowError) -> Reply:
-        self._emit("session_exhausted", session_id)
-        self._evict(session_id)
-        return _rejection(
-            Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR),
-            close=True,
-            error=error,
-        )
-
     def handle_subscribe(self, session_id: str, packet: Packet) -> Reply:
         """Step I: decrypt the topic, enforce the subscribe grant, register."""
-        session = self._session(session_id)
-        early = self._check_established(session, PacketKind.SUBACK)
-        if early is not None:
-            return early
-
-        def reject(error: DaxiotError, event: str = "subscribe_rejected") -> Reply:
-            self._emit(event, session_id, reason=type(error).__name__)
-            return _rejection(
-                Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.PROTOCOL_ERROR), error=error
-            )
-
-        try:
-            (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, _envelope(packet.topic, "subscribe"))
-        except NonceOverflowError as error:
-            return self._exhausted(session_id, error)
-        except (ProtocolError, IntegrityError) as error:
-            return reject(error)
+        session = self._session(session_id, BrokerPhase.ESTABLISHED)
+        (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, _envelope(packet.topic, "subscribe"))
         self._tap(raw)
-        try:
-            topic = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return reject(ProtocolError(f"subscribe topic is not UTF-8: {exc}"))
+        topic = _utf8(raw, "subscribe topic")
 
         if topic not in session.grant.subscribe_topics:
             self._emit("subscribe_denied", session_id)
@@ -673,33 +635,15 @@ class DaxiotBroker:
 
     def handle_publish(self, session_id: str, packet: Packet) -> Reply:
         """Step J: enforce consecutive nonces and the publish grant, fan out."""
-        session = self._session(session_id)
-        early = self._check_established(session, PacketKind.PUBACK)
-        if early is not None:
-            return early
-
-        def reject(error: DaxiotError) -> Reply:
-            self._emit("publish_rejected", session_id, reason=type(error).__name__)
-            return _rejection(
-                Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.PROTOCOL_ERROR), error=error
-            )
-
-        try:
-            raw_topic, payload = session.c2b.open(
-                PacketKind.PUBLISH,
-                _envelope(packet.topic, "publish topic"),
-                _envelope(packet.payload, "publish payload"),
-            )
-        except NonceOverflowError as error:
-            return self._exhausted(session_id, error)
-        except (ProtocolError, IntegrityError) as error:
-            return reject(error)
+        session = self._session(session_id, BrokerPhase.ESTABLISHED)
+        raw_topic, payload = session.c2b.open(
+            PacketKind.PUBLISH,
+            _envelope(packet.topic, "publish topic"),
+            _envelope(packet.payload, "publish payload"),
+        )
         self._tap(raw_topic)
         self._tap(payload)
-        try:
-            topic = raw_topic.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return reject(ProtocolError(f"publish topic is not UTF-8: {exc}"))
+        topic = _utf8(raw_topic, "publish topic")
 
         if topic not in session.grant.publish_topics:
             self._emit("publish_denied", session_id)
@@ -714,9 +658,10 @@ class DaxiotBroker:
                 continue
             try:
                 forwards.append((subscriber_id, self._forward(subscriber, topic, payload)))
-            except NonceOverflowError:
-                self._emit("session_exhausted", subscriber_id)
-                self._evict(subscriber_id)
+            except NonceOverflowError as error:
+                # Ends the subscriber's session alone; its reply has no route
+                # back through this publish, and the publisher still gets PUBACK.
+                self._refuse(subscriber_id, PacketKind.PUBLISH, error)
         self._emit("publish_forwarded", session_id, reason=str(len(forwards)))
         return Reply(
             packets=[Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.SUCCESS)],

@@ -11,20 +11,7 @@ from collections import deque
 
 from .errors import ConnectionRejected, FramingError, ProtocolOrderError
 from .protocol import DaxiotBroker, DaxiotClient
-from .wire import MAX_FRAME, Packet, PacketKind, decode_frame, encode_frame
-
-
-def read_exact(sock: socket.socket, count: int) -> bytes | None:
-    """Read exactly count bytes, or None on a clean EOF at a frame boundary."""
-    chunks = bytearray()
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
-            if chunks:
-                raise FramingError("connection closed mid-frame")
-            return None
-        chunks += chunk
-    return bytes(chunks)
+from .wire import Packet, PacketKind, decode_frame, encode_frame, frame_length
 
 
 class TcpClientConnection:
@@ -32,6 +19,7 @@ class TcpClientConnection:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._reader = self._sock.makefile("rb")
 
     def send(self, packet: Packet) -> None:
         self._sock.sendall(encode_frame(packet))
@@ -40,19 +28,19 @@ class TcpClientConnection:
         self._sock.sendall(frame)
 
     def recv(self) -> Packet:
-        header = read_exact(self._sock, 4)
-        if header is None:
+        header = self._reader.read(4)
+        if not header:
             raise FramingError("connection closed by the broker")
-        length = int.from_bytes(header, "big")
-        if length == 0 or length > MAX_FRAME:
-            raise FramingError(f"invalid frame length {length}")
-        body = read_exact(self._sock, length)
-        if body is None:
-            raise FramingError("connection closed mid-frame")
-        return decode_frame(header + body)
+        if len(header) == 4:
+            length = frame_length(header)
+            body = self._reader.read(length)
+            if len(body) == length:
+                return decode_frame(header + body)
+        raise FramingError("connection closed mid-frame")
 
     def close(self) -> None:
         try:
+            self._reader.close()
             self._sock.close()
         except OSError:
             pass

@@ -85,6 +85,14 @@ def encode_frame(packet: Packet) -> bytes:
     return len(body).to_bytes(4, "big") + bytes(body)
 
 
+def frame_length(header: bytes) -> int:
+    """Body length a 4-byte frame header declares; checked before any body is read."""
+    length = int.from_bytes(header, "big")
+    if length == 0 or length > MAX_FRAME:
+        raise FramingError(f"invalid frame length {length}")
+    return length
+
+
 def _decode_str(value: bytes, name: str) -> str:
     try:
         return value.decode("utf-8")

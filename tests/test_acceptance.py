@@ -521,7 +521,7 @@ def test_criterion_7_crypto_vectors():
         assert _dh(bytes.fromhex(scalar), bytes.fromhex(u)).hex() == expected
 
     from helpers import hkdf_sha256_oracle
-    from daxiot.crypto import SharedSecret, kdf
+    from daxiot.crypto import kdf
 
     ikm = bytes.fromhex("0b" * 22)
     salt = bytes.fromhex("000102030405060708090a0b0c")
@@ -529,18 +529,18 @@ def test_criterion_7_crypto_vectors():
     assert hkdf_sha256_oracle(ikm, info, length=42, salt=salt).hex() == (
         "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
     )
-    assert kdf(SharedSecret(b"\x0b" * 32), b"anything") == hkdf_sha256_oracle(b"\x0b" * 32, b"anything")
+    assert kdf(b"\x0b" * 32, b"anything") == hkdf_sha256_oracle(b"\x0b" * 32, b"anything")
 
     assert _hchacha20(vectors.HCHACHA_KEY, vectors.HCHACHA_INPUT).hex() == vectors.HCHACHA_SUBKEY
 
-    from daxiot.crypto import KeyKind, Nonce, SessionKey, aead_encrypt
+    from daxiot.crypto import Nonce, SessionKey, aead_encrypt
 
     nonce = Nonce(
         prefix=vectors.XCHACHA_NONCE[:16],
         counter=int.from_bytes(vectors.XCHACHA_NONCE[16:], "big"),
     )
     envelope = aead_encrypt(
-        SessionKey(key=vectors.XCHACHA_KEY, kind=KeyKind.ONE_PU),
+        SessionKey(key=vectors.XCHACHA_KEY),
         nonce,
         vectors.XCHACHA_PLAINTEXT,
         vectors.XCHACHA_AAD,
@@ -572,15 +572,13 @@ def test_criterion_8_lifecycle(tmp_path):
 
         # Removing an issuer locks out its devices on the next connect.
         cli("til-remove", "--til", env.til_path, "--did", env.po_did)
-        with pytest.raises(ConnectionRejected):
-            connection = TcpClientConnection(env.host, broker.port)
+        with pytest.raises(ConnectionRejected), TcpClientConnection(env.host, broker.port) as connection:
             run_handshake(env.publisher_client(), connection, env.broker_did)
         assert broker.service.events[-1]["reason"] == "UntrustedIssuer"
 
         # Revoking a credential locks out its holder on the next connect.
         cli("revoke", "--rr", env.rr_path, "--jti", env.subscriber.jti)
-        with pytest.raises(ConnectionRejected):
-            connection = TcpClientConnection(env.host, broker.port)
+        with pytest.raises(ConnectionRejected), TcpClientConnection(env.host, broker.port) as connection:
             run_handshake(env.subscriber_client(), connection, env.broker_did)
         assert broker.service.events[-1]["reason"] == "Revoked"
 

@@ -24,7 +24,11 @@ def tcp_env(tmp_path):
 
 def _connect(env, broker, client):
     connection = TcpClientConnection(env.host, broker.port)
-    run_handshake(client, connection, env.broker_did)
+    try:
+        run_handshake(client, connection, env.broker_did)
+    except BaseException:
+        connection.close()
+        raise
     return connection
 
 

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from daxiot.crypto import (
     AeadEnvelope,
-    KeyKind,
     Nonce,
     SessionKey,
-    SharedSecret,
     aead_decrypt,
     aead_encrypt,
     convert_public_key,
@@ -92,7 +90,6 @@ class TestAgreements:
         sender = ecdh_es(client.secret, broker.public, context)
         receiver = ecdh_es(broker.secret, client.public, context)
         assert sender.key == receiver.key
-        assert sender.kind is KeyKind.ES
 
     def test_es_context_separation(self):
         client = to_agreement_keypair(generate_signing_keypair())
@@ -120,7 +117,6 @@ class TestAgreements:
             receiver.secret, sender_ephemeral.public, sender_static.public, context
         )
         assert sender_key.key == receiver_key.key
-        assert sender_key.kind is KeyKind.ONE_PU
 
     def test_1pu_concatenation_order_is_normative(self):
         sender_static = to_agreement_keypair(generate_signing_keypair())
@@ -132,8 +128,8 @@ class TestAgreements:
         z_e = _dh(sender_ephemeral.secret, receiver.public)
         z_s = _dh(sender_static.secret, receiver.public)
         forward = ecdh_1pu(sender_static.secret, sender_ephemeral.secret, receiver.public, context)
-        swapped = kdf(SharedSecret(z_s + z_e), context)
-        assert forward.key == kdf(SharedSecret(z_e + z_s), context)
+        swapped = kdf(z_s + z_e, context)
+        assert forward.key == kdf(z_e + z_s, context)
         assert forward.key != swapped
 
     def test_1pu_fixed_vector(self):
@@ -159,38 +155,34 @@ def x25519_public_from_scalar(scalar: bytes) -> bytes:
 
 class TestKdf:
     def test_deterministic(self):
-        secret = SharedSecret(b"\x09" * 32)
+        secret = b"\x09" * 32
         assert kdf(secret, b"ctx") == kdf(secret, b"ctx")
 
     def test_one_byte_context_difference(self):
-        secret = SharedSecret(b"\x09" * 32)
+        secret = b"\x09" * 32
         assert kdf(secret, b"ctxA") != kdf(secret, b"ctxB")
 
     def test_empty_context_rejected(self):
         with pytest.raises(CryptoError):
-            kdf(SharedSecret(b"\x09" * 32), b"")
+            kdf(b"\x09" * 32, b"")
 
     def test_64_byte_input(self):
-        secret = SharedSecret(bytes(range(64)))
+        secret = bytes(range(64))
         out = kdf(secret, b"ctx")
         assert len(out) == 32
-        assert out == hkdf_sha256_oracle(secret.data, b"ctx")
+        assert out == hkdf_sha256_oracle(secret, b"ctx")
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.binary(min_size=64, max_size=64), context=st.binary(min_size=1, max_size=32))
     def test_never_emits_input_slices(self, data, context):
-        out = kdf(SharedSecret(data), context)
+        out = kdf(data, context)
         for start in range(len(data) - 31):
             assert out != data[start : start + 32]
-
-    def test_bad_secret_length(self):
-        with pytest.raises(CryptoError):
-            SharedSecret(b"\x01" * 33)
 
 
 class TestAead:
     def _key(self):
-        return SessionKey(key=b"\x42" * 32, kind=KeyKind.ONE_PU)
+        return SessionKey(key=b"\x42" * 32)
 
     @settings(max_examples=60, deadline=None)
     @given(plaintext=st.binary(max_size=256), aad=st.binary(max_size=64))
@@ -219,7 +211,7 @@ class TestAead:
 
     def test_wrong_key_rejected(self):
         envelope = aead_encrypt(self._key(), Nonce.fresh(), b"hello", b"aad")
-        other = SessionKey(key=b"\x43" * 32, kind=KeyKind.ONE_PU)
+        other = SessionKey(key=b"\x43" * 32)
         with pytest.raises(IntegrityError):
             aead_decrypt(other, envelope, b"aad")
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import establish
-from daxiot.credential import AuthorizationClaim, issue
+from daxiot.credential import AuthorizationClaim, RevocationRegistry, issue
+import daxiot.did
 import daxiot.protocol
 from daxiot.crypto import AeadEnvelope, Nonce, aead_encrypt
 from daxiot.errors import (
@@ -19,7 +20,7 @@ from daxiot.errors import (
     ProtocolOrderError,
     ReplayError,
 )
-from daxiot.protocol import BrokerPhase, ClientPhase, DaxiotClient
+from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotClient
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
 from helpers import PermissionOracle
 
@@ -622,3 +623,235 @@ class TestBrokerState:
             b"AuthorizationCredential",
         ):
             assert secret not in wire
+
+
+# ---------------------------------------------------------------------------
+# The broker's refusal policy, one row per refusal class
+# ---------------------------------------------------------------------------
+#
+# Each scenario sets a broker up and returns (session, packet): the packet the
+# broker refuses, and the session it arrives on (None for the first packet of
+# a connection, which has no session yet).
+
+PE, NA = ReasonCode.PROTOCOL_ERROR, ReasonCode.NOT_AUTHORIZED
+DISCONNECT, CONNACK = PacketKind.DISCONNECT, PacketKind.CONNACK
+
+
+def _challenged(env, loopback):
+    """A client the broker has challenged, its connection, and its unsent response."""
+    client = env.publisher_client()
+    connection = loopback.open()
+    connection.send(client.begin_connect(env.broker_did))
+    return client, connection, client.handle_challenge(connection.recv())
+
+
+def _wrong_first_packet(env, loopback):
+    return None, Packet(kind=PacketKind.PUBLISH, topic=b"x")
+
+
+def _wrong_auth_method(env, loopback):
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    packet.auth_method = "TLS"
+    return None, packet
+
+
+def _replayed_connect(env, loopback):
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    loopback.open().send(packet)
+    return None, packet
+
+
+def _duplicate_client_id(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    packet.client_id = client.ephemeral_did
+    return None, packet
+
+
+def _connect_on_open_session(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    return client.ephemeral_did, packet
+
+
+def _broker_only_kind(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    packet = Packet(kind=PacketKind.CONNACK, reason_code=ReasonCode.SUCCESS)
+    return client.ephemeral_did, packet
+
+
+def _subscribe_before_established(env, loopback):
+    client, _, _ = _challenged(env, loopback)
+    packet = Packet(kind=PacketKind.SUBSCRIBE, topic=b"x")
+    return client.ephemeral_did, packet
+
+
+def _bad_subscribe(env, loopback):
+    client = env.subscriber_client()
+    establish(loopback, client, env.broker_did)
+    packet = client.subscribe(env.topic)
+    packet.topic = _tamper_envelope(packet.topic)
+    return client.ephemeral_did, packet
+
+
+def _bad_publish(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    packet = client.publish(env.topic, b"x")
+    packet.payload = _tamper_envelope(packet.payload)
+    return client.ephemeral_did, packet
+
+
+def _auth_response_replayed_when_established(env, loopback):
+    client, connection, response = _challenged(env, loopback)
+    connection.send(response)
+    client.handle_connack(connection.recv())
+    return client.ephemeral_did, response
+
+
+def _tampered_auth_response(env, loopback):
+    client, _, response = _challenged(env, loopback)
+    response.auth_data = _tamper_envelope(response.auth_data)
+    return client.ephemeral_did, response
+
+
+def _revoked_credential(env, loopback):
+    RevocationRegistry.load(env.rr_path).revoke(env.publisher.jti).save(env.rr_path)
+    client, _, response = _challenged(env, loopback)
+    return client.ephemeral_did, response
+
+
+def _non_utf8_presentation(env, loopback):
+    client, _, _ = _challenged(env, loopback)
+    session = loopback.engine.sessions[client.ephemeral_did]
+    channel = Channel(session.c2b.key, client.ephemeral_did, session.c2b.nonce)
+    (envelope,) = channel.seal(PacketKind.AUTH_RESPONSE, b"\xff\xfe~")
+    packet = Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=envelope.to_bytes())
+    return client.ephemeral_did, packet
+
+
+def _exhausted_c2b(env, loopback):
+    client = env.subscriber_client()
+    establish(loopback, client, env.broker_did)
+    session = loopback.engine.sessions[client.ephemeral_did]
+    session.c2b.nonce = Nonce(session.c2b.nonce.prefix, LAST_COUNTER)
+    aad = bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode()
+    envelope = aead_encrypt(session.c2b.key, session.c2b.nonce, env.topic.encode(), aad)
+    packet = Packet(kind=PacketKind.SUBSCRIBE, topic=envelope.to_bytes())
+    return client.ephemeral_did, packet
+
+
+# scenario, event, reason, reply packets, close, session alive afterwards
+REFUSALS = {
+    "wrong first packet": (
+        _wrong_first_packet, "connect_rejected", "ProtocolOrderError", [(DISCONNECT, PE)], True, None
+    ),
+    "wrong auth method": (
+        _wrong_auth_method, "connect_rejected", "ProtocolMismatch", [(DISCONNECT, PE)], True, None
+    ),
+    "replayed connect": (
+        _replayed_connect, "connect_rejected", "ReplayError", [(DISCONNECT, PE)], True, None
+    ),
+    "duplicate client id": (
+        _duplicate_client_id, "connect_rejected", "ProtocolOrderError", [(DISCONNECT, PE)], True, None
+    ),
+    "connect on an open session": (
+        _connect_on_open_session, "protocol_error", "ProtocolOrderError", [(DISCONNECT, PE)], True, False
+    ),
+    "broker-only kind from a client": (
+        _broker_only_kind, "protocol_error", "ProtocolOrderError", [(DISCONNECT, PE)], True, False
+    ),
+    "subscribe before establishment": (
+        _subscribe_before_established, "protocol_error", "ProtocolOrderError",
+        [(PacketKind.SUBACK, PE), (DISCONNECT, PE)], True, False,
+    ),
+    "bad subscribe when established": (
+        _bad_subscribe, "subscribe_rejected", "IntegrityError", [(PacketKind.SUBACK, PE)], False, True
+    ),
+    "bad publish when established": (
+        _bad_publish, "publish_rejected", "IntegrityError", [(PacketKind.PUBACK, PE)], False, True
+    ),
+    "auth response replayed when established": (
+        _auth_response_replayed_when_established, "auth_rejected", "ReplayError", [], False, True
+    ),
+    "tampered auth response": (
+        _tampered_auth_response, "auth_rejected", "AuthenticationError",
+        [(CONNACK, PE), (DISCONNECT, PE)], True, False,
+    ),
+    "revoked credential": (
+        _revoked_credential, "auth_rejected", "Revoked", [(CONNACK, NA), (DISCONNECT, NA)], True, False
+    ),
+    "non-UTF-8 presentation": (
+        _non_utf8_presentation, "auth_rejected", "MalformedCredential",
+        [(CONNACK, NA), (DISCONNECT, NA)], True, False,
+    ),
+    "exhausted c2b": (
+        _exhausted_c2b, "session_exhausted", None, [(DISCONNECT, PE)], True, False
+    ),
+}
+
+
+class TestRefusalPolicy:
+    @pytest.mark.parametrize("row", list(REFUSALS))
+    def test_refusal(self, env, loopback, row):
+        scenario, event, reason, packets, close, alive = REFUSALS[row]
+        session_id, packet = scenario(env, loopback)
+        engine, events_before = loopback.engine, len(loopback.events)
+        sessions_before = set(engine.sessions)
+
+        if session_id is None:
+            new_session, reply = engine.handle_connect(packet)
+            assert new_session is None
+            assert set(engine.sessions) == sessions_before
+        else:
+            reply = engine.handle_packet(session_id, packet)
+            assert (session_id in engine.sessions) is alive
+            assert set(engine.sessions) | {session_id} == sessions_before
+        assert loopback.events[events_before:] == [
+            {"event": event, "session": session_id, "reason": reason}
+        ]
+        assert [(p.kind, p.reason_code) for p in reply.packets] == packets
+        assert reply.close is close
+        assert reply.forwards == []
+        assert type(reply.error).__name__ == (reason or "NonceOverflowError")
+
+    def test_disconnect_from_unknown_session_is_silent(self, loopback):
+        reply = loopback.engine.handle_packet("did:key:gone", Packet(kind=PacketKind.DISCONNECT))
+        assert reply == daxiot.protocol.Reply(close=True)
+        assert loopback.events == []
+
+    @pytest.mark.parametrize("kind", [k for k in PacketKind if k is not PacketKind.DISCONNECT], ids=lambda k: k.name)
+    def test_other_packets_from_unknown_session_raise(self, loopback, kind):
+        with pytest.raises(ProtocolOrderError):
+            loopback.engine.handle_packet("did:key:gone", Packet(kind=kind))
+        assert loopback.events == []
+
+    @pytest.mark.parametrize("where", ["client id", "static DID"])
+    def test_oversized_did_key_is_refused_before_decoding(self, env, loopback, monkeypatch, where):
+        # base58 decoding is quadratic; a 64k-character did:key took about a
+        # second, so nothing longer than a real one may reach the decoder.
+        decode = daxiot.did.base58btc_decode
+
+        def bounded(text):
+            if len(text) > 64:
+                pytest.fail(f"base58btc_decode reached with {len(text)} characters")
+            return decode(text)
+
+        monkeypatch.setattr(daxiot.did, "base58btc_decode", bounded)
+        oversized = "did:key:z" + "2" * 65536
+        client = env.publisher_client()
+        if where == "static DID":
+            client.static_did = oversized  # sealed inside the ES envelope
+        packet = client.begin_connect(env.broker_did)
+        if where == "client id":
+            packet.client_id = oversized
+
+        session_id, reply = loopback.engine.handle_connect(packet)
+
+        assert session_id is None
+        assert isinstance(reply.error, DidError)
+        assert loopback.events == [{"event": "connect_rejected", "session": None, "reason": "DidError"}]
+        assert [(p.kind, p.reason_code) for p in reply.packets] == [(DISCONNECT, PE)]

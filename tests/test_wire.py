@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import socket
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daxiot.errors import FramingError
+from daxiot.transport import TcpClientConnection
 from daxiot.wire import (
     MAX_FRAME,
     Packet,
@@ -12,6 +15,7 @@ from daxiot.wire import (
     ReasonCode,
     decode_frame,
     encode_frame,
+    frame_length,
 )
 
 packets = st.builds(
@@ -115,3 +119,53 @@ def test_oversized_declared_length():
     frame = (MAX_FRAME + 1).to_bytes(4, "big") + b"\x01"
     with pytest.raises(FramingError):
         decode_frame(frame)
+
+
+def test_frame_length_bounds():
+    assert frame_length((1).to_bytes(4, "big")) == 1
+    assert frame_length(MAX_FRAME.to_bytes(4, "big")) == MAX_FRAME
+    for length in (0, MAX_FRAME + 1):
+        with pytest.raises(FramingError, match="invalid frame length"):
+            frame_length(length.to_bytes(4, "big"))
+
+
+@pytest.fixture
+def client_and_peer():
+    """A TcpClientConnection and the raw socket on the other end of it."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        connection = TcpClientConnection("127.0.0.1", server.getsockname()[1], timeout=2)
+        peer, _ = server.accept()
+    with connection, peer:
+        yield connection, peer
+
+
+def test_client_reads_a_frame(client_and_peer):
+    connection, peer = client_and_peer
+    packet = Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.SUCCESS)
+    peer.sendall(encode_frame(packet) * 2)
+    assert connection.recv() == packet
+    assert connection.recv() == packet
+
+
+@pytest.mark.parametrize("length", [0, MAX_FRAME + 1])
+def test_client_refuses_a_bad_length_before_reading_a_body(client_and_peer, length):
+    connection, peer = client_and_peer
+    peer.sendall(length.to_bytes(4, "big"))  # no body follows; reading one would time out
+    with pytest.raises(FramingError, match="invalid frame length"):
+        connection.recv()
+
+
+@pytest.mark.parametrize(
+    "sent, message",
+    [
+        (b"", "closed by the broker"),
+        (b"\x00\x00", "closed mid-frame"),
+        (b"\x00\x00\x00\x05\x07", "closed mid-frame"),
+    ],
+)
+def test_client_tells_clean_eof_from_a_torn_frame(client_and_peer, sent, message):
+    connection, peer = client_and_peer
+    peer.sendall(sent)
+    peer.shutdown(socket.SHUT_WR)
+    with pytest.raises(FramingError, match=message):
+        connection.recv()
