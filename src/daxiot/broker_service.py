@@ -122,6 +122,7 @@ class BrokerService:
             plaintext_tap=plaintext_tap,
         )
         self._writers: dict[str, asyncio.StreamWriter] = {}
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.Server | None = None
         logger.setLevel(_LOG_LEVELS.get(config.log_level.lower(), logging.INFO))
 
@@ -147,19 +148,20 @@ class BrokerService:
             {"event": "listening", "session": None, "reason": f"{self._host}:{self._port}"}
         )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def shutdown(self) -> None:
+        """Stop accepting, drop every open connection and wait for its handler.
+
+        Aborting discards unsent bytes, so a peer that stopped reading cannot
+        hold shutdown up; each handler then ends as on a peer's close, and no
+        task is left for the event loop to cancel.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for writer in list(self._writers.values()):
-            writer.close()
-        self._writers.clear()
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.transport.abort()
+        await asyncio.gather(*handlers, return_exceptions=True)
 
     def admin_status(self) -> dict:
         """Read-only point-in-time snapshot of sessions and topic registrations."""
@@ -173,6 +175,8 @@ class BrokerService:
 
     async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         session_id: str | None = None
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 frame = await read_frame(reader)
@@ -191,6 +195,10 @@ class BrokerService:
                     target = self._writers.get(target_id)
                     if target is not None and not target.is_closing():
                         target.write(encode_frame(out))
+                        if out.kind is PacketKind.DISCONNECT:
+                            # The engine ended that session; its handler
+                            # reads EOF once the frame is flushed.
+                            target.close()
                 await writer.drain()
                 if reply.close:
                     break
@@ -209,6 +217,7 @@ class BrokerService:
             if session_id is not None:
                 self.engine.handle_disconnect(session_id)
                 self._writers.pop(session_id, None)
+            del self._connections[handler]
             writer.close()
             try:
                 await writer.wait_closed()

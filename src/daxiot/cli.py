@@ -9,6 +9,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import signal
 import sys
 import urllib.parse
 from pathlib import Path
@@ -176,16 +177,17 @@ def broker(config_path: Path) -> None:
         _fail(str(exc), code=EXIT_CONFIG)
 
     async def _serve() -> None:
+        interrupted = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGINT, interrupted.set)
         try:
             await service.start()
         except BindError as exc:
             _fail(str(exc), code=EXIT_BIND)
-        await service.serve_forever()
+        await interrupted.wait()
+        await service.shutdown()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        click.echo("broker stopped")
+    asyncio.run(_serve())
+    click.echo("broker stopped")
 
 
 def _connect_client(

@@ -7,7 +7,14 @@ pair is derived deterministically (secret via SHA-512-then-clamp, public via
 the birational Edwards-to-Montgomery map), so a single identifier can carry
 both capabilities.
 
-All functions here are pure over value inputs and safe for concurrent use.
+Each :class:`SessionKey` memoizes the ChaCha20-Poly1305 cipher of every
+nonce prefix it has been used with. A prefix stays fixed for a whole run of
+nonces, so its HChaCha20 subkey is derived once rather than on every AEAD
+call. The memo holds nothing more secret than the key itself, lives exactly
+as long as the key, and keeps at most :data:`_CIPHERS_PER_KEY` entries: the
+protocol uses no more prefixes than that under one key. Two threads racing on
+one key at worst derive the same subkey twice. Everything else here is pure
+over value inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -42,6 +49,8 @@ TAG_LEN = 16
 _MAX_COUNTER = 2**64 - 1
 _CURVE25519_P = 2**255 - 19
 _CHACHA_CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
+# The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
+_CIPHERS_PER_KEY = 3
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +88,22 @@ class SessionKey:
     """A 32-byte AEAD key derived by one of the ``ecdh_*`` agreements."""
 
     key: bytes
+    _ciphers: dict[bytes, ChaCha20Poly1305] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.key) != KEY_LEN:
             raise CryptoError("session key must be 32 bytes")
+
+    def _cipher(self, prefix: bytes) -> ChaCha20Poly1305:
+        """The ChaCha20-Poly1305 cipher under HChaCha20(key, prefix), derived once."""
+        cipher = self._ciphers.get(prefix)
+        if cipher is None:
+            if len(self._ciphers) >= _CIPHERS_PER_KEY:
+                self._ciphers.clear()
+            cipher = self._ciphers[prefix] = ChaCha20Poly1305(_hchacha20(self.key, prefix))
+        return cipher
 
 
 @dataclass(frozen=True)
@@ -307,21 +328,22 @@ def _hchacha20(key: bytes, nonce16: bytes) -> bytes:
     return struct.pack("<4L", *permuted[0:4]) + struct.pack("<4L", *permuted[12:16])
 
 
+def _chacha_nonce(nonce: Nonce) -> bytes:
+    # XChaCha20 runs ChaCha20 under 4 zero bytes || the last 8 nonce bytes,
+    # which here are the big-endian counter.
+    return nonce.counter.to_bytes(12, "big")
+
+
 def aead_encrypt(key: SessionKey, nonce: Nonce, plaintext: bytes, aad: bytes) -> AeadEnvelope:
     """Encrypt under XChaCha20-Poly1305; the caller must never reuse a nonce per key."""
-    nonce_bytes = nonce.to_bytes()
-    subkey = _hchacha20(key.key, nonce_bytes[:16])
-    ciphertext = ChaCha20Poly1305(subkey).encrypt(b"\x00" * 4 + nonce_bytes[16:], plaintext, aad)
+    ciphertext = key._cipher(nonce.prefix).encrypt(_chacha_nonce(nonce), plaintext, aad)
     return AeadEnvelope(nonce=nonce, ciphertext=ciphertext)
 
 
 def aead_decrypt(key: SessionKey, envelope: AeadEnvelope, aad: bytes) -> bytes:
     """Decrypt and authenticate; any bit flip in nonce, ciphertext, or aad fails."""
-    nonce_bytes = envelope.nonce.to_bytes()
-    subkey = _hchacha20(key.key, nonce_bytes[:16])
+    cipher = key._cipher(envelope.nonce.prefix)
     try:
-        return ChaCha20Poly1305(subkey).decrypt(
-            b"\x00" * 4 + nonce_bytes[16:], envelope.ciphertext, aad
-        )
+        return cipher.decrypt(_chacha_nonce(envelope.nonce), envelope.ciphertext, aad)
     except InvalidTag as exc:
         raise IntegrityError("AEAD authentication failed") from exc

@@ -372,7 +372,12 @@ class BrokerSession:
 
 @dataclass
 class Reply:
-    """Broker reaction to one inbound packet."""
+    """Broker reaction to one inbound packet.
+
+    ``packets`` go back to the sender and ``forwards`` to other sessions, as
+    (session id, packet). A forwarded DISCONNECT ends that session's
+    connection, as ``close`` ends the sender's.
+    """
 
     packets: list[Packet] = field(default_factory=list)
     forwards: list[tuple[str, Packet]] = field(default_factory=list)
@@ -652,17 +657,20 @@ class DaxiotBroker:
             )
 
         forwards: list[tuple[str, Packet]] = []
+        delivered = 0
         for subscriber_id in sorted(self.topics.get(topic, ())):
             subscriber = self.sessions.get(subscriber_id)
             if subscriber is None:
                 continue
             try:
                 forwards.append((subscriber_id, self._forward(subscriber, topic, payload)))
+                delivered += 1
             except NonceOverflowError as error:
-                # Ends the subscriber's session alone; its reply has no route
-                # back through this publish, and the publisher still gets PUBACK.
-                self._refuse(subscriber_id, PacketKind.PUBLISH, error)
-        self._emit("publish_forwarded", session_id, reason=str(len(forwards)))
+                # Ends the subscriber's session alone: its DISCONNECT is
+                # forwarded to it, and the publisher still gets PUBACK.
+                refusal = self._refuse(subscriber_id, PacketKind.PUBLISH, error)
+                forwards += [(subscriber_id, out) for out in refusal.packets]
+        self._emit("publish_forwarded", session_id, reason=str(delivered))
         return Reply(
             packets=[Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.SUCCESS)],
             forwards=forwards,

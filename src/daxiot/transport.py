@@ -121,6 +121,9 @@ class LoopbackNetwork:
             target = self._by_session.get(target_id)
             if target is not None:
                 target.inbox.append(decode_frame(out_frame))
+                if out.kind is PacketKind.DISCONNECT:
+                    target.closed = True
+                    self.release(target_id)
         if reply.close:
             connection.closed = True
             if connection.session_id is not None:

@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import daxiot
 from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
-from daxiot.crypto import generate_signing_keypair
-from daxiot.errors import BindError, ConfigError, ConnectionRejected
+from daxiot.crypto import Nonce, generate_signing_keypair
+from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
 from daxiot.transport import TcpClientConnection, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode
@@ -189,3 +196,63 @@ class TestFaultIsolation:
         reply = connection.recv()
         assert reply.kind is PacketKind.DISCONNECT
         connection.close()
+
+    def test_exhausted_subscriber_is_disconnected(self, tcp_env):
+        env, broker = tcp_env
+        publisher, subscriber = env.publisher_client(), env.subscriber_client()
+        with (
+            _connect(env, broker, subscriber) as subscriber_conn,
+            _connect(env, broker, publisher) as publisher_conn,
+        ):
+            subscriber_conn.send(subscriber.subscribe(env.topic))
+            assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
+            b2c = broker.service.engine.sessions[subscriber.ephemeral_did].b2c
+            b2c.nonce = Nonce(b2c.nonce.prefix, 2**64 - 2)
+
+            publisher_conn.send(publisher.publish(env.topic, b"last"))
+            assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+            assert subscriber_conn.recv().kind is PacketKind.DISCONNECT
+            with pytest.raises(FramingError, match="closed by the broker"):
+                subscriber_conn.recv()
+            assert _wait_until(lambda: len(broker.service._connections) == 1)
+            publisher_conn.send(publisher.disconnect())
+        events = [e["event"] for e in broker.service.events]
+        assert events.count("session_exhausted") == 1
+        assert "connection_error" not in events
+
+
+def test_sigint_stops_the_broker_cleanly(tmp_path):
+    env = build_scenario(tmp_path / "env")
+    config_path = tmp_path / "broker.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(env.config)))
+    src = str(Path(daxiot.__file__).resolve().parents[1])
+    broker = subprocess.Popen(
+        [sys.executable, "-m", "daxiot.cli", "broker", "--config", str(config_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        connection = None
+        for _ in range(200):
+            try:
+                connection = TcpClientConnection(env.host, env.port)
+                break
+            except OSError:
+                time.sleep(0.05)
+        assert connection is not None, "broker did not start listening"
+        with connection:
+            client = env.publisher_client()
+            run_handshake(client, connection, env.broker_did)
+            broker.send_signal(signal.SIGINT)
+            out, err = broker.communicate(timeout=30)
+            with pytest.raises(FramingError):
+                connection.recv()
+    finally:
+        if broker.poll() is None:
+            broker.kill()
+            broker.communicate()
+    assert broker.returncode == 0
+    assert b"Traceback" not in err
+    assert b'"event": "disconnected"' in err
+    assert out.strip() == b"broker stopped"

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
 from daxiot.crypto import (
+    _CIPHERS_PER_KEY,
     AeadEnvelope,
     Nonce,
     SessionKey,
@@ -21,7 +24,7 @@ from daxiot.crypto import (
     verify,
 )
 from daxiot.errors import CryptoError, IntegrityError, NonceOverflowError
-from helpers import hkdf_sha256_oracle, x25519_public_from_seed
+from helpers import hchacha20_oracle, hkdf_sha256_oracle, x25519_public_from_seed
 
 seeds = st.binary(min_size=32, max_size=32)
 
@@ -230,6 +233,45 @@ class TestAead:
     def test_envelope_too_short(self):
         with pytest.raises(CryptoError):
             AeadEnvelope.from_bytes(b"\x00" * 30)
+
+
+class TestCipherMemo:
+    def test_alternating_prefixes_match_independent_path(self):
+        key = SessionKey(key=bytes(range(32)))
+        prefixes = [b"\x01" * 16, b"\x02" * 16]
+        for counter in range(20):
+            for prefix in prefixes:
+                nonce = Nonce(prefix, counter)
+                envelope = aead_encrypt(key, nonce, b"reading %d" % counter, b"aad")
+                reference = ChaCha20Poly1305(hchacha20_oracle(key.key, prefix)).encrypt(
+                    bytes(4) + counter.to_bytes(8, "big"), b"reading %d" % counter, b"aad"
+                )
+                assert envelope.to_bytes() == nonce.to_bytes() + reference
+                assert aead_decrypt(key, envelope, b"aad") == b"reading %d" % counter
+
+    def test_bit_flip_under_warm_cache_rejected(self):
+        key = SessionKey(key=b"\x42" * 32)
+        nonce = Nonce.fresh()
+        envelope = aead_encrypt(key, nonce, b"hello", b"aad")
+        assert aead_decrypt(key, envelope, b"aad") == b"hello"
+        for position in (0, len(envelope.ciphertext) - 1):
+            flipped = bytearray(envelope.ciphertext)
+            flipped[position] ^= 0x80
+            with pytest.raises(IntegrityError):
+                aead_decrypt(key, AeadEnvelope(nonce, bytes(flipped)), b"aad")
+        assert aead_decrypt(key, envelope, b"aad") == b"hello"
+
+    def test_memo_stays_within_its_bound(self):
+        key = SessionKey(key=b"\x42" * 32)
+        for index in range(50):
+            envelope = aead_encrypt(key, Nonce(index.to_bytes(16, "big"), 0), b"x", b"")
+            assert aead_decrypt(key, envelope, b"") == b"x"
+            assert len(key._ciphers) <= _CIPHERS_PER_KEY
+
+    def test_memo_is_not_part_of_key_identity(self):
+        used, fresh = SessionKey(key=b"\x42" * 32), SessionKey(key=b"\x42" * 32)
+        aead_encrypt(used, Nonce.fresh(), b"x", b"")
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
 class TestNonce:

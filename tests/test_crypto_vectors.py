@@ -140,6 +140,15 @@ def test_xchacha20poly1305_draft_vector():
     assert aead_decrypt(key, envelope, XCHACHA_AAD) == XCHACHA_PLAINTEXT
 
 
+def test_xchacha20poly1305_draft_vector_on_a_warm_key():
+    key = SessionKey(key=XCHACHA_KEY)
+    aead_encrypt(key, Nonce(prefix=b"\xff" * 16, counter=0), b"warm-up", b"")
+    nonce = Nonce.from_bytes(XCHACHA_NONCE)
+    envelope = aead_encrypt(key, nonce, XCHACHA_PLAINTEXT, XCHACHA_AAD)
+    assert envelope.ciphertext.hex() == XCHACHA_CIPHERTEXT + XCHACHA_TAG
+    assert aead_decrypt(key, envelope, XCHACHA_AAD) == XCHACHA_PLAINTEXT
+
+
 ZERO_SEED_ED25519_PUBLIC = "3b6a27bcceb6a42d62a3a8d02a6f0d73653215771de243a63ac048a18b59da29"
 ZERO_SEED_X25519_PUBLIC = "5bf55c73b82ebe22be80f3430667af570fae2556a6415e6b30d4065300aa947d"
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import establish
 from daxiot.credential import AuthorizationClaim, RevocationRegistry, issue
+import daxiot.crypto
 import daxiot.did
 import daxiot.protocol
 from daxiot.crypto import AeadEnvelope, Nonce, aead_encrypt
@@ -528,13 +529,24 @@ class TestBrokerState:
         )
         assert reply.error is None
         assert [(p.kind, p.reason_code) for p in reply.packets] == [(PacketKind.PUBACK, ReasonCode.SUCCESS)]
-        assert reply.forwards == []
+        assert [(target, p.kind, p.reason_code) for target, p in reply.forwards] == [
+            (subscriber.ephemeral_did, PacketKind.DISCONNECT, ReasonCode.PROTOCOL_ERROR)
+        ]
         assert subscriber.ephemeral_did not in loopback.engine.sessions
         assert publisher.ephemeral_did in loopback.engine.sessions
         assert any(
             e["event"] == "session_exhausted" and e["session"] == subscriber.ephemeral_did
             for e in loopback.events
         )
+
+    def test_exhausted_subscriber_connection_is_closed(self, env, loopback):
+        publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, loopback)
+        b2c = loopback.engine.sessions[subscriber.ephemeral_did].b2c
+        b2c.nonce = Nonce(b2c.nonce.prefix, LAST_COUNTER - 1)
+        publisher_conn.send(publisher.publish(env.topic, b"x"))
+        assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+        assert subscriber_conn.recv().kind is PacketKind.DISCONNECT
+        assert subscriber_conn.closed and not subscriber_conn.inbox
 
     def test_exhausted_client_never_reuses_a_nonce(self, env, loopback):
         client = env.publisher_client()
@@ -582,6 +594,23 @@ class TestBrokerState:
         for subscriber, connection in subscribers:
             assert subscriber.handle_publish(connection.recv()) == (env.topic, b"fan-out")
         assert len(calls) == 4 + 4 * 2
+
+    def test_each_subkey_is_derived_once(self, env, loopback, monkeypatch):
+        # Per handshake each side uses four (key, prefix) pairs: the connect
+        # under the ES key, then the challenge, c2b and b2c under the 1PU key.
+        derived = []
+        original = daxiot.crypto._hchacha20
+        monkeypatch.setattr(
+            daxiot.crypto, "_hchacha20", lambda key, prefix: derived.append(prefix) or original(key, prefix)
+        )
+        publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, loopback)
+        assert len(derived) == 2 * 8
+        derived.clear()
+        for index in range(3):
+            publisher_conn.send(publisher.publish(env.topic, bytes([index])))
+            assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+            assert subscriber.handle_publish(subscriber_conn.recv()) == (env.topic, bytes([index]))
+        assert derived == []
 
     def test_status_snapshot(self, env, loopback):
         assert loopback.engine.status() == []
