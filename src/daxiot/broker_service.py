@@ -153,15 +153,17 @@ class BrokerService:
 
         Aborting discards unsent bytes, so a peer that stopped reading cannot
         hold shutdown up; each handler then ends as on a peer's close, and no
-        task is left for the event loop to cancel.
+        task is left for the event loop to cancel. ``wait_closed`` comes last:
+        since Python 3.12.1 it also waits for every accepted connection.
         """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         handlers = list(self._connections)
         for writer in self._connections.values():
             writer.transport.abort()
         await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     def admin_status(self) -> dict:
         """Read-only point-in-time snapshot of sessions and topic registrations."""

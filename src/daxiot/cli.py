@@ -177,13 +177,16 @@ def broker(config_path: Path) -> None:
         _fail(str(exc), code=EXIT_CONFIG)
 
     async def _serve() -> None:
+        loop = asyncio.get_running_loop()
         interrupted = asyncio.Event()
-        asyncio.get_running_loop().add_signal_handler(signal.SIGINT, interrupted.set)
+        loop.add_signal_handler(signal.SIGINT, interrupted.set)
         try:
             await service.start()
         except BindError as exc:
             _fail(str(exc), code=EXIT_BIND)
         await interrupted.wait()
+        # A second Ctrl-C during shutdown raises KeyboardInterrupt again.
+        loop.remove_signal_handler(signal.SIGINT)
         await service.shutdown()
 
     asyncio.run(_serve())

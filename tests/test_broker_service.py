@@ -221,6 +221,27 @@ class TestFaultIsolation:
         assert "connection_error" not in events
 
 
+def test_shutdown_drops_connections_before_waiting_for_the_server(tmp_path):
+    # Since Python 3.12.1 Server.wait_closed returns only once every accepted
+    # connection has closed, so shutdown must drop them before it waits.
+    env = build_scenario(tmp_path / "env")
+    open_at_wait_closed = []
+    with BrokerThread(env.config) as broker:
+        server = broker.service._server
+        wait_closed = server.wait_closed
+
+        async def recording_wait_closed():
+            open_at_wait_closed.append(len(broker.service._connections))
+            await wait_closed()
+
+        server.wait_closed = recording_wait_closed
+        connection = _connect(env, broker, env.publisher_client())
+    with connection:
+        with pytest.raises(FramingError):
+            connection.recv()
+    assert open_at_wait_closed == [0]
+
+
 def test_sigint_stops_the_broker_cleanly(tmp_path):
     env = build_scenario(tmp_path / "env")
     config_path = tmp_path / "broker.json"
