@@ -1,203 +1,143 @@
 """Latency benchmark harness.
 
 Reproduces the measurement methodology of the comparison table: establish N
-connections and publish M messages, timing each round trip from the client's
-send to its acknowledgement receipt. Two scenarios run against local
-servers: a plaintext baseline (no authentication, no encryption) and the
-full authenticated handshake. Absolute numbers are machine-dependent; the
-report exists for methodology and ordering, not to match any published
+connections and publish M messages, timing each from the client's first step
+to its verified acknowledgement. Two scenarios run on the broker's own TCP
+server: a plaintext baseline (no authentication, no encryption, no fan-out)
+and the full authenticated handshake. Absolute numbers are machine-dependent;
+the report exists for methodology and ordering, not to match any published
 hardware figures.
 
-Timing boundary: connect latency covers CONNECT-send to CONNACK-receipt
-(which spans the whole challenge/response for the authenticated mode), and
-publish latency covers PUBLISH-send to PUBACK-receipt.
+Timing boundary: a daxiot connect runs from step A (the client building its
+CONNECT) to the verified CONNACK; a publish runs from building the PUBLISH to
+the verified PUBACK. The baseline times the same exchanges with raw fields.
 """
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .broker_service import BrokerThread, EventLoopThread, read_frame
+from .broker_service import BrokerService, BrokerThread
 from .errors import DaxiotError
-from .scenario import build_scenario
+from .protocol import Reply
+from .scenario import HOST, build_scenario
 from .transport import TcpClientConnection, run_handshake
-from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
+from .wire import Packet, PacketKind, ReasonCode
 
 MODES = ("plaintext", "daxiot")
 DEFAULT_CONNECTS = 1000
 DEFAULT_PUBLISHES = 10000
-_BENCH_PAYLOAD = b"bench-payload-0123456789abcdef"
-
-
-@dataclass
-class LatencyStats:
-    count: int
-    mean_ms: float
-    median_ms: float
-    p95_ms: float
-    min_ms: float
-    max_ms: float
-
-    @classmethod
-    def from_samples(cls, samples_ms: list[float]) -> "LatencyStats":
-        if not samples_ms:
-            raise DaxiotError("cannot summarize zero samples")
-        ordered = sorted(samples_ms)
-        p95_index = round(0.95 * (len(ordered) - 1))
-        return cls(
-            count=len(ordered),
-            mean_ms=statistics.fmean(ordered),
-            median_ms=statistics.median(ordered),
-            p95_ms=ordered[p95_index],
-            min_ms=ordered[0],
-            max_ms=ordered[-1],
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_ms": round(self.mean_ms, 4),
-            "median_ms": round(self.median_ms, 4),
-            "p95_ms": round(self.p95_ms, 4),
-            "min_ms": round(self.min_ms, 4),
-            "max_ms": round(self.max_ms, 4),
-        }
+_TOPIC = "bench/topic"
+_PAYLOAD = b"bench-payload-0123456789abcdef"
 
 
 # ---------------------------------------------------------------------------
-# Plaintext baseline broker (no authentication, no encryption)
+# Plaintext baseline (no authentication, no encryption, no fan-out)
 # ---------------------------------------------------------------------------
 
-class PlaintextBroker(EventLoopThread):
-    """Minimal pub/sub server speaking the same framing with raw fields."""
+class PlaintextEngine:
+    """Acknowledges CONNECT and PUBLISH; any other packet ends the connection."""
 
-    def __init__(self, host: str = "127.0.0.1") -> None:
-        super().__init__("plaintext-broker")
-        self._host = host
-        self.port: int | None = None
-        self._topics: dict[bytes, set[asyncio.StreamWriter]] = {}
-        self._server: asyncio.Server | None = None
+    def __init__(self) -> None:
+        self._sessions = itertools.count()
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                    if frame is None:
-                        break
-                    packet = decode_frame(frame)
-                except DaxiotError:
-                    break
-                if packet.kind is PacketKind.CONNECT:
-                    writer.write(encode_frame(Packet(kind=PacketKind.CONNACK, reason_code=ReasonCode.SUCCESS)))
-                elif packet.kind is PacketKind.SUBSCRIBE and packet.topic is not None:
-                    self._topics.setdefault(packet.topic, set()).add(writer)
-                    writer.write(encode_frame(Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.SUCCESS)))
-                elif packet.kind is PacketKind.PUBLISH:
-                    for subscriber in self._topics.get(packet.topic or b"", set()):
-                        if not subscriber.is_closing():
-                            subscriber.write(encode_frame(packet))
-                    writer.write(encode_frame(Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.SUCCESS)))
-                elif packet.kind is PacketKind.DISCONNECT:
-                    break
-                await writer.drain()
-        finally:
-            for subscribers in self._topics.values():
-                subscribers.discard(writer)
-            writer.close()
+    def handle_connect(self, packet: Packet) -> tuple[str | None, Reply]:
+        if packet.kind is not PacketKind.CONNECT:
+            return None, Reply(close=True)
+        connack = Packet(kind=PacketKind.CONNACK, reason_code=ReasonCode.SUCCESS)
+        return str(next(self._sessions)), Reply(packets=[connack])
 
-    async def _open(self) -> None:
-        self._server = await asyncio.start_server(self._handle, self._host, 0)
-        self.port = self._server.sockets[0].getsockname()[1]
+    def handle_packet(self, session_id: str, packet: Packet) -> Reply:
+        if packet.kind is not PacketKind.PUBLISH:
+            return Reply(close=True)
+        return Reply(packets=[Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.SUCCESS)])
 
-    async def _close(self) -> None:
-        self._server.close()
-        await self._server.wait_closed()
+    def handle_disconnect(self, session_id: str) -> Reply:
+        return Reply(close=True)
 
 
-# ---------------------------------------------------------------------------
-# Workloads
-# ---------------------------------------------------------------------------
+class PlaintextBroker(BrokerThread):
+    """The baseline engine on the broker's own server, on an ephemeral loopback port."""
 
-def _expect(connection: TcpClientConnection, kind: PacketKind) -> Packet:
-    packet = connection.recv()
+    def __init__(self) -> None:
+        self.service = BrokerService(f"{HOST}:0", lambda event_sink: PlaintextEngine())
+
+
+class _PlaintextClient:
+    """The baseline's side of DaxiotClient's publish, ack and disconnect calls."""
+
+    def publish(self, topic: str, payload: bytes) -> Packet:
+        return Packet(kind=PacketKind.PUBLISH, topic=topic.encode("utf-8"), payload=payload)
+
+    def handle_puback(self, packet: Packet) -> ReasonCode:
+        return _expect(packet, PacketKind.PUBACK).reason_code
+
+    def disconnect(self) -> Packet:
+        return Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.SUCCESS)
+
+
+def _plaintext_connect(client: _PlaintextClient, connection: TcpClientConnection) -> None:
+    connection.send(Packet(kind=PacketKind.CONNECT, client_id="plain", auth_method="plain"))
+    _expect(connection.recv(), PacketKind.CONNACK)
+
+
+def _expect(packet: Packet, kind: PacketKind) -> Packet:
     if packet.kind is not kind:
         raise DaxiotError(f"benchmark expected {kind.name}, got {packet.kind.name}")
     return packet
 
 
-def _run_plaintext(iterations_connect: int, iterations_publish: int, host: str) -> dict:
-    broker = PlaintextBroker(host).start()
-    try:
-        connect_samples = []
-        for index in range(iterations_connect):
-            with TcpClientConnection(host, broker.port) as connection:
-                started = time.perf_counter()
-                connection.send(
-                    Packet(kind=PacketKind.CONNECT, client_id=f"plain-{index}", auth_method="plain")
-                )
-                _expect(connection, PacketKind.CONNACK)
-                connect_samples.append((time.perf_counter() - started) * 1000)
-                connection.send(Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.SUCCESS))
+# ---------------------------------------------------------------------------
+# Measurement
+# ---------------------------------------------------------------------------
 
-        publish_samples = []
-        with TcpClientConnection(host, broker.port) as connection:
-            connection.send(Packet(kind=PacketKind.CONNECT, client_id="plain-pub", auth_method="plain"))
-            _expect(connection, PacketKind.CONNACK)
-            for _ in range(iterations_publish):
-                started = time.perf_counter()
-                connection.send(
-                    Packet(kind=PacketKind.PUBLISH, topic=b"bench/topic", payload=_BENCH_PAYLOAD)
-                )
-                _expect(connection, PacketKind.PUBACK)
-                publish_samples.append((time.perf_counter() - started) * 1000)
-            connection.send(Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.SUCCESS))
-    finally:
-        broker.stop()
-    return {"connect": connect_samples, "publish": publish_samples}
-
-
-def _run_daxiot(iterations_connect: int, iterations_publish: int, host: str, workdir: Path) -> dict:
-    env = build_scenario(workdir, topic="bench/topic", host=host)
-    with BrokerThread(env.config):
-        connect_samples = []
-        for _ in range(iterations_connect):
-            client = env.publisher_client()
-            with TcpClientConnection(host, env.port) as connection:
-                connect_packet = client.begin_connect(env.broker_did)
-                started = time.perf_counter()
-                connection.send(connect_packet)
-                connection.send(client.handle_challenge(connection.recv()))
-                client.handle_connack(connection.recv())
-                connect_samples.append((time.perf_counter() - started) * 1000)
-                connection.send(client.disconnect())
-
-        publish_samples = []
-        client = env.publisher_client()
-        with TcpClientConnection(host, env.port) as connection:
-            run_handshake(client, connection, env.broker_did)
-            for _ in range(iterations_publish):
-                publish_packet = client.publish("bench/topic", _BENCH_PAYLOAD)
-                started = time.perf_counter()
-                connection.send(publish_packet)
-                ack = _expect(connection, PacketKind.PUBACK)
-                publish_samples.append((time.perf_counter() - started) * 1000)
-                if client.handle_puback(ack) is not ReasonCode.SUCCESS:
-                    raise DaxiotError("benchmark publish was rejected")
+def _measure(port: int, new_client, connect, iterations_connect: int, iterations_publish: int) -> dict:
+    """Time each connect on a fresh connection, then each publish on one session."""
+    connect_ms = []
+    for _ in range(iterations_connect):
+        client = new_client()
+        with TcpClientConnection(HOST, port) as connection:
+            started = time.perf_counter()
+            connect(client, connection)
+            connect_ms.append((time.perf_counter() - started) * 1000)
             connection.send(client.disconnect())
-    return {"connect": connect_samples, "publish": publish_samples}
+
+    publish_ms = []
+    client = new_client()
+    with TcpClientConnection(HOST, port) as connection:
+        connect(client, connection)
+        for _ in range(iterations_publish):
+            started = time.perf_counter()
+            connection.send(client.publish(_TOPIC, _PAYLOAD))
+            if client.handle_puback(connection.recv()) is not ReasonCode.SUCCESS:
+                raise DaxiotError("benchmark publish was rejected")
+            publish_ms.append((time.perf_counter() - started) * 1000)
+        connection.send(client.disconnect())
+    return {"connect_ms": _summary(connect_ms), "publish_ms": _summary(publish_ms)}
+
+
+def _summary(samples_ms: list[float]) -> dict:
+    ordered = sorted(samples_ms)
+    summary = {
+        "count": len(ordered),
+        "mean_ms": statistics.fmean(ordered),
+        "median_ms": statistics.median(ordered),
+        "p95_ms": ordered[round(0.95 * (len(ordered) - 1))],
+        "min_ms": ordered[0],
+        "max_ms": ordered[-1],
+    }
+    return {name: round(value, 4) for name, value in summary.items()}
 
 
 def run_bench(
     mode: str,
     iterations_connect: int = DEFAULT_CONNECTS,
     iterations_publish: int = DEFAULT_PUBLISHES,
-    host: str = "127.0.0.1",
     workdir: Path | str | None = None,
 ) -> dict:
     """Run one scenario and return its report dictionary."""
@@ -205,21 +145,17 @@ def run_bench(
         raise DaxiotError(f"unknown benchmark mode {mode!r}")
     if iterations_connect < 1 or iterations_publish < 1:
         raise DaxiotError("iteration counts must be at least 1")
+    iterations = (iterations_connect, iterations_publish)
     if mode == "plaintext":
-        samples = _run_plaintext(iterations_connect, iterations_publish, host)
+        with PlaintextBroker() as broker:
+            measured = _measure(broker.port, _PlaintextClient, _plaintext_connect, *iterations)
     else:
-        if workdir is None:
-            with tempfile.TemporaryDirectory(prefix="daxiot-bench-") as tmp:
-                samples = _run_daxiot(iterations_connect, iterations_publish, host, Path(tmp))
-        else:
-            samples = _run_daxiot(iterations_connect, iterations_publish, host, Path(workdir))
-    return {
-        "mode": mode,
-        "iterations_connect": iterations_connect,
-        "iterations_publish": iterations_publish,
-        "connect_ms": LatencyStats.from_samples(samples["connect"]).as_dict(),
-        "publish_ms": LatencyStats.from_samples(samples["publish"]).as_dict(),
-    }
+        with tempfile.TemporaryDirectory(prefix="daxiot-bench-") as tmp:
+            env = build_scenario(Path(workdir or tmp), topic=_TOPIC)
+            with BrokerThread(env.config) as broker:
+                handshake = partial(run_handshake, broker_did=env.broker_did)
+                measured = _measure(broker.port, env.publisher_client, handshake, *iterations)
+    return {"mode": mode, "iterations_connect": iterations_connect, "iterations_publish": iterations_publish, **measured}
 
 
 def render_table(reports: list[dict]) -> str:

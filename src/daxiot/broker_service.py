@@ -1,6 +1,7 @@
 """Runnable broker: TCP listener, session registry, routing, and logging.
 
-The service wraps the protocol engine with transport plumbing. Trusted-issuer
+The service wraps a protocol engine with transport plumbing; the same server
+carries the DAXiot engine and the benchmark's plaintext baseline. Trusted-issuer
 and revocation files are re-read on every verification, so edits take effect
 on the next connect without a restart. Events are logged as line-delimited
 JSON objects {ts, session, event, reason} and kept in a bounded in-memory
@@ -17,11 +18,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .credential import RevocationRegistry, TrustedIssuerList
 from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypair
 from .did import DirectoryWebSource, Resolver
-from .errors import BindError, ConfigError, DaxiotError, FramingError
+from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError
 from .protocol import DaxiotBroker
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
 
@@ -31,7 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BIND = 3
 
-_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
+EventSink = Callable[[dict], None]
 
 
 def load_signing_key(path: Path | str) -> SigningKeyPair:
@@ -78,25 +80,16 @@ class BrokerConfig:
             raise ConfigError(f"broker config missing fields: {sorted(missing)}")
         return cls(**data)
 
-    def host_port(self) -> tuple[str, int]:
-        host, _, port = self.listen_address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigError(f"listen_address must be host:port, got {self.listen_address!r}")
-        return host, int(port)
+    def engine(self, event_sink: EventSink | None = None, plaintext_tap: list | None = None) -> DaxiotBroker:
+        """Check the key, the broker's document and the trust files, then build the engine.
 
-
-class BrokerService:
-    """One broker process: validates its configuration, then serves TCP."""
-
-    def __init__(self, config: BrokerConfig, plaintext_tap: list | None = None) -> None:
-        self.config = config
-        host, port = config.host_port()
-        self._host, self._port = host, port
-
-        keypair = load_signing_key(config.signing_key_path)
-        self.resolver = Resolver(DirectoryWebSource(config.did_web_dir))
+        Any inconsistency raises :class:`ConfigError`. The trust files are
+        re-read on every verification, so edits take effect without a restart.
+        """
+        keypair = load_signing_key(self.signing_key_path)
+        resolver = Resolver(DirectoryWebSource(self.did_web_dir))
         try:
-            document = self.resolver.resolve(config.broker_did)
+            document = resolver.resolve(self.broker_did)
         except DaxiotError as exc:
             raise ConfigError(f"broker DID does not resolve: {exc}") from exc
         if document.verification_key != keypair.public:
@@ -104,27 +97,43 @@ class BrokerService:
         if document.agreement_key != to_agreement_keypair(keypair).public:
             raise ConfigError("broker document agreement key does not match the signing key")
 
-        til_path, rr_path = Path(config.til_path), Path(config.rr_path)
+        til_path, rr_path = Path(self.til_path), Path(self.rr_path)
         try:
             TrustedIssuerList.load(til_path)
             RevocationRegistry.load(rr_path)
-        except (OSError, ValueError, DaxiotError) as exc:
+        except CredentialError as exc:
             raise ConfigError(f"issuer list or revocation registry unreadable: {exc}") from exc
 
-        self.events: deque[dict] = deque(maxlen=1000)
-        self.engine = DaxiotBroker(
+        return DaxiotBroker(
             signing_keypair=keypair,
-            broker_did=config.broker_did,
-            resolver=self.resolver,
+            broker_did=self.broker_did,
+            resolver=resolver,
             til_source=lambda: TrustedIssuerList.load(til_path),
             rr_source=lambda: RevocationRegistry.load(rr_path),
-            event_sink=self._record_event,
+            event_sink=event_sink,
             plaintext_tap=plaintext_tap,
         )
+
+
+class BrokerService:
+    """Serve one protocol engine over TCP.
+
+    ``make_engine`` is called once with the service's event sink and returns
+    the engine: anything whose ``handle_connect``, ``handle_packet`` and
+    ``handle_disconnect`` return a :class:`Reply`, such as the
+    :class:`DaxiotBroker` that :meth:`BrokerConfig.engine` builds.
+    """
+
+    def __init__(self, listen_address: str, make_engine: Callable[[EventSink], object]) -> None:
+        host, _, port = listen_address.rpartition(":")
+        if not host or not port.isdigit():
+            raise ConfigError(f"listen_address must be host:port, got {listen_address!r}")
+        self._host, self._port = host, int(port)
+        self.events: deque[dict] = deque(maxlen=1000)
+        self.engine = make_engine(self._record_event)
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.Server | None = None
-        logger.setLevel(_LOG_LEVELS.get(config.log_level.lower(), logging.INFO))
 
     def _record_event(self, record: dict) -> None:
         record = {"ts": time.time(), **record}
@@ -227,82 +236,41 @@ class BrokerService:
                 pass
 
 
-class EventLoopThread:
-    """Serve on a background event-loop thread until :meth:`stop`.
+class BrokerThread:
+    """Serve a :class:`BrokerService` on a daemon event-loop thread until :meth:`stop`.
 
-    Subclasses bind in :meth:`_open` and release in :meth:`_close`. An error
-    raised while binding re-raises in the caller's thread; after :meth:`start`
-    returns the server is bound and accepting.
+    The engine is built, and the port bound, on the caller's thread, so a
+    configuration or bind error raises there; after :meth:`start` returns
+    the server is accepting.
     """
 
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    async def _open(self) -> None:
-        raise NotImplementedError
-
-    async def _close(self) -> None:
-        raise NotImplementedError
-
-    def start(self) -> EventLoopThread:
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), name=self._name, daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise ConfigError(f"{self._name} thread did not start in time")
-        return self
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self._open()
-        except BaseException as exc:  # surfaced to the starting thread
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop.wait()
-        await self._close()
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-
-    def __enter__(self) -> EventLoopThread:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class BrokerThread(EventLoopThread):
-    """Run a BrokerService on a background event-loop thread.
-
-    Configuration errors raise in the caller's thread during construction.
-    """
-
-    def __init__(self, config: BrokerConfig, plaintext_tap: list | None = None) -> None:
-        self.service = BrokerService(config, plaintext_tap=plaintext_tap)
-        super().__init__("daxiot-broker")
-
-    async def _open(self) -> None:
-        await self.service.start()
-
-    async def _close(self) -> None:
-        await self.service.shutdown()
+    def __init__(self, config: BrokerConfig) -> None:
+        self.service = BrokerService(config.listen_address, config.engine)
 
     @property
     def port(self) -> int:
         return self.service.port
+
+    def start(self) -> "BrokerThread":
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._loop.run_until_complete(self.service.start())
+        except BaseException:
+            self._loop.close()
+            raise
+        self._thread = threading.Thread(target=self._loop.run_forever, name="daxiot-broker", daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        asyncio.run_coroutine_threadsafe(self.service.shutdown(), self._loop).result(timeout=10)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10)
+        self._loop.run_until_complete(self._loop.shutdown_default_executor())
+        self._loop.close()
+
+    def __enter__(self) -> "BrokerThread":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

@@ -36,6 +36,9 @@ from .transport import TcpClientConnection, run_handshake
 from .wire import ReasonCode
 
 
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
+
+
 @click.group()
 def main() -> None:
     """Decentralized authentication and authorization for pub/sub IoT."""
@@ -172,9 +175,11 @@ def broker(config_path: Path) -> None:
     """Run the broker service until interrupted."""
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
-        service = BrokerService(BrokerConfig.from_file(config_path))
+        config = BrokerConfig.from_file(config_path)
+        service = BrokerService(config.listen_address, config.engine)
     except ConfigError as exc:
         _fail(str(exc), code=EXIT_CONFIG)
+    logging.getLogger("daxiot.broker").setLevel(_LOG_LEVELS.get(config.log_level.lower(), logging.INFO))
 
     async def _serve() -> None:
         loop = asyncio.get_running_loop()

@@ -30,6 +30,7 @@ from .errors import (
     NothingToPresent,
     Revoked,
     SubjectMismatch,
+    TrustFileError,
     UnknownDisclosure,
     UntrustedIssuer,
 )
@@ -123,8 +124,8 @@ class Disclosure:
         return _b64url(self.serialize())
 
     @classmethod
-    def decode(cls, text: str) -> "Disclosure":
-        raw = _b64url_decode(text)
+    def decode(cls, raw: bytes) -> "Disclosure":
+        """Parse the JSON array; the one parser for presented and stored disclosures."""
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -212,7 +213,7 @@ class Presentation:
             raise MalformedCredential("compact presentation must end with '~'")
         segments = compact[:-1].split("~")
         credential = SdJwtCredential.parse(segments[0])
-        disclosures = tuple(Disclosure.decode(seg) for seg in segments[1:])
+        disclosures = tuple(Disclosure.decode(_b64url_decode(seg)) for seg in segments[1:])
         return cls(credential=credential, disclosures=disclosures)
 
 
@@ -245,9 +246,9 @@ class TrustedIssuerList:
 
     @classmethod
     def load(cls, path: Path | str) -> "TrustedIssuerList":
-        data = json.loads(Path(path).read_text("utf-8"))
+        data = _read_trust_file(path)
         if not isinstance(data, list) or not all(isinstance(d, str) for d in data):
-            raise CredentialError(f"{path}: trusted issuer file must be a JSON array of DIDs")
+            raise TrustFileError(f"{path}: trusted issuer file must be a JSON array of DIDs")
         return cls(frozenset(data))
 
     def save(self, path: Path | str) -> None:
@@ -274,14 +275,23 @@ class RevocationRegistry:
 
     @classmethod
     def load(cls, path: Path | str) -> "RevocationRegistry":
-        data = json.loads(Path(path).read_text("utf-8"))
+        data = _read_trust_file(path)
         if not isinstance(data, dict):
-            raise CredentialError(f"{path}: revocation registry must be a JSON object")
+            raise TrustFileError(f"{path}: revocation registry must be a JSON object")
         return cls({jti for jti, status in data.items() if status == CredentialStatus.REVOKED.value})
 
     def save(self, path: Path | str) -> None:
         data = {jti: CredentialStatus.REVOKED.value for jti in sorted(self._revoked)}
         _atomic_write(Path(path), json.dumps(data, indent=2).encode() + b"\n")
+
+
+def _read_trust_file(path: Path | str) -> object:
+    # A missing, torn or non-UTF-8 file fails closed: the verification it
+    # serves is refused instead of crashing the broker.
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise TrustFileError(f"{path}: cannot read trust file: {exc}") from exc
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -453,8 +463,8 @@ def load_credential_files(directory: Path | str) -> tuple[SdJwtCredential, list[
     credential = SdJwtCredential.parse(credential_path.read_text("utf-8").strip())
     disclosures = []
     for path in sorted(directory.glob("disclosure-*.json")):
-        data = json.loads(path.read_text("utf-8"))
-        if not isinstance(data, list) or len(data) != 3:
-            raise MalformedCredential(f"{path}: not a disclosure array")
-        disclosures.append(Disclosure(salt=data[0], key=data[1], value=data[2]))
+        try:
+            disclosures.append(Disclosure.decode(path.read_bytes()))
+        except MalformedCredential as exc:
+            raise MalformedCredential(f"{path}: {exc}") from exc
     return credential, disclosures

@@ -17,7 +17,7 @@ from .broker_service import BrokerThread
 from .credential import RevocationRegistry
 from .errors import ConnectionRejected, DaxiotError
 from .scenario import ScenarioEnv, build_scenario
-from .transport import TcpClientConnection
+from .transport import TcpClientConnection, run_handshake
 from .wire import PacketKind, ReasonCode
 
 
@@ -37,15 +37,9 @@ def _broker_rejection_cause(broker: BrokerThread, fallback: str) -> str:
     return fallback
 
 
-def run_demo(
-    revoke_first: bool = False,
-    untrusted_issuer: bool = False,
-    workdir: Path | None = None,
-    echo=print,
-) -> int:
+def run_demo(revoke_first: bool = False, untrusted_issuer: bool = False, echo=print) -> int:
     """Run the scenario; returns 0 on success, 1 on failure (step is printed)."""
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="daxiot-demo-"))
+    workdir = Path(tempfile.mkdtemp(prefix="daxiot-demo-"))
     echo(f"demo artifacts: {workdir}")
 
     env = build_scenario(workdir, trust_publisher_owner=not untrusted_issuer)
@@ -117,9 +111,7 @@ def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo, connections: ExitSta
     # --- subscriber connects and subscribes (step I) ---
     try:
         subscriber_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
-        subscriber_conn.send(subscriber.begin_connect(env.broker_did))
-        subscriber_conn.send(subscriber.handle_challenge(subscriber_conn.recv()))
-        subscriber.handle_connack(subscriber_conn.recv())
+        run_handshake(subscriber, subscriber_conn, env.broker_did)
         subscriber_conn.send(subscriber.subscribe(env.topic))
         if subscriber.handle_suback(subscriber_conn.recv()) is not ReasonCode.SUCCESS:
             raise DemoFailure("I", "subscription was not authorized")

@@ -70,6 +70,10 @@ class NothingToPresent(CredentialError):
     """No disclosure matches the requested verifier."""
 
 
+class TrustFileError(CredentialError):
+    """The trusted issuer list or revocation registry is missing or malformed."""
+
+
 # --- wire format -----------------------------------------------------------
 
 class FramingError(DaxiotError):

@@ -14,7 +14,7 @@ import socket
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerConfig
+from .broker_service import BrokerConfig, EventSink
 from .credential import (
     AuthorizationClaim,
     Disclosure,
@@ -36,10 +36,7 @@ from .did import (
 from .protocol import DaxiotBroker, DaxiotClient
 
 
-def free_tcp_port(host: str = "127.0.0.1") -> int:
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
+HOST = "127.0.0.1"
 
 
 def write_didweb_document(
@@ -106,29 +103,15 @@ class ScenarioEnv:
         m = self.subscriber
         return DaxiotClient(m.keypair, m.credential, m.disclosures, self.resolver())
 
-    def engine(self, event_sink=None, plaintext_tap=None) -> DaxiotBroker:
+    def engine(self, event_sink: EventSink | None = None, plaintext_tap: list | None = None) -> DaxiotBroker:
         """Broker engine over the same files, for socket-free runs."""
-        til_path, rr_path = self.til_path, self.rr_path
-        return DaxiotBroker(
-            signing_keypair=self.broker_keypair,
-            broker_did=self.broker_did,
-            resolver=self.resolver(),
-            til_source=lambda: TrustedIssuerList.load(til_path),
-            rr_source=lambda: RevocationRegistry.load(rr_path),
-            event_sink=event_sink,
-            plaintext_tap=plaintext_tap,
-        )
+        return self.config.engine(event_sink, plaintext_tap)
 
 
 def build_scenario(
     root: Path | str,
     topic: str = "factory/line-4/temperature",
-    payload: bytes = b"hello",
-    other_topic: str = "vendor-lab/offsite-calibration-feed",
-    host: str = "127.0.0.1",
     port: int | None = None,
-    broker_host: str = "broker.example",
-    other_broker_host: str = "other-broker.example",
     trust_publisher_owner: bool = True,
 ) -> ScenarioEnv:
     """Create keys, documents, registries, and credentials under root."""
@@ -137,10 +120,13 @@ def build_scenario(
     keys_dir = root / "keys"
     keys_dir.mkdir(parents=True, exist_ok=True)
     if port is None:
-        port = free_tcp_port(host)
+        with socket.socket() as sock:
+            sock.bind((HOST, 0))
+            port = sock.getsockname()[1]
 
-    broker_did = f"did:web:{broker_host}"
-    other_broker_did = f"did:web:{other_broker_host}"
+    broker_did = "did:web:broker.example"
+    other_broker_did = "did:web:other-broker.example"
+    other_topic = "vendor-lab/offsite-calibration-feed"
     po_did = "did:web:publisher-owner.example"
     so_did = "did:web:subscriber-owner.example"
 
@@ -156,7 +142,7 @@ def build_scenario(
     (keys_dir / "publisher.key").write_text(publisher_kp.secret.hex() + "\n")
     (keys_dir / "subscriber.key").write_text(subscriber_kp.secret.hex() + "\n")
 
-    write_didweb_document(docs_dir, broker_kp, broker_did, f"tcp://{host}:{port}")
+    write_didweb_document(docs_dir, broker_kp, broker_did, f"tcp://{HOST}:{port}")
     write_didweb_document(docs_dir, po_kp, po_did)
     write_didweb_document(docs_dir, so_kp, so_did)
 
@@ -187,7 +173,7 @@ def build_scenario(
     )
 
     config = BrokerConfig(
-        listen_address=f"{host}:{port}",
+        listen_address=f"{HOST}:{port}",
         broker_did=broker_did,
         signing_key_path=str(keys_dir / "broker.key"),
         til_path=str(til_path),
@@ -220,9 +206,9 @@ def build_scenario(
             jti=subscriber_jti,
         ),
         topic=topic,
-        payload=payload,
+        payload=b"hello",
         other_broker_did=other_broker_did,
         other_topic=other_topic,
-        host=host,
+        host=HOST,
         port=port,
     )

@@ -41,7 +41,6 @@ FIELD_AUTH_DATA = 0x03
 FIELD_TOPIC = 0x04
 FIELD_PAYLOAD = 0x05
 FIELD_REASON_CODE = 0x06
-FIELD_NONCE_PREFIX = 0x07
 
 
 @dataclass
@@ -55,7 +54,6 @@ class Packet:
     topic: bytes | None = None
     payload: bytes | None = None
     reason_code: ReasonCode | None = None
-    nonce_prefix: bytes | None = None
 
 
 def _field(tag: int, value: bytes) -> bytes:
@@ -78,8 +76,6 @@ def encode_frame(packet: Packet) -> bytes:
         body += _field(FIELD_PAYLOAD, packet.payload)
     if packet.reason_code is not None:
         body += _field(FIELD_REASON_CODE, bytes([packet.reason_code]))
-    if packet.nonce_prefix is not None:
-        body += _field(FIELD_NONCE_PREFIX, packet.nonce_prefix)
     if len(body) > MAX_FRAME:
         raise FramingError("frame exceeds maximum size")
     return len(body).to_bytes(4, "big") + bytes(body)
@@ -146,8 +142,6 @@ def decode_frame(frame: bytes) -> Packet:
                 packet.reason_code = ReasonCode(value[0])
             except ValueError as exc:
                 raise FramingError(f"unknown reason code 0x{value[0]:02x}") from exc
-        elif tag == FIELD_NONCE_PREFIX:
-            packet.nonce_prefix = value
         else:
             raise FramingError(f"unknown field tag 0x{tag:02x}")
     return packet

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import daxiot
+from daxiot.bench import PlaintextBroker
 from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import Nonce, generate_signing_keypair
@@ -94,13 +97,13 @@ class TestConfigValidation:
         key_path.write_text(rogue.secret.hex())
         config = dataclasses.replace(env.config, signing_key_path=str(key_path))
         with pytest.raises(ConfigError):
-            BrokerService(config)
+            BrokerService(config.listen_address, config.engine)
 
     def test_unresolvable_broker_did(self, tmp_path):
         env = build_scenario(tmp_path / "env")
         config = dataclasses.replace(env.config, broker_did="did:web:ghost.example")
         with pytest.raises(ConfigError):
-            BrokerService(config)
+            BrokerService(config.listen_address, config.engine)
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "config.json"
@@ -112,13 +115,13 @@ class TestConfigValidation:
         env = build_scenario(tmp_path / "env")
         config = dataclasses.replace(env.config, listen_address="nonsense")
         with pytest.raises(ConfigError):
-            BrokerService(config)
+            BrokerService(config.listen_address, config.engine)
 
     def test_unreadable_registry(self, tmp_path):
         env = build_scenario(tmp_path / "env")
         env.rr_path.write_text("[]")  # wrong JSON shape
         with pytest.raises(ConfigError):
-            BrokerService(env.config)
+            BrokerService(env.config.listen_address, env.config.engine)
 
     def test_bind_conflict(self, tmp_path):
         env = build_scenario(tmp_path / "env")
@@ -162,6 +165,22 @@ class TestHotReload:
         with pytest.raises(ConnectionRejected):
             _connect(env, broker, env.subscriber_client())
         assert any(e.get("reason") == "Revoked" for e in broker.service.events)
+
+    def test_torn_issuer_list_fails_closed(self, tcp_env):
+        env, broker = tcp_env
+        env.til_path.write_bytes(env.til_path.read_bytes()[:5])
+        client = env.publisher_client()
+        with TcpClientConnection(env.host, broker.port) as connection:
+            with pytest.raises(ConnectionRejected) as excinfo:
+                run_handshake(client, connection, env.broker_did)
+            assert excinfo.value.reason_code is ReasonCode.NOT_AUTHORIZED
+            assert connection.recv().kind is PacketKind.DISCONNECT
+            with pytest.raises(FramingError, match="closed by the broker"):
+                connection.recv()
+        assert [(e["event"], e["reason"]) for e in broker.service.events if e["session"] == client.ephemeral_did] == [
+            ("challenge_sent", None),
+            ("auth_rejected", "TrustFileError"),
+        ]
 
 
 class TestFaultIsolation:
@@ -277,3 +296,24 @@ def test_sigint_stops_the_broker_cleanly(tmp_path):
     assert b"Traceback" not in err
     assert b'"event": "disconnected"' in err
     assert out.strip() == b"broker stopped"
+
+
+@pytest.mark.parametrize("server", ["broker", "plaintext baseline"])
+def test_stop_with_a_client_connected(tmp_path, caplog, server):
+    threads_before = threading.active_count()
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        if server == "broker":
+            env = build_scenario(tmp_path / "env")
+            broker = BrokerThread(env.config).start()
+            connection = _connect(env, broker, env.publisher_client())
+        else:
+            broker = PlaintextBroker().start()
+            connection = TcpClientConnection("127.0.0.1", broker.port)
+            connection.send(Packet(kind=PacketKind.CONNECT, client_id="plain", auth_method="plain"))
+            assert connection.recv().kind is PacketKind.CONNACK
+        with connection:
+            broker.stop()
+            with pytest.raises(FramingError, match="closed by the broker"):
+                connection.recv()
+    assert [record for record in caplog.records if record.name.startswith("asyncio")] == []
+    assert threading.active_count() == threads_before

@@ -182,6 +182,27 @@ class TestClientCommands:
         assert result.exit_code == 0
         assert f"published to {env.topic}" in result.output
 
+    def test_torn_disclosure_file_is_an_error(self, runner, tmp_path):
+        env = build_scenario(tmp_path / "env")
+        save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
+        torn = tmp_path / "pub-cred" / "disclosure-000.json"
+        torn.write_bytes(torn.read_bytes()[:10])
+        result = runner.invoke(
+            main,
+            [
+                "publish",
+                "--key", str(tmp_path / "env" / "keys" / "publisher.key"),
+                "--credential-dir", str(tmp_path / "pub-cred"),
+                "--broker-did", env.broker_did,
+                "--did-web-dir", env.config.did_web_dir,
+                "--topic", env.topic,
+                "--message", "never sent",
+            ],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: MalformedCredential: {torn}: disclosure is not JSON")
+
     def test_subscribe_command_receives_message(self, runner, tmp_path):
         # CliRunner patches global stdout, so only the subscriber runs through
         # it; the concurrent publish goes through the library directly.

@@ -22,6 +22,7 @@ from daxiot.errors import (
     ReplayError,
 )
 from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotClient
+from daxiot.transport import run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
 from helpers import PermissionOracle
 
@@ -153,6 +154,23 @@ class TestHandshake:
             client.handle_connack(connection.recv())
         assert excinfo.value.reason_code is ReasonCode.NOT_AUTHORIZED
         assert any(e["event"] == "auth_rejected" and e["reason"] == "UntrustedIssuer" for e in loopback.events)
+
+    @pytest.mark.parametrize("damage", ["torn issuer list", "missing revocation registry"])
+    def test_unreadable_trust_file_fails_closed(self, env, loopback, damage):
+        if damage == "torn issuer list":
+            env.til_path.write_bytes(env.til_path.read_bytes()[:5])
+        else:
+            env.rr_path.unlink()
+        client = env.publisher_client()
+        connection = loopback.open()
+        with pytest.raises(ConnectionRejected) as excinfo:
+            run_handshake(client, connection, env.broker_did)
+        assert excinfo.value.reason_code is ReasonCode.NOT_AUTHORIZED
+        assert connection.recv().kind is PacketKind.DISCONNECT
+        assert connection.closed and loopback.engine.sessions == {}
+        assert loopback.events[-1] == {
+            "event": "auth_rejected", "session": client.ephemeral_did, "reason": "TrustFileError"
+        }
 
     def test_subject_mismatch_rejected(self, env, loopback):
         # Client presents a credential issued to someone else's static DID.

@@ -27,7 +27,6 @@ packets = st.builds(
     topic=st.none() | st.binary(max_size=64),
     payload=st.none() | st.binary(max_size=128),
     reason_code=st.none() | st.sampled_from(list(ReasonCode)),
-    nonce_prefix=st.none() | st.binary(min_size=16, max_size=16),
 )
 
 
@@ -77,6 +76,13 @@ def test_unknown_kind():
 def test_unknown_field_tag():
     frame = (6).to_bytes(4, "big") + b"\x01" + b"\x7f" + (0).to_bytes(4, "big")
     with pytest.raises(FramingError):
+        decode_frame(frame)
+
+
+def test_retired_nonce_prefix_tag_is_an_unknown_field():
+    # 0x07 once carried a nonce prefix; the b2c prefix travels in the CONNACK envelope.
+    frame = (22).to_bytes(4, "big") + b"\x04" + b"\x07" + (16).to_bytes(4, "big") + bytes(16)
+    with pytest.raises(FramingError, match="unknown field tag 0x07"):
         decode_frame(frame)
 
 
