@@ -7,12 +7,14 @@ through file paths.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import signal
 import sys
 import urllib.parse
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -198,9 +200,11 @@ def broker(config_path: Path) -> None:
     click.echo("broker stopped")
 
 
+@contextlib.contextmanager
 def _connect_client(
     key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path
-) -> tuple[DaxiotClient, TcpClientConnection]:
+) -> Iterator[tuple[DaxiotClient, TcpClientConnection]]:
+    """An established session, disconnected on normal exit and closed on every exit."""
     keypair = load_signing_key(key_path)
     credential, disclosures = load_credential_files(credential_dir)
     resolver = Resolver(DirectoryWebSource(did_web_dir))
@@ -209,9 +213,10 @@ def _connect_client(
         raise DaxiotError(f"{broker_did} document carries no service endpoint")
     endpoint = urllib.parse.urlparse(document.service_endpoint)
     client = DaxiotClient(keypair, credential, disclosures, resolver)
-    connection = TcpClientConnection(endpoint.hostname, endpoint.port)
-    run_handshake(client, connection, broker_did)
-    return client, connection
+    with TcpClientConnection(endpoint.hostname, endpoint.port) as connection:
+        run_handshake(client, connection, broker_did)
+        yield client, connection
+        connection.send(client.disconnect())
 
 
 @main.command()
@@ -224,11 +229,9 @@ def _connect_client(
 def publish(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path, topic: str, message: str) -> None:
     """Connect, publish one message, and disconnect."""
     try:
-        client, connection = _connect_client(key_path, credential_dir, broker_did, did_web_dir)
-        connection.send(client.publish(topic, message.encode("utf-8")))
-        reason = client.handle_puback(connection.recv())
-        connection.send(client.disconnect())
-        connection.close()
+        with _connect_client(key_path, credential_dir, broker_did, did_web_dir) as (client, connection):
+            connection.send(client.publish(topic, message.encode("utf-8")))
+            reason = client.handle_puback(connection.recv())
     except (DaxiotError, OSError) as exc:
         _fail(f"{type(exc).__name__}: {exc}")
     if reason is not ReasonCode.SUCCESS:
@@ -246,15 +249,13 @@ def publish(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: 
 def subscribe(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path, topic: str, count: int) -> None:
     """Connect, subscribe, and print received messages."""
     try:
-        client, connection = _connect_client(key_path, credential_dir, broker_did, did_web_dir)
-        connection.send(client.subscribe(topic))
-        if client.handle_suback(connection.recv()) is not ReasonCode.SUCCESS:
-            _fail("subscription rejected")
-        for _ in range(count):
-            received_topic, payload = client.handle_publish(connection.recv())
-            click.echo(f"{received_topic}: {payload.decode('utf-8', errors='replace')}")
-        connection.send(client.disconnect())
-        connection.close()
+        with _connect_client(key_path, credential_dir, broker_did, did_web_dir) as (client, connection):
+            connection.send(client.subscribe(topic))
+            if client.handle_suback(connection.recv()) is not ReasonCode.SUCCESS:
+                _fail("subscription rejected")
+            for _ in range(count):
+                received_topic, payload = client.handle_publish(connection.recv())
+                click.echo(f"{received_topic}: {payload.decode('utf-8', errors='replace')}")
     except (DaxiotError, OSError) as exc:
         _fail(f"{type(exc).__name__}: {exc}")
 

@@ -7,14 +7,21 @@ pair is derived deterministically (secret via SHA-512-then-clamp, public via
 the birational Edwards-to-Montgomery map), so a single identifier can carry
 both capabilities.
 
+The agreements take X25519 private-key objects, built by
+:func:`load_agreement_key`, not raw secrets: loading a key makes the library
+derive its public point, which costs about as much as an agreement, so each
+caller loads a key once and keeps it as long as the secret itself is needed.
+The broker loads its static key on its first connect and keeps it for its
+lifetime; a client loads its static and ephemeral keys when it starts a
+connection and drops them when the connection ends.
+
 Each :class:`SessionKey` memoizes the ChaCha20-Poly1305 cipher of every
 nonce prefix it has been used with. A prefix stays fixed for a whole run of
 nonces, so its HChaCha20 subkey is derived once rather than on every AEAD
 call. The memo holds nothing more secret than the key itself, lives exactly
 as long as the key, and keeps at most :data:`_CIPHERS_PER_KEY` entries: the
 protocol uses no more prefixes than that under one key. Two threads racing on
-one key at worst derive the same subkey twice. Everything else here is pure
-over value inputs.
+one key at worst derive the same subkey twice.
 """
 
 from __future__ import annotations
@@ -198,7 +205,7 @@ def convert_public_key(ed25519_public: bytes) -> bytes:
     denominator = (1 - y) % _CURVE25519_P
     if denominator == 0:
         raise CryptoError("Ed25519 public key has no Montgomery equivalent")
-    u = (1 + y) * pow(denominator, _CURVE25519_P - 2, _CURVE25519_P) % _CURVE25519_P
+    u = (1 + y) * pow(denominator, -1, _CURVE25519_P) % _CURVE25519_P
     return u.to_bytes(32, "little")
 
 
@@ -240,13 +247,22 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 # Diffie-Hellman agreements and key derivation
 # ---------------------------------------------------------------------------
 
-def _dh(secret: bytes, peer_public: bytes) -> bytes:
-    if len(secret) != KEY_LEN or len(peer_public) != KEY_LEN:
-        raise CryptoError("X25519 keys must be 32 bytes")
+def load_agreement_key(secret: bytes) -> X25519PrivateKey:
+    """Load a 32-byte X25519 secret as the key object the agreements take.
+
+    Loading derives the public point, so callers keep the object rather
+    than load the same secret again.
+    """
+    if len(secret) != KEY_LEN:
+        raise CryptoError(f"X25519 secret must be {KEY_LEN} bytes, got {len(secret)}")
+    return X25519PrivateKey.from_private_bytes(secret)
+
+
+def _dh(private_key: X25519PrivateKey, peer_public: bytes) -> bytes:
+    if len(peer_public) != KEY_LEN:
+        raise CryptoError("X25519 public keys must be 32 bytes")
     try:
-        shared = X25519PrivateKey.from_private_bytes(secret).exchange(
-            X25519PublicKey.from_public_bytes(peer_public)
-        )
+        shared = private_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
     except ValueError as exc:
         # OpenSSL refuses low-order peer points that would yield all zeros.
         raise CryptoError(f"X25519 agreement rejected: {exc}") from exc
@@ -266,18 +282,18 @@ def kdf(secret: bytes, context: bytes) -> bytes:
     return HKDF(algorithm=hashes.SHA256(), length=KEY_LEN, salt=None, info=context).derive(secret)
 
 
-def ecdh_es(ephemeral_secret: bytes, peer_static_public: bytes, context: bytes) -> SessionKey:
+def ecdh_es(ephemeral_key: X25519PrivateKey, peer_static_public: bytes, context: bytes) -> SessionKey:
     """Ephemeral-static agreement: anonymous sender, implicitly authenticated receiver.
 
     Symmetric between the two party forms: the receiver calls this with its
-    static secret and the sender's ephemeral public key.
+    static key and the sender's ephemeral public key.
     """
-    return SessionKey(key=kdf(_dh(ephemeral_secret, peer_static_public), context))
+    return SessionKey(key=kdf(_dh(ephemeral_key, peer_static_public), context))
 
 
 def ecdh_1pu(
-    sender_static_secret: bytes,
-    sender_ephemeral_secret: bytes,
+    sender_static_key: X25519PrivateKey,
+    sender_ephemeral_key: X25519PrivateKey,
     receiver_static_public: bytes,
     context: bytes,
 ) -> SessionKey:
@@ -287,20 +303,20 @@ def ecdh_1pu(
     static); the derived key authenticates both parties without signatures.
     The concatenation order Ze || Zs is normative.
     """
-    z_e = _dh(sender_ephemeral_secret, receiver_static_public)
-    z_s = _dh(sender_static_secret, receiver_static_public)
+    z_e = _dh(sender_ephemeral_key, receiver_static_public)
+    z_s = _dh(sender_static_key, receiver_static_public)
     return SessionKey(key=kdf(z_e + z_s, context))
 
 
 def ecdh_1pu_receiver(
-    receiver_static_secret: bytes,
+    receiver_static_key: X25519PrivateKey,
     sender_ephemeral_public: bytes,
     sender_static_public: bytes,
     context: bytes,
 ) -> SessionKey:
     """One-pass unified model, receiver form; yields the sender-form key."""
-    z_e = _dh(receiver_static_secret, sender_ephemeral_public)
-    z_s = _dh(receiver_static_secret, sender_static_public)
+    z_e = _dh(receiver_static_key, sender_ephemeral_public)
+    z_s = _dh(receiver_static_key, sender_static_public)
     return SessionKey(key=kdf(z_e + z_s, context))
 
 

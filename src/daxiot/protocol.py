@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .credential import (
     AuthorizationGrant,
@@ -53,6 +53,7 @@ from .crypto import (
     ecdh_1pu_receiver,
     ecdh_es,
     generate_signing_keypair,
+    load_agreement_key,
     to_agreement_keypair,
 )
 from .did import Did, Resolver, didkey_encode
@@ -72,6 +73,9 @@ from .errors import (
     ReplayError,
 )
 from .wire import Packet, PacketKind, ReasonCode
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 AUTH_METHOD = "DAXiot"
 
@@ -189,7 +193,9 @@ class DaxiotClient:
         self.ephemeral_did: str | None = None
         self.broker_did: str | None = None
         self._broker_agreement_key: bytes | None = None
-        self._ephemeral_agreement = None
+        # Loaded in begin_connect, used again in handle_challenge.
+        self._static_key: X25519PrivateKey | None = None
+        self._ephemeral_key: X25519PrivateKey | None = None
         self._send: Channel | None = None
         self._recv: Channel | None = None
         self._pending_subacks = 0
@@ -208,11 +214,11 @@ class DaxiotClient:
         document = self._resolver.resolve(broker_did)
 
         ephemeral = generate_signing_keypair()
-        ephemeral_agreement = to_agreement_keypair(ephemeral)
+        ephemeral_key = load_agreement_key(to_agreement_keypair(ephemeral).secret)
         ephemeral_did = str(didkey_encode(ephemeral.public))
 
         k_es = ecdh_es(
-            ephemeral_agreement.secret,
+            ephemeral_key,
             document.agreement_key,
             _es_context(ephemeral_did, broker_did),
         )
@@ -223,7 +229,8 @@ class DaxiotClient:
             _aad(PacketKind.CONNECT, ephemeral_did),
         )
 
-        self._ephemeral_agreement = ephemeral_agreement
+        self._static_key = load_agreement_key(self._static_agreement.secret)
+        self._ephemeral_key = ephemeral_key
         self.ephemeral_did = ephemeral_did
         self.broker_did = broker_did
         self._broker_agreement_key = document.agreement_key
@@ -243,8 +250,8 @@ class DaxiotClient:
         envelope = _envelope(packet.auth_data, "challenge")
 
         k_1pu = ecdh_1pu(
-            self._static_agreement.secret,
-            self._ephemeral_agreement.secret,
+            self._static_key,
+            self._ephemeral_key,
             self._broker_agreement_key,
             _one_pu_context(self.static_did, self.broker_did),
         )
@@ -413,6 +420,7 @@ class DaxiotBroker:
         plaintext_tap: list | None = None,
     ) -> None:
         self._agreement = to_agreement_keypair(signing_keypair)
+        self._static_key: X25519PrivateKey | None = None  # loaded on the first connect
         self.broker_did = str(Did.parse(broker_did))
         self._resolver = resolver
         self._til_source = til_source
@@ -528,9 +536,11 @@ class DaxiotBroker:
         if ephemeral_did in self.sessions:
             raise ProtocolOrderError(f"client id {ephemeral_did} already has a session")
 
+        if self._static_key is None:
+            self._static_key = load_agreement_key(self._agreement.secret)
         ephemeral_document = self._resolver.resolve(ephemeral_did)
         k_es = ecdh_es(
-            self._agreement.secret,
+            self._static_key,
             ephemeral_document.agreement_key,
             _es_context(ephemeral_did, self.broker_did),
         )
@@ -553,7 +563,7 @@ class DaxiotBroker:
 
         static_document = self._resolver.resolve(static_did)
         k_1pu = ecdh_1pu_receiver(
-            self._agreement.secret,
+            self._static_key,
             ephemeral_document.agreement_key,
             static_document.agreement_key,
             _one_pu_context(static_did, self.broker_did),

@@ -96,6 +96,13 @@ def x25519_public_from_seed(seed: bytes) -> bytes:
     return X25519PrivateKey.from_private_bytes(bytes(scalar)).public_key().public_bytes_raw()
 
 
+def montgomery_u_oracle(y: int) -> bytes:
+    """The Edwards-to-Montgomery map u = (1 + y) / (1 - y), inverting by
+    Fermat's little theorem rather than by the extended Euclid the package uses."""
+    p = 2**255 - 19
+    return ((1 + y) * pow(1 - y, p - 2, p) % p).to_bytes(32, "little")
+
+
 # --- disclosure digest oracle ---------------------------------------------------
 
 def disclosure_digest_oracle(salt: str, key: str, value: dict) -> str:

@@ -25,6 +25,7 @@ from daxiot.crypto import (
     ecdh_1pu_receiver,
     ecdh_es,
     generate_signing_keypair,
+    load_agreement_key,
     to_agreement_keypair,
 )
 from daxiot.errors import (
@@ -97,13 +98,18 @@ def test_criterion_2_key_agreement_equivalence():
         broker = to_agreement_keypair(generate_signing_keypair(rng.randbytes(32)))
         context = b"equivalence" + index.to_bytes(2, "big")
 
-        es_client = ecdh_es(client_ephemeral.secret, broker.public, context)
-        es_broker = ecdh_es(broker.secret, client_ephemeral.public, context)
+        es_client = ecdh_es(load_agreement_key(client_ephemeral.secret), broker.public, context)
+        es_broker = ecdh_es(load_agreement_key(broker.secret), client_ephemeral.public, context)
         assert es_client.key == es_broker.key
 
-        pu_client = ecdh_1pu(client_static.secret, client_ephemeral.secret, broker.public, context)
+        pu_client = ecdh_1pu(
+            load_agreement_key(client_static.secret),
+            load_agreement_key(client_ephemeral.secret),
+            broker.public,
+            context,
+        )
         pu_broker = ecdh_1pu_receiver(
-            broker.secret, client_ephemeral.public, client_static.public, context
+            load_agreement_key(broker.secret), client_ephemeral.public, client_static.public, context
         )
         assert pu_client.key == pu_broker.key
     _report(2, "client-form and broker-form ES and 1PU keys identical over 100 random key sets")
@@ -518,7 +524,7 @@ def test_criterion_7_crypto_vectors():
     from daxiot.crypto import _dh, _hchacha20
 
     for scalar, u, expected in vectors.X25519_VECTORS:
-        assert _dh(bytes.fromhex(scalar), bytes.fromhex(u)).hex() == expected
+        assert _dh(load_agreement_key(bytes.fromhex(scalar)), bytes.fromhex(u)).hex() == expected
 
     from helpers import hkdf_sha256_oracle
     from daxiot.crypto import kdf

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import threading
 
@@ -181,6 +182,31 @@ class TestClientCommands:
             )
         assert result.exit_code == 0
         assert f"published to {env.topic}" in result.output
+
+    def test_rejected_publish_closes_its_connection(self, runner, tmp_path):
+        env = build_scenario(tmp_path / "env")
+        save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
+        RevocationRegistry.load(env.rr_path).revoke(env.publisher.jti).save(env.rr_path)
+        with BrokerThread(env.config):
+            result = runner.invoke(
+                main,
+                [
+                    "publish",
+                    "--key", str(tmp_path / "env" / "keys" / "publisher.key"),
+                    "--credential-dir", str(tmp_path / "pub-cred"),
+                    "--broker-did", env.broker_did,
+                    "--did-web-dir", env.config.did_web_dir,
+                    "--topic", env.topic,
+                    "--message", "never sent",
+                ],
+                catch_exceptions=False,
+            )
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ConnectionRejected: ")
+        # The exit's traceback keeps the failed call's frames alive: free them
+        # here, so that a socket left open there fails this test.
+        del result
+        gc.collect()
 
     def test_torn_disclosure_file_is_an_error(self, runner, tmp_path):
         env = build_scenario(tmp_path / "env")

@@ -19,14 +19,16 @@ from daxiot.crypto import (
     ecdh_es,
     generate_signing_keypair,
     kdf,
+    load_agreement_key,
     sign,
     to_agreement_keypair,
     verify,
 )
 from daxiot.errors import CryptoError, IntegrityError, NonceOverflowError
-from helpers import hchacha20_oracle, hkdf_sha256_oracle, x25519_public_from_seed
+from helpers import hchacha20_oracle, hkdf_sha256_oracle, montgomery_u_oracle, x25519_public_from_seed
 
 seeds = st.binary(min_size=32, max_size=32)
+P = 2**255 - 19
 
 
 class TestKeyGeneration:
@@ -78,11 +80,30 @@ class TestConversion:
         a = to_agreement_keypair(generate_signing_keypair(seed_a))
         b = to_agreement_keypair(generate_signing_keypair(seed_b))
         context = b"pairwise"
-        assert ecdh_es(a.secret, b.public, context).key == ecdh_es(b.secret, a.public, context).key
+        assert (
+            ecdh_es(load_agreement_key(a.secret), b.public, context).key
+            == ecdh_es(load_agreement_key(b.secret), a.public, context).key
+        )
 
     def test_bad_public_length(self):
         with pytest.raises(CryptoError):
             convert_public_key(b"\x00" * 31)
+
+    # y = 1 is the Edwards identity (denominator 0); y = p and 2^255 - 1 are out of range.
+    @pytest.mark.parametrize("y", [1, P, 2**255 - 1])
+    def test_unmappable_coordinates_rejected(self, y):
+        with pytest.raises(CryptoError):
+            convert_public_key(y.to_bytes(32, "little"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.integers(min_value=0, max_value=P - 1).filter(lambda y: y != 1))
+    def test_inverse_matches_fermat_oracle_and_ignores_sign_bit(self, y):
+        assert convert_public_key(y.to_bytes(32, "little")) == montgomery_u_oracle(y)
+        assert convert_public_key((y | 1 << 255).to_bytes(32, "little")) == montgomery_u_oracle(y)
+
+    def test_short_agreement_secret_rejected(self):
+        with pytest.raises(CryptoError):
+            load_agreement_key(b"\x01" * 31)
 
 
 class TestAgreements:
@@ -90,21 +111,21 @@ class TestAgreements:
         client = to_agreement_keypair(generate_signing_keypair())
         broker = to_agreement_keypair(generate_signing_keypair())
         context = b"es-context"
-        sender = ecdh_es(client.secret, broker.public, context)
-        receiver = ecdh_es(broker.secret, client.public, context)
+        sender = ecdh_es(load_agreement_key(client.secret), broker.public, context)
+        receiver = ecdh_es(load_agreement_key(broker.secret), client.public, context)
         assert sender.key == receiver.key
 
     def test_es_context_separation(self):
         client = to_agreement_keypair(generate_signing_keypair())
         broker = to_agreement_keypair(generate_signing_keypair())
-        assert ecdh_es(client.secret, broker.public, b"DAXiot-ES").key != ecdh_es(
-            client.secret, broker.public, b"other"
+        assert ecdh_es(load_agreement_key(client.secret), broker.public, b"DAXiot-ES").key != ecdh_es(
+            load_agreement_key(client.secret), broker.public, b"other"
         ).key
 
     def test_es_fixed_vector(self):
         # Frozen via an independent X25519 + HMAC-HKDF reference composition.
         key = ecdh_es(
-            bytes([1]) * 32,
+            load_agreement_key(bytes([1]) * 32),
             x25519_public_from_scalar(bytes([2]) * 32),
             b"vector-context",
         )
@@ -115,9 +136,14 @@ class TestAgreements:
         sender_ephemeral = to_agreement_keypair(generate_signing_keypair())
         receiver = to_agreement_keypair(generate_signing_keypair())
         context = b"1pu-context"
-        sender_key = ecdh_1pu(sender_static.secret, sender_ephemeral.secret, receiver.public, context)
+        sender_key = ecdh_1pu(
+            load_agreement_key(sender_static.secret),
+            load_agreement_key(sender_ephemeral.secret),
+            receiver.public,
+            context,
+        )
         receiver_key = ecdh_1pu_receiver(
-            receiver.secret, sender_ephemeral.public, sender_static.public, context
+            load_agreement_key(receiver.secret), sender_ephemeral.public, sender_static.public, context
         )
         assert sender_key.key == receiver_key.key
 
@@ -128,17 +154,22 @@ class TestAgreements:
         context = b"order"
         from daxiot.crypto import _dh
 
-        z_e = _dh(sender_ephemeral.secret, receiver.public)
-        z_s = _dh(sender_static.secret, receiver.public)
-        forward = ecdh_1pu(sender_static.secret, sender_ephemeral.secret, receiver.public, context)
+        z_e = _dh(load_agreement_key(sender_ephemeral.secret), receiver.public)
+        z_s = _dh(load_agreement_key(sender_static.secret), receiver.public)
+        forward = ecdh_1pu(
+            load_agreement_key(sender_static.secret),
+            load_agreement_key(sender_ephemeral.secret),
+            receiver.public,
+            context,
+        )
         swapped = kdf(z_s + z_e, context)
         assert forward.key == kdf(z_e + z_s, context)
         assert forward.key != swapped
 
     def test_1pu_fixed_vector(self):
         key = ecdh_1pu(
-            bytes([3]) * 32,
-            bytes([1]) * 32,
+            load_agreement_key(bytes([3]) * 32),
+            load_agreement_key(bytes([1]) * 32),
             x25519_public_from_scalar(bytes([2]) * 32),
             b"vector-context",
         )
@@ -147,7 +178,7 @@ class TestAgreements:
     def test_low_order_point_rejected(self):
         pair = to_agreement_keypair(generate_signing_keypair())
         with pytest.raises(CryptoError):
-            ecdh_es(pair.secret, b"\x00" * 32, b"ctx")
+            ecdh_es(load_agreement_key(pair.secret), b"\x00" * 32, b"ctx")
 
 
 def x25519_public_from_scalar(scalar: bytes) -> bytes:

@@ -17,6 +17,7 @@ from daxiot.crypto import (
     aead_encrypt,
     generate_signing_keypair,
     kdf,
+    load_agreement_key,
     sign,
     to_agreement_keypair,
     verify,
@@ -74,7 +75,7 @@ X25519_VECTORS = [
 
 @pytest.mark.parametrize("scalar,u,expected", X25519_VECTORS)
 def test_x25519_rfc7748_scalarmult(scalar, u, expected):
-    assert _dh(bytes.fromhex(scalar), bytes.fromhex(u)).hex() == expected
+    assert _dh(load_agreement_key(bytes.fromhex(scalar)), bytes.fromhex(u)).hex() == expected
 
 
 def test_x25519_rfc7748_diffie_hellman():
@@ -83,8 +84,8 @@ def test_x25519_rfc7748_diffie_hellman():
     bob_secret = bytes.fromhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
     bob_public = bytes.fromhex("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")
     shared = "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"
-    assert _dh(alice_secret, bob_public).hex() == shared
-    assert _dh(bob_secret, alice_public).hex() == shared
+    assert _dh(load_agreement_key(alice_secret), bob_public).hex() == shared
+    assert _dh(load_agreement_key(bob_secret), alice_public).hex() == shared
 
 
 def test_hkdf_rfc5869_case_1():

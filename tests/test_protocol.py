@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -503,6 +504,44 @@ class TestAuthorization:
                 assert outcome == oracle.allowed(client.static_did, "pub", topic)
 
 
+class _CountingX25519:
+    """Stands in for daxiot.crypto.X25519PrivateKey and counts key loads and
+    exchanges per side; work done inside the loopback network is the broker's."""
+
+    def __init__(self, monkeypatch, network) -> None:
+        self._cls = daxiot.crypto.X25519PrivateKey
+        self.side = "client"
+        self.reset()
+        monkeypatch.setattr(daxiot.crypto, "X25519PrivateKey", self)
+        deliver = network.deliver
+
+        def broker_side(connection, frame):
+            self.side = "broker"
+            try:
+                deliver(connection, frame)
+            finally:
+                self.side = "client"
+
+        monkeypatch.setattr(network, "deliver", broker_side)
+
+    def reset(self) -> None:
+        self.loads: Counter = Counter()
+        self.exchanges: Counter = Counter()
+
+    def from_private_bytes(self, data: bytes) -> "_CountedKey":
+        self.loads[self.side] += 1
+        return _CountedKey(self, self._cls.from_private_bytes(data))
+
+
+class _CountedKey:
+    def __init__(self, counter: _CountingX25519, key) -> None:
+        self._counter, self._key = counter, key
+
+    def exchange(self, peer):
+        self._counter.exchanges[self._counter.side] += 1
+        return self._key.exchange(peer)
+
+
 class TestBrokerState:
     def test_nonce_monotonicity(self, env, loopback):
         publisher = env.publisher_client()
@@ -629,6 +668,34 @@ class TestBrokerState:
             assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
             assert subscriber.handle_publish(subscriber_conn.recv()) == (env.topic, bytes([index]))
         assert derived == []
+
+    def test_each_agreement_key_is_loaded_once(self, env, loopback, monkeypatch):
+        # The broker loads its static key on its first connect and keeps it;
+        # the client loads its static and ephemeral keys once per connection.
+        counter = _CountingX25519(monkeypatch, loopback)
+        establish(loopback, env.publisher_client(), env.broker_did).close()
+        counter.reset()
+        handshakes = 3
+        for _ in range(handshakes):
+            client = env.publisher_client()
+            connection = establish(loopback, client, env.broker_did)
+            assert sum(isinstance(value, _CountedKey) for value in vars(client).values()) == 2
+            connection.send(client.disconnect())
+            assert not any(isinstance(value, _CountedKey) for value in vars(client).values())
+        assert counter.loads == {"client": 2 * handshakes}
+        assert counter.exchanges == {"client": 3 * handshakes, "broker": 3 * handshakes}
+
+    def test_undecryptable_connect_costs_one_exchange(self, env, loopback, monkeypatch):
+        counter = _CountingX25519(monkeypatch, loopback)
+        establish(loopback, env.publisher_client(), env.broker_did).close()
+        packet = env.publisher_client().begin_connect(env.broker_did)
+        packet.auth_data = _tamper_envelope(packet.auth_data)
+        counter.reset()
+        connection = loopback.open()
+        connection.send(packet)
+        assert connection.recv().kind is PacketKind.DISCONNECT
+        assert loopback.events[-1] == {"event": "connect_rejected", "session": None, "reason": "AuthenticationError"}
+        assert counter.loads == {} and counter.exchanges == {"broker": 1}
 
     def test_status_snapshot(self, env, loopback):
         assert loopback.engine.status() == []
