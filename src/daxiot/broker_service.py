@@ -115,6 +115,45 @@ class BrokerConfig:
         )
 
 
+class Router:
+    """Apply an engine's :class:`Reply`: the one copy of the delivery rules,
+    used by the TCP service and by the in-process loopback.
+
+    A connection is anything with ``write(frame)``, ``close()`` and
+    ``is_closing()``, such as an asyncio ``StreamWriter``.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.connections: dict[str, object] = {}
+
+    def receive(self, connection, session_id: str | None, frame: bytes) -> tuple[str | None, bool]:
+        """Hand one frame to the engine; return the connection's session id and whether to close it."""
+        packet = decode_frame(frame)
+        if session_id is None:
+            session_id, reply = self.engine.handle_connect(packet)
+            if session_id is not None:
+                self.connections[session_id] = connection
+        else:
+            reply = self.engine.handle_packet(session_id, packet)
+        for out in reply.packets:
+            connection.write(encode_frame(out))
+        for target_id, out in reply.forwards:
+            target = self.connections.get(target_id)
+            if target is not None and not target.is_closing():
+                target.write(encode_frame(out))
+                if out.kind is PacketKind.DISCONNECT:
+                    # The engine ended that session; end its connection too.
+                    target.close()
+        return session_id, reply.close
+
+    def drop(self, session_id: str | None) -> None:
+        """Tell the engine a connection ended and forget it."""
+        if session_id is not None:
+            self.engine.handle_disconnect(session_id)
+            self.connections.pop(session_id, None)
+
+
 class BrokerService:
     """Serve one protocol engine over TCP.
 
@@ -131,7 +170,7 @@ class BrokerService:
         self._host, self._port = host, int(port)
         self.events: deque[dict] = deque(maxlen=1000)
         self.engine = make_engine(self._record_event)
-        self._writers: dict[str, asyncio.StreamWriter] = {}
+        self.router = Router(self.engine)
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.Server | None = None
 
@@ -193,25 +232,9 @@ class BrokerService:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                packet = decode_frame(frame)
-                if session_id is None:
-                    session_id, reply = self.engine.handle_connect(packet)
-                    if session_id is not None:
-                        self._writers[session_id] = writer
-                else:
-                    reply = self.engine.handle_packet(session_id, packet)
-                for out in reply.packets:
-                    writer.write(encode_frame(out))
-                for target_id, out in reply.forwards:
-                    target = self._writers.get(target_id)
-                    if target is not None and not target.is_closing():
-                        target.write(encode_frame(out))
-                        if out.kind is PacketKind.DISCONNECT:
-                            # The engine ended that session; its handler
-                            # reads EOF once the frame is flushed.
-                            target.close()
+                session_id, close = self.router.receive(writer, session_id, frame)
                 await writer.drain()
-                if reply.close:
+                if close:
                     break
         except (DaxiotError, ConnectionError) as exc:
             self._record_event(
@@ -225,9 +248,7 @@ class BrokerService:
             except (ConnectionError, OSError):
                 pass
         finally:
-            if session_id is not None:
-                self.engine.handle_disconnect(session_id)
-                self._writers.pop(session_id, None)
+            self.router.drop(session_id)
             del self._connections[handler]
             writer.close()
             try:

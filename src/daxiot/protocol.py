@@ -192,8 +192,8 @@ class DaxiotClient:
     def _reset_session(self) -> None:
         self.ephemeral_did: str | None = None
         self.broker_did: str | None = None
+        # Set in begin_connect; handle_challenge uses them once and drops them.
         self._broker_agreement_key: bytes | None = None
-        # Loaded in begin_connect, used again in handle_challenge.
         self._static_key: X25519PrivateKey | None = None
         self._ephemeral_key: X25519PrivateKey | None = None
         self._send: Channel | None = None
@@ -270,6 +270,7 @@ class DaxiotClient:
         send = Channel(k_1pu, self.ephemeral_did, challenge_nonce)
         (response,) = send.seal(PacketKind.AUTH_RESPONSE, presentation.compact().encode("utf-8"))
         self._send = send
+        self._static_key = self._ephemeral_key = self._broker_agreement_key = None
         self.phase = ClientPhase.CHALLENGED
         return Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=response.to_bytes())
 
@@ -383,7 +384,8 @@ class Reply:
 
     ``packets`` go back to the sender and ``forwards`` to other sessions, as
     (session id, packet). A forwarded DISCONNECT ends that session's
-    connection, as ``close`` ends the sender's.
+    connection, as ``close`` ends the sender's. One place applies a reply to
+    connections, on TCP and on the loopback: ``broker_service.Router``.
     """
 
     packets: list[Packet] = field(default_factory=list)

@@ -1,14 +1,14 @@
 """Client-side transports: a blocking TCP connection and an in-process
-loopback that drives a broker engine directly, so integration tests and the
-benchmark run without sockets while still passing every byte through the
-wire codec.
-"""
+loopback that delivers through the TCP service's own router, so tests run
+without sockets but through the wire codec and the delivery rules that serve
+traffic."""
 
 from __future__ import annotations
 
 import socket
 from collections import deque
 
+from .broker_service import Router
 from .errors import ConnectionRejected, FramingError, ProtocolOrderError
 from .protocol import DaxiotBroker, DaxiotClient
 from .wire import Packet, PacketKind, decode_frame, encode_frame, frame_length
@@ -53,7 +53,8 @@ class TcpClientConnection:
 
 
 class LoopbackConnection:
-    """One client's endpoint on a :class:`LoopbackNetwork`."""
+    """One client's endpoint on a :class:`LoopbackNetwork`; to the router it
+    is a connection, as a ``StreamWriter`` is on TCP."""
 
     def __init__(self, network: "LoopbackNetwork") -> None:
         self._network = network
@@ -67,67 +68,45 @@ class LoopbackConnection:
     def send_raw(self, frame: bytes) -> None:
         if self.closed:
             raise ProtocolOrderError("connection is closed")
-        self._network.deliver(self, frame)
+        self._network.captures.append(("c2b", frame))
+        self.session_id, close = self._network.router.receive(self, self.session_id, frame)
+        if close:
+            self.close()
 
     def recv(self) -> Packet:
         if not self.inbox:
             raise ProtocolOrderError("no packet queued on the loopback connection")
         return self.inbox.popleft()
 
+    def write(self, frame: bytes) -> None:
+        self._network.captures.append(("b2c", frame))
+        self.inbox.append(decode_frame(frame))
+
+    def is_closing(self) -> bool:
+        return self.closed
+
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            if self.session_id is not None:
-                self._network.engine.handle_disconnect(self.session_id)
-                self._network.release(self.session_id)
+            self._network.router.drop(self.session_id)
 
 
 class LoopbackNetwork:
     """Socket-free transport around a broker engine.
 
+    Frames are delivered by the same :class:`Router` the TCP service uses.
     Every frame is encoded and decoded through the real wire codec and
     recorded in ``captures`` as (direction, frame bytes), so passive-observer
-    checks can scan exactly what would have crossed a network.
+    checks can scan exactly what the connections sent and received.
     """
 
     def __init__(self, engine: DaxiotBroker) -> None:
         self.engine = engine
         self.captures: list[tuple[str, bytes]] = []
-        self._by_session: dict[str, LoopbackConnection] = {}
+        self.router = Router(engine)
 
     def open(self) -> LoopbackConnection:
         return LoopbackConnection(self)
-
-    def release(self, session_id: str) -> None:
-        self._by_session.pop(session_id, None)
-
-    def deliver(self, connection: LoopbackConnection, frame: bytes) -> None:
-        self.captures.append(("c2b", frame))
-        packet = decode_frame(frame)
-        if connection.session_id is None:
-            session_id, reply = self.engine.handle_connect(packet)
-            if session_id is not None:
-                connection.session_id = session_id
-                self._by_session[session_id] = connection
-        else:
-            reply = self.engine.handle_packet(connection.session_id, packet)
-        for out in reply.packets:
-            out_frame = encode_frame(out)
-            self.captures.append(("b2c", out_frame))
-            connection.inbox.append(decode_frame(out_frame))
-        for target_id, out in reply.forwards:
-            out_frame = encode_frame(out)
-            self.captures.append(("b2c", out_frame))
-            target = self._by_session.get(target_id)
-            if target is not None:
-                target.inbox.append(decode_frame(out_frame))
-                if out.kind is PacketKind.DISCONNECT:
-                    target.closed = True
-                    self.release(target_id)
-        if reply.close:
-            connection.closed = True
-            if connection.session_id is not None:
-                self.release(connection.session_id)
 
 
 def run_handshake(

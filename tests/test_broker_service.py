@@ -20,7 +20,7 @@ from daxiot.credential import RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import Nonce, generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
-from daxiot.transport import TcpClientConnection, run_handshake
+from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode
 
 
@@ -238,6 +238,114 @@ class TestFaultIsolation:
         events = [e["event"] for e in broker.service.events]
         assert events.count("session_exhausted") == 1
         assert "connection_error" not in events
+
+
+@pytest.fixture(params=["loopback", "tcp"])
+def routed(request, tmp_path):
+    """A scenario, the router that serves it, and a way to open a client
+    connection: on the in-process loopback or on a TCP broker thread."""
+    env = build_scenario(tmp_path / "env")
+    if request.param == "loopback":
+        network = LoopbackNetwork(env.engine())
+        yield env, network.router, network.open
+        return
+    opened: list[TcpClientConnection] = []
+
+    def open_connection() -> TcpClientConnection:
+        opened.append(TcpClientConnection(env.host, broker.port))
+        return opened[-1]
+
+    with BrokerThread(env.config) as broker:
+        try:
+            yield env, broker.service.router, open_connection
+        finally:
+            for connection in opened:
+                connection.close()
+
+
+def _routed_session(env, router, open_connection, client):
+    connection = open_connection()
+    run_handshake(client, connection, env.broker_did)
+    assert client.ephemeral_did in router.connections
+    return connection
+
+
+def _normal_disconnect(env, router, open_connection):
+    client = env.publisher_client()
+    _routed_session(env, router, open_connection, client).send(client.disconnect())
+
+
+def _refused_at_c(env, router, open_connection):
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    tampered = bytearray(packet.auth_data)
+    tampered[24] ^= 0x01  # inside the ciphertext, past the nonce
+    packet.auth_data = bytes(tampered)
+    connection = open_connection()
+    connection.send(packet)
+    assert connection.recv().kind is PacketKind.DISCONNECT
+
+
+def _refused_at_h(env, router, open_connection):
+    RevocationRegistry.load(env.rr_path).revoke(env.publisher.jti).save(env.rr_path)
+    client = env.publisher_client()
+    connection = open_connection()
+    connection.send(client.begin_connect(env.broker_did))
+    response = client.handle_challenge(connection.recv())
+    assert client.ephemeral_did in router.connections
+    connection.send(response)
+    with pytest.raises(ConnectionRejected):
+        client.handle_connack(connection.recv())
+    assert connection.recv().kind is PacketKind.DISCONNECT
+
+
+def _evicted_during_fan_out(env, router, open_connection):
+    publisher, subscriber = env.publisher_client(), env.subscriber_client()
+    subscriber_conn = _routed_session(env, router, open_connection, subscriber)
+    subscriber_conn.send(subscriber.subscribe(env.topic))
+    assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
+    publisher_conn = _routed_session(env, router, open_connection, publisher)
+    b2c = router.engine.sessions[subscriber.ephemeral_did].b2c
+    b2c.nonce = Nonce(b2c.nonce.prefix, 2**64 - 2)
+    publisher_conn.send(publisher.publish(env.topic, b"last"))
+    assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+    assert subscriber_conn.recv().kind is PacketKind.DISCONNECT
+    # The subscriber's socket stays open here: only the broker can end it.
+    publisher_conn.send(publisher.disconnect())
+
+
+def _abrupt_close(env, router, open_connection):
+    _routed_session(env, router, open_connection, env.publisher_client()).close()
+
+
+@pytest.mark.parametrize(
+    "ending",
+    [_normal_disconnect, _refused_at_c, _refused_at_h, _evicted_during_fan_out, _abrupt_close],
+    ids=lambda ending: ending.__name__.lstrip("_"),
+)
+def test_router_forgets_every_session_however_it_ends(routed, ending):
+    env, router, open_connection = routed
+    ending(env, router, open_connection)
+    assert _wait_until(lambda: router.connections == {} and router.engine.sessions == {})
+
+
+def test_traced_codec_names_cover_the_router(env, monkeypatch):
+    # perfbench's traced broker rebinds encode_frame and decode_frame in
+    # daxiot.broker_service for its wire.* spans; the router must call them
+    # there. The loopback client's own codec calls are not traced.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    client, network = env.publisher_client(), LoopbackNetwork(env.engine())
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        run_handshake(client, network.open(), env.broker_did)
+    finally:
+        recorder.restore()
+    calls = {name: entry["calls"] for name, entry in spans.summarize(recorder.spans, 0, spans.now()).items()}
+    assert calls["wire.decode"] == 2 and calls["wire.encode"] == 2
+    assert calls["crypto.x25519"] == 6 and calls["crypto.aead"] == 8
+    assert calls["crypto.convert_public_key"] == 3
 
 
 def test_shutdown_drops_connections_before_waiting_for_the_server(tmp_path):

@@ -506,23 +506,23 @@ class TestAuthorization:
 
 class _CountingX25519:
     """Stands in for daxiot.crypto.X25519PrivateKey and counts key loads and
-    exchanges per side; work done inside the loopback network is the broker's."""
+    exchanges per side; work done inside the network's router is the broker's."""
 
     def __init__(self, monkeypatch, network) -> None:
         self._cls = daxiot.crypto.X25519PrivateKey
         self.side = "client"
         self.reset()
         monkeypatch.setattr(daxiot.crypto, "X25519PrivateKey", self)
-        deliver = network.deliver
+        receive = network.router.receive
 
-        def broker_side(connection, frame):
+        def broker_side(connection, session_id, frame):
             self.side = "broker"
             try:
-                deliver(connection, frame)
+                return receive(connection, session_id, frame)
             finally:
                 self.side = "client"
 
-        monkeypatch.setattr(network, "deliver", broker_side)
+        monkeypatch.setattr(network.router, "receive", broker_side)
 
     def reset(self) -> None:
         self.loads: Counter = Counter()
@@ -679,9 +679,10 @@ class TestBrokerState:
         for _ in range(handshakes):
             client = env.publisher_client()
             connection = establish(loopback, client, env.broker_did)
-            assert sum(isinstance(value, _CountedKey) for value in vars(client).values()) == 2
-            connection.send(client.disconnect())
+            # The keys serve only the handshake: an established client holds none.
             assert not any(isinstance(value, _CountedKey) for value in vars(client).values())
+            assert client._broker_agreement_key is None
+            connection.send(client.disconnect())
         assert counter.loads == {"client": 2 * handshakes}
         assert counter.exchanges == {"client": 3 * handshakes, "broker": 3 * handshakes}
 
