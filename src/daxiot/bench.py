@@ -20,7 +20,6 @@ import statistics
 import tempfile
 import time
 from functools import partial
-from pathlib import Path
 
 from .broker_service import BrokerService, BrokerThread
 from .errors import DaxiotError
@@ -138,7 +137,6 @@ def run_bench(
     mode: str,
     iterations_connect: int = DEFAULT_CONNECTS,
     iterations_publish: int = DEFAULT_PUBLISHES,
-    workdir: Path | str | None = None,
 ) -> dict:
     """Run one scenario and return its report dictionary."""
     if mode not in MODES:
@@ -151,7 +149,7 @@ def run_bench(
             measured = _measure(broker.port, _PlaintextClient, _plaintext_connect, *iterations)
     else:
         with tempfile.TemporaryDirectory(prefix="daxiot-bench-") as tmp:
-            env = build_scenario(Path(workdir or tmp), topic=_TOPIC)
+            env = build_scenario(tmp, topic=_TOPIC)
             with BrokerThread(env.config) as broker:
                 handshake = partial(run_handshake, broker_did=env.broker_did)
                 measured = _measure(broker.port, env.publisher_client, handshake, *iterations)

@@ -16,20 +16,19 @@ import logging
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 from .credential import RevocationRegistry, TrustedIssuerList
 from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypair
 from .did import DirectoryWebSource, Resolver
-from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError
+from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError, decode_json
 from .protocol import DaxiotBroker
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
 
 logger = logging.getLogger("daxiot.broker")
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BIND = 3
 
@@ -72,15 +71,19 @@ class BrokerConfig:
     @classmethod
     def from_file(cls, path: Path | str) -> "BrokerConfig":
         try:
-            data = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
             raise ConfigError(f"cannot read broker config {path}: {exc}") from exc
-        missing = {f for f in ("listen_address", "broker_did", "signing_key_path", "til_path", "rr_path", "did_web_dir")} - set(data)
+        data = decode_json(raw, ConfigError, f"broker config {path}")
+        names = [f.name for f in fields(cls)]
+        if not isinstance(data, dict) or not set(data) <= set(names) or not all(isinstance(v, str) for v in data.values()):
+            raise ConfigError(f"broker config {path} must be a JSON object whose values are strings, keys among {names}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ConfigError(f"broker config missing fields: {sorted(missing)}")
         return cls(**data)
 
-    def engine(self, event_sink: EventSink | None = None, plaintext_tap: list | None = None) -> DaxiotBroker:
+    def engine(self, event_sink: EventSink | None = None) -> DaxiotBroker:
         """Check the key, the broker's document and the trust files, then build the engine.
 
         Any inconsistency raises :class:`ConfigError`. The trust files are
@@ -111,7 +114,6 @@ class BrokerConfig:
             til_source=lambda: TrustedIssuerList.load(til_path),
             rr_source=lambda: RevocationRegistry.load(rr_path),
             event_sink=event_sink,
-            plaintext_tap=plaintext_tap,
         )
 
 

@@ -31,7 +31,7 @@ from .credential import (
 from .crypto import generate_signing_keypair
 from .demo import run_demo
 from .did import Did, DirectoryWebSource, Resolver, didkey_encode
-from .errors import BindError, ConfigError, DaxiotError
+from .errors import BindError, ConfigError, DaxiotError, decode_json
 from .protocol import DaxiotClient
 from .scenario import write_didweb_document
 from .transport import TcpClientConnection, run_handshake
@@ -115,14 +115,14 @@ def issue(key_path: Path, issuer_did: str, subject_did: str, claims_path: Path, 
     {"did:web:broker1.com": {"sub": ["t1"], "pub": ["t2"]}, ...}
     """
     try:
-        raw = json.loads(claims_path.read_text("utf-8"))
+        raw = decode_json(claims_path.read_bytes(), DaxiotError, f"claims file {claims_path}")
         if not isinstance(raw, dict) or not raw:
             raise DaxiotError("claims file must be a non-empty JSON object keyed by broker DID")
         claims = [AuthorizationClaim.from_value(broker, value) for broker, value in raw.items()]
         keypair = load_signing_key(key_path)
         credential, disclosures = issue_credential(keypair, issuer_did, subject_did, claims, jti)
         written = save_credential_files(out_dir, credential, disclosures)
-    except (OSError, json.JSONDecodeError, DaxiotError) as exc:
+    except (OSError, DaxiotError) as exc:
         _fail(str(exc))
     for path in written:
         click.echo(str(path))

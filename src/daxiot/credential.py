@@ -33,6 +33,8 @@ from .errors import (
     TrustFileError,
     UnknownDisclosure,
     UntrustedIssuer,
+    decode_json,
+    decode_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -98,6 +100,8 @@ class AuthorizationClaim:
         sub = value.get(_SUBSCRIBE_KEY, [])
         if not isinstance(pub, list) or not isinstance(sub, list):
             raise MalformedCredential("claim topic lists must be arrays")
+        if not all(isinstance(topic, str) for topic in (*pub, *sub)):
+            raise MalformedCredential("claim topics must be strings")
         return cls(
             broker_did=broker_did,
             publish_topics=frozenset(pub),
@@ -126,10 +130,7 @@ class Disclosure:
     @classmethod
     def decode(cls, raw: bytes) -> "Disclosure":
         """Parse the JSON array; the one parser for presented and stored disclosures."""
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedCredential(f"disclosure is not JSON: {exc}") from exc
+        data = decode_json(raw, MalformedCredential, "disclosure")
         if not isinstance(data, list) or len(data) != 3:
             raise MalformedCredential("disclosure must be a [salt, key, value] array")
         salt, key, value = data
@@ -168,10 +169,7 @@ class SdJwtCredential:
 
     @staticmethod
     def _segment(b64: str, name: str) -> dict:
-        try:
-            data = json.loads(_b64url_decode(b64).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedCredential(f"credential {name} is not JSON: {exc}") from exc
+        data = decode_json(_b64url_decode(b64), MalformedCredential, f"credential {name}")
         if not isinstance(data, dict):
             raise MalformedCredential(f"credential {name} must be a JSON object")
         return data
@@ -286,12 +284,13 @@ class RevocationRegistry:
 
 
 def _read_trust_file(path: Path | str) -> object:
-    # A missing, torn or non-UTF-8 file fails closed: the verification it
-    # serves is refused instead of crashing the broker.
+    # A missing, torn, non-UTF-8 or too deep file fails closed: the
+    # verification it serves is refused instead of crashing the broker.
     try:
-        return json.loads(Path(path).read_text("utf-8"))
-    except (OSError, ValueError) as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
         raise TrustFileError(f"{path}: cannot read trust file: {exc}") from exc
+    return decode_json(raw, TrustFileError, f"trust file {path}")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -460,7 +459,8 @@ def load_credential_files(directory: Path | str) -> tuple[SdJwtCredential, list[
     credential_path = directory / CREDENTIAL_FILENAME
     if not credential_path.exists():
         raise CredentialError(f"no {CREDENTIAL_FILENAME} under {directory}")
-    credential = SdJwtCredential.parse(credential_path.read_text("utf-8").strip())
+    text = decode_text(credential_path.read_bytes(), MalformedCredential, str(credential_path))
+    credential = SdJwtCredential.parse(text.strip())
     disclosures = []
     for path in sorted(directory.glob("disclosure-*.json")):
         try:

@@ -37,7 +37,7 @@ def _broker_rejection_cause(broker: BrokerThread, fallback: str) -> str:
     return fallback
 
 
-def run_demo(revoke_first: bool = False, untrusted_issuer: bool = False, echo=print) -> int:
+def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
     """Run the scenario; returns 0 on success, 1 on failure (step is printed)."""
     workdir = Path(tempfile.mkdtemp(prefix="daxiot-demo-"))
     echo(f"demo artifacts: {workdir}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import KEY_LEN, convert_public_key
-from .errors import DidError, DidResolutionError
+from .errors import DidError, DidResolutionError, decode_json
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {ch: i for i, ch in enumerate(_B58_ALPHABET)}
@@ -136,10 +136,7 @@ def document_to_json(document: DidDocument) -> bytes:
 
 
 def document_from_json(raw: bytes) -> DidDocument:
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DidError(f"malformed DID document: {exc}") from exc
+    data = decode_json(raw, DidError, "DID document")
     if not isinstance(data, dict):
         raise DidError("malformed DID document: not a JSON object")
     try:

@@ -1,11 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the decoders of outside bytes.
 
 Every error raised by this package derives from :class:`DaxiotError` so
 callers can catch protocol-stack failures with a single handler while tests
-and logs still distinguish the precise failure class.
+and logs still distinguish the precise failure class. :func:`decode_text` and
+:func:`decode_json` raise the caller's error class on every input they refuse,
+so malformed outside bytes fail closed.
 """
 
 from __future__ import annotations
+
+import json
+
+# Far deeper than any document this package writes, far below the recursion limit.
+MAX_JSON_DEPTH = 32
 
 
 class DaxiotError(Exception):
@@ -118,3 +125,34 @@ class ConfigError(DaxiotError):
 
 class BindError(DaxiotError):
     """The broker could not bind its listen address."""
+
+
+# --- decoding outside bytes --------------------------------------------------
+
+def decode_text(raw: bytes, error: type[DaxiotError], what: str) -> str:
+    """``raw`` as UTF-8 text, or ``error`` naming ``what``."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: {exc}") from exc
+
+
+def decode_json(raw: bytes, error: type[DaxiotError], what: str) -> object:
+    """``raw`` as a UTF-8 JSON value at most ``MAX_JSON_DEPTH`` levels deep (itself level 1),
+    or ``error``; an integer past the interpreter's digit limit and a lone surrogate are refused too."""
+    try:
+        text = raw.decode("utf-8")
+        value = json.loads(text)
+        if "\\u" in text:  # an escaped lone surrogate parses, but cannot be encoded back
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not JSON: {exc}") from exc
+    level = [value]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            child for node in level if isinstance(node, (list, dict))
+            for child in (node.values() if isinstance(node, dict) else node)
+        ]
+        if not level:
+            return value
+    raise error(f"{what} is not JSON: nested deeper than {MAX_JSON_DEPTH} levels")

@@ -71,6 +71,7 @@ from .errors import (
     ProtocolMismatch,
     ProtocolOrderError,
     ReplayError,
+    decode_text,
 )
 from .wire import Packet, PacketKind, ReasonCode
 
@@ -147,13 +148,6 @@ def _envelope(data: bytes | None, what: str) -> AeadEnvelope:
         return AeadEnvelope.from_bytes(data)
     except CryptoError as exc:
         raise ProtocolError(f"{what} carries a malformed envelope: {exc}") from exc
-
-
-def _utf8(data: bytes, what: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"{what} is not UTF-8: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +342,7 @@ class DaxiotClient:
             _envelope(packet.topic, "publish topic"),
             _envelope(packet.payload, "publish payload"),
         )
-        return topic.decode("utf-8"), payload
+        return decode_text(topic, ProtocolError, "publish topic"), payload
 
     def disconnect(self) -> Packet:
         """Leave the session; the next connect gets a fresh ephemeral identity."""
@@ -419,7 +413,6 @@ class DaxiotBroker:
         til_source: Callable[[], TrustedIssuerList],
         rr_source: Callable[[], RevocationRegistry],
         event_sink: Callable[[dict], None] | None = None,
-        plaintext_tap: list | None = None,
     ) -> None:
         self._agreement = to_agreement_keypair(signing_keypair)
         self._static_key: X25519PrivateKey | None = None  # loaded on the first connect
@@ -428,7 +421,6 @@ class DaxiotBroker:
         self._til_source = til_source
         self._rr_source = rr_source
         self._event_sink = event_sink
-        self._plaintext_tap = plaintext_tap
         self.sessions: dict[str, BrokerSession] = {}
         self.topics: dict[str, set[str]] = {}
         self._seen_connect_nonces: set[bytes] = set()
@@ -438,10 +430,6 @@ class DaxiotBroker:
     def _emit(self, event: str, session: str | None = None, reason: str | None = None) -> None:
         if self._event_sink is not None:
             self._event_sink({"event": event, "session": session, "reason": reason})
-
-    def _tap(self, plaintext: bytes) -> None:
-        if self._plaintext_tap is not None:
-            self._plaintext_tap.append(plaintext)
 
     def _session(self, session_id: str, phase: BrokerPhase | None = None) -> BrokerSession:
         session = self.sessions.get(session_id)
@@ -554,10 +542,9 @@ class DaxiotBroker:
             ) from exc
         # Only a connect that decrypts is remembered, so garbage cannot grow the set.
         self._seen_connect_nonces.add(nonce_bytes)
-        self._tap(static_did_raw)
         try:
-            static = Did.parse(static_did_raw.decode("utf-8"))
-        except (UnicodeDecodeError, DidError) as exc:
+            static = Did.parse(decode_text(static_did_raw, ProtocolError, "connect static DID"))
+        except DidError as exc:
             raise ProtocolError(f"connect carries an invalid static DID: {exc}") from exc
         if static.method != "key":
             raise ProtocolError("static client identity must be a did:key")
@@ -603,14 +590,8 @@ class DaxiotBroker:
             raise AuthenticationError(
                 "authentication response does not decrypt; sender does not hold the static key"
             ) from exc
-        self._tap(compact)
-        try:
-            text = compact.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedCredential(f"presentation is not UTF-8: {exc}") from exc
-
         grant = verify_presentation(
-            Presentation.parse(text),
+            Presentation.parse(decode_text(compact, MalformedCredential, "presentation")),
             expected_subject=session.static_did,
             verifier_did=self.broker_did,
             til=self._til_source(),
@@ -638,8 +619,7 @@ class DaxiotBroker:
         """Step I: decrypt the topic, enforce the subscribe grant, register."""
         session = self._session(session_id, BrokerPhase.ESTABLISHED)
         (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, _envelope(packet.topic, "subscribe"))
-        self._tap(raw)
-        topic = _utf8(raw, "subscribe topic")
+        topic = decode_text(raw, ProtocolError, "subscribe topic")
 
         if topic not in session.grant.subscribe_topics:
             self._emit("subscribe_denied", session_id)
@@ -658,9 +638,7 @@ class DaxiotBroker:
             _envelope(packet.topic, "publish topic"),
             _envelope(packet.payload, "publish payload"),
         )
-        self._tap(raw_topic)
-        self._tap(payload)
-        topic = _utf8(raw_topic, "publish topic")
+        topic = decode_text(raw_topic, ProtocolError, "publish topic")
 
         if topic not in session.grant.publish_topics:
             self._emit("publish_denied", session_id)

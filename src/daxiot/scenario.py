@@ -69,12 +69,10 @@ class ClientMaterial:
 class ScenarioEnv:
     root: Path
     broker_did: str
-    broker_keypair: SigningKeyPair
     config: BrokerConfig
     po_did: str
     po_keypair: SigningKeyPair
     so_did: str
-    so_keypair: SigningKeyPair
     publisher: ClientMaterial
     subscriber: ClientMaterial
     topic: str
@@ -103,15 +101,14 @@ class ScenarioEnv:
         m = self.subscriber
         return DaxiotClient(m.keypair, m.credential, m.disclosures, self.resolver())
 
-    def engine(self, event_sink: EventSink | None = None, plaintext_tap: list | None = None) -> DaxiotBroker:
+    def engine(self, event_sink: EventSink | None = None) -> DaxiotBroker:
         """Broker engine over the same files, for socket-free runs."""
-        return self.config.engine(event_sink, plaintext_tap)
+        return self.config.engine(event_sink)
 
 
 def build_scenario(
     root: Path | str,
     topic: str = "factory/line-4/temperature",
-    port: int | None = None,
     trust_publisher_owner: bool = True,
 ) -> ScenarioEnv:
     """Create keys, documents, registries, and credentials under root."""
@@ -119,10 +116,9 @@ def build_scenario(
     docs_dir = root / "docs"
     keys_dir = root / "keys"
     keys_dir.mkdir(parents=True, exist_ok=True)
-    if port is None:
-        with socket.socket() as sock:
-            sock.bind((HOST, 0))
-            port = sock.getsockname()[1]
+    with socket.socket() as sock:
+        sock.bind((HOST, 0))
+        port = sock.getsockname()[1]
 
     broker_did = "did:web:broker.example"
     other_broker_did = "did:web:other-broker.example"
@@ -185,12 +181,10 @@ def build_scenario(
     return ScenarioEnv(
         root=root,
         broker_did=broker_did,
-        broker_keypair=broker_kp,
         config=config,
         po_did=po_did,
         po_keypair=po_kp,
         so_did=so_did,
-        so_keypair=so_kp,
         publisher=ClientMaterial(
             keypair=publisher_kp,
             static_did=publisher_did,

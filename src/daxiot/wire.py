@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import FramingError
+from .errors import FramingError, decode_text
 
 MAX_FRAME = 1 << 20
 
@@ -89,13 +89,6 @@ def frame_length(header: bytes) -> int:
     return length
 
 
-def _decode_str(value: bytes, name: str) -> str:
-    try:
-        return value.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FramingError(f"{name} is not valid UTF-8") from exc
-
-
 def decode_frame(frame: bytes) -> Packet:
     if len(frame) < 5:
         raise FramingError("frame shorter than header")
@@ -126,9 +119,9 @@ def decode_frame(frame: bytes) -> Packet:
             raise FramingError(f"duplicate field 0x{tag:02x}")
         seen.add(tag)
         if tag == FIELD_CLIENT_ID:
-            packet.client_id = _decode_str(value, "client_id")
+            packet.client_id = decode_text(value, FramingError, "client_id")
         elif tag == FIELD_AUTH_METHOD:
-            packet.auth_method = _decode_str(value, "auth_method")
+            packet.auth_method = decode_text(value, FramingError, "auth_method")
         elif tag == FIELD_AUTH_DATA:
             packet.auth_data = value
         elif tag == FIELD_TOPIC:

@@ -20,11 +20,8 @@ def env(tmp_path) -> ScenarioEnv:
 def loopback(env):
     """Engine plus loopback network with event capture, ready for handshakes."""
     events: list[dict] = []
-    tap: list[bytes] = []
-    engine = env.engine(event_sink=events.append, plaintext_tap=tap)
-    network = LoopbackNetwork(engine)
+    network = LoopbackNetwork(env.engine(event_sink=events.append))
     network.events = events
-    network.tap = tap
     return network
 
 

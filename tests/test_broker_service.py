@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import logging
@@ -10,10 +11,12 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import daxiot
+import daxiot.protocol
 from daxiot.bench import PlaintextBroker
 from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
@@ -126,9 +129,10 @@ class TestConfigValidation:
     def test_bind_conflict(self, tmp_path):
         env = build_scenario(tmp_path / "env")
         with BrokerThread(env.config):
-            clone = build_scenario(tmp_path / "env2", port=env.port)
+            clone = build_scenario(tmp_path / "env2").config
+            clone = dataclasses.replace(clone, listen_address=env.config.listen_address)
             with pytest.raises(BindError):
-                BrokerThread(clone.config).start()
+                BrokerThread(clone).start()
 
 
 class TestHotReload:
@@ -200,6 +204,26 @@ class TestFaultIsolation:
             assert victim.handle_puback(victim_conn.recv()) is ReasonCode.SUCCESS
         victim_conn.send(victim.disconnect())
         victim_conn.close()
+
+    def test_deep_disclosure_is_refused_at_h(self, tcp_env, caplog, monkeypatch):
+        env, broker = tcp_env
+        deep = base64.urlsafe_b64encode(b"[" * 100_000).rstrip(b"=").decode()
+        compact = f"{env.publisher.credential.compact()}~{deep}~"
+        monkeypatch.setattr(daxiot.protocol, "present", lambda *args: SimpleNamespace(compact=lambda: compact))
+        client = env.publisher_client()
+        with TcpClientConnection(env.host, broker.port) as connection:
+            connection.send(client.begin_connect(env.broker_did))
+            connection.send(client.handle_challenge(connection.recv()))
+            replies = [connection.recv(), connection.recv()]
+        assert [(p.kind, p.reason_code) for p in replies] == [
+            (PacketKind.CONNACK, ReasonCode.NOT_AUTHORIZED),
+            (PacketKind.DISCONNECT, ReasonCode.NOT_AUTHORIZED),
+        ]
+        assert [(e["event"], e["reason"]) for e in broker.service.events if e["session"] == client.ephemeral_did] == [
+            ("challenge_sent", None),
+            ("auth_rejected", "MalformedCredential"),
+        ]
+        assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
 
     def test_transport_drop_reaps_session(self, tcp_env):
         env, broker = tcp_env

@@ -75,12 +75,12 @@ class TestKeyCommands:
 
 
 class TestIssuance:
-    def _issue(self, runner, tmp_path, claims: dict):
+    def _issue(self, runner, tmp_path, claims: dict | bytes):
         issuer_key = tmp_path / "issuer.key"
         invoke(runner, "keygen", "--out", issuer_key)
         subject_did = invoke(runner, "keygen", "--out", tmp_path / "subject.key").output.strip()
         claims_path = tmp_path / "claims.json"
-        claims_path.write_text(json.dumps(claims))
+        claims_path.write_bytes(claims if isinstance(claims, bytes) else json.dumps(claims).encode())
         return runner.invoke(
             main,
             [
@@ -141,6 +141,52 @@ class TestIssuance:
     def test_empty_claims_rejected(self, runner, tmp_path):
         result = self._issue(runner, tmp_path, {})
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "claims",
+        [
+            b"\xff\xfe",
+            b'{"did:web:broker1.com": ' + b"[" * 100_000,
+            b'{"did:web:broker1.com": {"pub": [' + b"7" * 5000 + b"]}}",
+            b'{"did:web:broker1.com": {"pub": [["x"]]}}',
+            b'{"did:web:broker1.com": {"pub": [7]}}',
+        ],
+        ids=["not UTF-8", "too deep", "5000-digit integer", "list topic", "integer topic"],
+    )
+    def test_bad_claims_file_is_an_error(self, runner, tmp_path, claims):
+        result = self._issue(runner, tmp_path, claims)
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert not (tmp_path / "cred").exists()
+
+
+_CONFIG = {
+    "listen_address": "127.0.0.1:0",
+    "broker_did": "did:web:broker1.com",
+    "signing_key_path": "broker.key",
+    "til_path": "til.json",
+    "rr_path": "rr.json",
+    "did_web_dir": "docs",
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        json.dumps({**_CONFIG, "listen_adress": "127.0.0.1:1883"}).encode(),
+        b"5",
+        json.dumps({**_CONFIG, "listen_address": 5}).encode(),
+        b"\xff\xfe",
+        b"[" * 100_000,
+    ],
+    ids=["unknown key", "not an object", "non-string value", "not UTF-8", "too deep"],
+)
+def test_bad_broker_config_exits_2(runner, tmp_path, config):
+    path = tmp_path / "broker.json"
+    path.write_bytes(config)
+    result = runner.invoke(main, ["broker", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
 
 
 class TestRegistryCommands:

@@ -1,0 +1,275 @@
+"""Bytes from outside the package are decoded in one place and fail closed.
+
+Every decode site routes through ``daxiot.errors.decode_text`` or
+``decode_json``; a malformed input ends in the site's ``DaxiotError`` and
+never in a ``RecursionError``, ``ValueError`` or ``TypeError``.
+"""
+
+from __future__ import annotations
+
+import ast
+import base64
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import daxiot
+import daxiot.protocol as protocol
+from daxiot.broker_service import BrokerConfig
+from daxiot.credential import (
+    AuthorizationClaim,
+    Disclosure,
+    SdJwtCredential,
+    TrustedIssuerList,
+    issue,
+    load_credential_files,
+    save_credential_files,
+)
+from daxiot.crypto import Nonce, aead_encrypt, ecdh_es, generate_signing_keypair, load_agreement_key, to_agreement_keypair
+from daxiot.did import document_from_json, didkey_encode
+from daxiot.errors import (
+    MAX_JSON_DEPTH,
+    ConfigError,
+    DaxiotError,
+    DidError,
+    FramingError,
+    MalformedCredential,
+    ProtocolError,
+    TrustFileError,
+)
+from daxiot.protocol import Channel, DaxiotClient
+from daxiot.scenario import build_scenario
+from daxiot.transport import LoopbackNetwork
+from daxiot.wire import Packet, PacketKind, decode_frame
+
+from conftest import establish
+
+DEEP = b"[" * 100_000
+HUGE_INT = b'{"n": ' + b"7" * 5000 + b"}"
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _b64(data: bytes) -> str:
+    return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
+
+
+def _nested(depth: int) -> bytes:
+    """A disclosure for did:web:broker.example whose value holds ``depth`` nested arrays."""
+    return b'["salt","did:web:broker.example",{"x":' + b"[" * depth + b"]" * depth + b"}]"
+
+
+@pytest.fixture(scope="module")
+def trusted_env(tmp_path_factory):
+    return build_scenario(tmp_path_factory.mktemp("decoding") / "env")
+
+
+# ---------------------------------------------------------------------------
+# Each decode site, one malformed input each
+# ---------------------------------------------------------------------------
+
+def _raise_refusal(reply) -> None:
+    raise reply.error
+
+
+def _challenged_session(env):
+    """A loopback broker holding the challenged session of a fresh identity."""
+    network = LoopbackNetwork(env.engine())
+    client = DaxiotClient(generate_signing_keypair(), env.publisher.credential, env.publisher.disclosures, env.resolver())
+    connection = network.open()
+    connection.send(client.begin_connect(env.broker_did))
+    connection.recv()
+    return network.engine, client.ephemeral_did
+
+
+def _seal_to_broker(engine, session_id: str, kind: PacketKind, plaintext: bytes) -> Packet:
+    c2b = engine.sessions[session_id].c2b
+    (envelope,) = Channel(c2b.key, session_id, c2b.nonce).seal(kind, plaintext)
+    if kind is PacketKind.AUTH_RESPONSE:
+        return Packet(kind=kind, auth_data=envelope.to_bytes())
+    return Packet(kind=kind, topic=envelope.to_bytes())
+
+
+def _static_did_site(env, tmp_path):
+    ephemeral = generate_signing_keypair()
+    ephemeral_did = str(didkey_encode(ephemeral.public))
+    broker_key = env.resolver().resolve(env.broker_did).agreement_key
+    key = ecdh_es(
+        load_agreement_key(to_agreement_keypair(ephemeral).secret),
+        broker_key,
+        protocol._es_context(ephemeral_did, env.broker_did),
+    )
+    envelope = aead_encrypt(key, Nonce.fresh(), NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did))
+    packet = Packet(
+        kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope.to_bytes()
+    )
+    _raise_refusal(env.engine().handle_connect(packet)[1])
+
+
+def _presentation_site(env, tmp_path):
+    engine, session_id = _challenged_session(env)
+    _raise_refusal(engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, NOT_UTF8)))
+
+
+def _subscribe_topic_site(env, tmp_path):
+    network = LoopbackNetwork(env.engine())
+    client = env.subscriber_client()
+    establish(network, client, env.broker_did)
+    engine, session_id = network.engine, client.ephemeral_did
+    _raise_refusal(engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.SUBSCRIBE, NOT_UTF8)))
+
+
+def _client_publish_topic_site(env, tmp_path):
+    network = LoopbackNetwork(env.engine())
+    client = env.subscriber_client()
+    establish(network, client, env.broker_did)
+    session = network.engine.sessions[client.ephemeral_did]
+    topic, payload = session.b2c.seal(PacketKind.PUBLISH, NOT_UTF8, b"payload")
+    client.handle_publish(Packet(kind=PacketKind.PUBLISH, topic=topic.to_bytes(), payload=payload.to_bytes()))
+
+
+def _frame_with_client_id(raw: bytes) -> bytes:
+    body = bytes([PacketKind.CONNECT, 0x01]) + len(raw).to_bytes(4, "big") + raw
+    return len(body).to_bytes(4, "big") + body
+
+
+def _credential_segment_site(env, tmp_path):
+    credential = env.publisher.credential
+    SdJwtCredential(credential.header_b64, _b64(DEEP), credential.signature).payload
+
+
+def _trust_file_site(env, tmp_path):
+    path = tmp_path / "til.json"
+    path.write_bytes(DEEP)
+    TrustedIssuerList.load(path)
+
+
+def _credential_file_site(env, tmp_path):
+    save_credential_files(tmp_path / "cred", env.publisher.credential, env.publisher.disclosures)
+    (tmp_path / "cred" / "credential.sdjwt").write_bytes(NOT_UTF8)
+    load_credential_files(tmp_path / "cred")
+
+
+def _broker_config_site(env, tmp_path):
+    path = tmp_path / "broker.json"
+    path.write_bytes(NOT_UTF8)
+    BrokerConfig.from_file(path)
+
+
+SITES = {
+    "Disclosure.decode, too deep": (lambda env, tmp_path: Disclosure.decode(DEEP), MalformedCredential),
+    "Disclosure.decode, huge integer": (
+        lambda env, tmp_path: Disclosure.decode(b'["s","k",' + HUGE_INT + b"]"), MalformedCredential
+    ),
+    "Disclosure.decode, lone surrogate": (
+        lambda env, tmp_path: Disclosure.decode(b'["s","k",{"pub":["\\ud800"]}]'), MalformedCredential
+    ),
+    "Disclosure.decode, past MAX_JSON_DEPTH": (
+        lambda env, tmp_path: Disclosure.decode(_nested(MAX_JSON_DEPTH - 1)), MalformedCredential
+    ),
+    "AuthorizationClaim.from_value, list topic": (
+        lambda env, tmp_path: Disclosure("s", env.broker_did, {"pub": [["x"]]}).claim(), MalformedCredential
+    ),
+    "AuthorizationClaim.from_value, integer topic": (
+        lambda env, tmp_path: Disclosure("s", env.broker_did, {"sub": [7]}).claim(), MalformedCredential
+    ),
+    "SdJwtCredential._segment": (_credential_segment_site, MalformedCredential),
+    "_read_trust_file": (_trust_file_site, TrustFileError),
+    "load_credential_files": (_credential_file_site, MalformedCredential),
+    "document_from_json": (lambda env, tmp_path: document_from_json(HUGE_INT), DidError),
+    "BrokerConfig.from_file": (_broker_config_site, ConfigError),
+    "wire client_id": (lambda env, tmp_path: decode_frame(_frame_with_client_id(NOT_UTF8)), FramingError),
+    "broker static DID": (_static_did_site, ProtocolError),
+    "broker presentation": (_presentation_site, MalformedCredential),
+    "broker subscribe topic": (_subscribe_topic_site, ProtocolError),
+    "client publish topic": (_client_publish_topic_site, ProtocolError),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_each_decode_site_fails_closed(site, trusted_env, tmp_path):
+    probe, error = SITES[site]
+    with pytest.raises(error):
+        probe(trusted_env, tmp_path)
+
+
+def test_a_disclosure_max_json_depth_levels_deep_decodes():
+    # _nested(n) is n + 2 levels deep: the outer array and the value object come first.
+    assert Disclosure.decode(_nested(MAX_JSON_DEPTH - 2)).key == "did:web:broker.example"
+
+
+# ---------------------------------------------------------------------------
+# An AUTH_RESPONSE sealed by a fresh identity, whatever its plaintext
+# ---------------------------------------------------------------------------
+
+def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
+    """Seal ``body`` as (part of) the presentation of a fresh, trusted identity."""
+    events: list[dict] = []
+    network = LoopbackNetwork(env.engine(event_sink=events.append))
+    keypair = generate_signing_keypair()
+    claim = AuthorizationClaim(env.broker_did, publish_topics=frozenset({env.topic}))
+    credential, disclosures = issue(env.po_keypair, env.po_did, str(didkey_encode(keypair.public)), [claim], "AC-fresh")
+    client = DaxiotClient(keypair, credential, disclosures, env.resolver())
+    connection = network.open()
+    connection.send(client.begin_connect(env.broker_did))
+    connection.recv()
+    plaintext = {
+        "presentation": body,
+        "disclosure": f"{credential.compact()}~{_b64(body)}~".encode(),
+        "payload": f"{credential.header_b64}.{_b64(body)}.{_b64(credential.signature)}~".encode(),
+    }[where]
+    engine, session_id = network.engine, client.ephemeral_did
+    reply = engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, plaintext))
+    assert isinstance(reply.error, DaxiotError)
+    return events[-1]["event"], events[-1]["reason"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=st.binary(max_size=256), where=st.sampled_from(["presentation", "disclosure", "payload"]))
+@example(body=DEEP, where="disclosure")
+@example(body=DEEP, where="payload")
+@example(body=HUGE_INT, where="payload")
+@example(body=NOT_UTF8, where="presentation")
+@example(body=NOT_UTF8, where="disclosure")
+@example(body=_nested(MAX_JSON_DEPTH - 1), where="disclosure")
+@example(body=b'["salt","did:web:broker.example",{"pub":["\\ud800"]}]', where="disclosure")
+def test_any_sealed_auth_response_is_refused(trusted_env, body, where):
+    assert _auth_response_outcome(trusted_env, body, where)[0] == "auth_rejected"
+
+
+def test_disclosure_nested_up_to_the_parser_limit_is_refused(trusted_env):
+    # The parser's limit depends on the stack depth at the decode, so every
+    # depth below the recursion limit is tried: one level under the parse
+    # limit used to decode and then overflow the re-serialization in digest().
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 300, limit):
+        assert _auth_response_outcome(trusted_env, _nested(depth), "disclosure") == ("auth_rejected", "MalformedCredential")
+
+
+# ---------------------------------------------------------------------------
+# Guard: no hand-written decode outside the two decoders
+# ---------------------------------------------------------------------------
+
+def _is_strict_decode(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    function = node.func
+    if function.attr == "loads" and isinstance(function.value, ast.Name) and function.value.id == "json":
+        return True
+    # ``.decode("utf-8", errors="replace")`` cannot fail; a strict decode can.
+    arguments = [getattr(arg, "value", None) for arg in node.args]
+    return function.attr == "decode" and arguments == ["utf-8"] and not node.keywords
+
+
+def test_outside_bytes_are_decoded_only_by_the_two_decoders():
+    found = set()
+    for path in sorted(Path(daxiot.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner: dict[ast.AST, str] = {}
+        for function in ast.walk(tree):  # outer functions first, so the innermost name wins
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, function.name) for node in ast.walk(function))
+        found |= {(path.name, owner.get(node, "<module>")) for node in ast.walk(tree) if _is_strict_decode(node)}
+    assert found == {("errors.py", "decode_json"), ("errors.py", "decode_text")}
