@@ -1,24 +1,22 @@
-"""Runnable broker: TCP listener, session registry, routing, and logging.
+"""Runnable broker: TCP listener, session registry, routing, and event log.
 
-The service wraps a protocol engine with transport plumbing; the same server
-carries the DAXiot engine and the benchmark's plaintext baseline. Trusted-issuer
-and revocation files are re-read on every verification, so edits take effect
-on the next connect without a restart. Events are logged as line-delimited
-JSON objects {ts, session, event, reason} and kept in a bounded in-memory
-ring for the status snapshot and for tooling.
+The same server carries the DAXiot engine and the benchmark's plaintext
+baseline; each connection is a small asyncio protocol with no task of its
+own, which stops reading a peer whose replies back up. Trust files are
+re-read on every verification, so edits need no restart. Events go to a
+bounded ring and optionally to a stream, one JSON object per line.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import logging
 import threading
 import time
 from collections import deque
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 from .credential import RevocationRegistry, TrustedIssuerList
 from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypair
@@ -26,8 +24,6 @@ from .did import DirectoryWebSource, Resolver
 from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError, decode_json
 from .protocol import DaxiotBroker
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
-
-logger = logging.getLogger("daxiot.broker")
 
 EXIT_CONFIG = 2
 EXIT_BIND = 3
@@ -43,19 +39,6 @@ def load_signing_key(path: Path | str) -> SigningKeyPair:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load signing key from {path}: {exc}") from exc
     return generate_signing_keypair(seed)
-
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one length-checked frame; ``None`` when the peer closed between frames."""
-    try:
-        header = await reader.readexactly(4)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    try:
-        body = await reader.readexactly(frame_length(header))
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
-        raise FramingError("connection closed mid-frame") from exc
-    return header + body
 
 
 @dataclass
@@ -81,6 +64,8 @@ class BrokerConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ConfigError(f"broker config missing fields: {sorted(missing)}")
+        if data.get("log_level", cls.log_level) not in ("debug", "info", "warning", "error"):
+            raise ConfigError(f"broker config {path}: log_level must be debug, info, warning or error")
         return cls(**data)
 
     def engine(self, event_sink: EventSink | None = None) -> DaxiotBroker:
@@ -122,7 +107,7 @@ class Router:
     used by the TCP service and by the in-process loopback.
 
     A connection is anything with ``write(frame)``, ``close()`` and
-    ``is_closing()``, such as an asyncio ``StreamWriter``.
+    ``is_closing()``: an asyncio transport, or a ``LoopbackConnection``.
     """
 
     def __init__(self, engine) -> None:
@@ -156,32 +141,87 @@ class Router:
             self.connections.pop(session_id, None)
 
 
+class _Connection(asyncio.Protocol):
+    """One accepted TCP connection; while its replies back up, the peer is not read."""
+
+    def __init__(self, service: "BrokerService") -> None:
+        self._service = service
+        self._buffer = bytearray()
+        self._session_id: str | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.lost = asyncio.get_running_loop().create_future()
+        self._service._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        try:
+            while len(buffer) >= 4 and len(buffer) >= (end := 4 + frame_length(buffer[:4])):
+                frame = bytes(buffer[:end])
+                del buffer[:end]
+                self._session_id, close = self._service.router.receive(self.transport, self._session_id, frame)
+                if close:
+                    break
+            else:
+                return  # wait for the rest of the frame
+        except DaxiotError as exc:
+            self._error(type(exc).__name__)
+            self.transport.write(encode_frame(Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR)))
+        buffer.clear()
+        self.transport.close()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._buffer:
+            self._error(FramingError.__name__)  # the peer left mid-frame
+        self._service.router.drop(self._session_id)
+        self._service._connections.discard(self)
+        self.lost.set_result(None)
+
+    def _error(self, reason: str) -> None:
+        self._service._record_event({"event": "connection_error", "session": self._session_id, "reason": reason})
+
+
 class BrokerService:
     """Serve one protocol engine over TCP.
 
     ``make_engine`` is called once with the service's event sink and returns
     the engine: anything whose ``handle_connect``, ``handle_packet`` and
     ``handle_disconnect`` return a :class:`Reply`, such as the
-    :class:`DaxiotBroker` that :meth:`BrokerConfig.engine` builds.
+    :class:`DaxiotBroker` that :meth:`BrokerConfig.engine` builds. Each event
+    is written to ``event_log``, when given, as one JSON line and flushed.
     """
 
-    def __init__(self, listen_address: str, make_engine: Callable[[EventSink], object]) -> None:
+    def __init__(
+        self, listen_address: str, make_engine: Callable[[EventSink], object], event_log: TextIO | None = None
+    ) -> None:
         host, _, port = listen_address.rpartition(":")
         if not host or not port.isdigit():
             raise ConfigError(f"listen_address must be host:port, got {listen_address!r}")
         self._host, self._port = host, int(port)
+        self._event_log = event_log
         self.events: deque[dict] = deque(maxlen=1000)
         self.engine = make_engine(self._record_event)
         self.router = Router(self.engine)
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._connections: set[_Connection] = set()
         self._server: asyncio.Server | None = None
 
     def _record_event(self, record: dict) -> None:
         record = {"ts": time.time(), **record}
         self.events.append(record)
-        logger.info("%s", json.dumps(record, sort_keys=True))
-
-    # -- lifecycle -------------------------------------------------------------
+        if self._event_log is not None:
+            try:
+                self._event_log.write(json.dumps(record, sort_keys=True) + "\n")
+                self._event_log.flush()
+            except OSError:  # a full disk or a closed pipe must not stop the broker
+                pass
 
     @property
     def port(self) -> int:
@@ -189,29 +229,24 @@ class BrokerService:
         return self._port
 
     async def start(self) -> None:
+        loop = asyncio.get_running_loop()
         try:
-            self._server = await asyncio.start_server(self._handle_connection, self._host, self._port)
+            self._server = await loop.create_server(lambda: _Connection(self), self._host, self._port)
         except OSError as exc:
             raise BindError(f"cannot bind {self._host}:{self._port}: {exc}") from exc
         self._port = self._server.sockets[0].getsockname()[1]
-        self._record_event(
-            {"event": "listening", "session": None, "reason": f"{self._host}:{self._port}"}
-        )
+        self._record_event({"event": "listening", "session": None, "reason": f"{self._host}:{self._port}"})
 
     async def shutdown(self) -> None:
-        """Stop accepting, drop every open connection and wait for its handler.
-
-        Aborting discards unsent bytes, so a peer that stopped reading cannot
-        hold shutdown up; each handler then ends as on a peer's close, and no
-        task is left for the event loop to cancel. ``wait_closed`` comes last:
-        since Python 3.12.1 it also waits for every accepted connection.
-        """
+        """Stop accepting, abort every connection (dropping unsent bytes, so a
+        stalled peer cannot hold shutdown up) and wait until each is lost;
+        ``wait_closed`` comes last, as since Python 3.12.1 it waits for them too."""
         if self._server is not None:
             self._server.close()
-        handlers = list(self._connections)
-        for writer in self._connections.values():
-            writer.transport.abort()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.abort()
+        await asyncio.gather(*(connection.lost for connection in connections))
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -222,41 +257,6 @@ class BrokerService:
             "sessions": self.engine.status(),
             "topics": {topic: len(subs) for topic, subs in list(self.engine.topics.items()) if subs},
         }
-
-    # -- connection handling ------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        session_id: str | None = None
-        handler = asyncio.current_task()
-        self._connections[handler] = writer
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                session_id, close = self.router.receive(writer, session_id, frame)
-                await writer.drain()
-                if close:
-                    break
-        except (DaxiotError, ConnectionError) as exc:
-            self._record_event(
-                {"event": "connection_error", "session": session_id, "reason": type(exc).__name__}
-            )
-            try:
-                writer.write(
-                    encode_frame(Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.PROTOCOL_ERROR))
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            self.router.drop(session_id)
-            del self._connections[handler]
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 class BrokerThread:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import logging
 import signal
 import sys
 import urllib.parse
@@ -36,9 +35,6 @@ from .protocol import DaxiotClient
 from .scenario import write_didweb_document
 from .transport import TcpClientConnection, run_handshake
 from .wire import ReasonCode
-
-
-_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
 
 @click.group()
@@ -174,14 +170,13 @@ def til_remove(til_path: Path, did_text: str) -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 def broker(config_path: Path) -> None:
-    """Run the broker service until interrupted."""
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    """Run the broker service until interrupted; at log level debug or info, events go to stderr."""
     try:
         config = BrokerConfig.from_file(config_path)
-        service = BrokerService(config.listen_address, config.engine)
+        event_log = sys.stderr if config.log_level in ("debug", "info") else None
+        service = BrokerService(config.listen_address, config.engine, event_log)
     except ConfigError as exc:
         _fail(str(exc), code=EXIT_CONFIG)
-    logging.getLogger("daxiot.broker").setLevel(_LOG_LEVELS.get(config.log_level.lower(), logging.INFO))
 
     async def _serve() -> None:
         loop = asyncio.get_running_loop()

@@ -209,20 +209,24 @@ def convert_public_key(ed25519_public: bytes) -> bytes:
     return u.to_bytes(32, "little")
 
 
-def to_agreement_keypair(keypair: SigningKeyPair) -> AgreementKeyPair:
-    """Derive the X25519 agreement pair from an Ed25519 signing pair.
-
-    The secret scalar is the clamped SHA-512 prefix of the seed, exactly the
-    scalar Ed25519 itself signs with, so the converted public key equals the
-    X25519 public key of that scalar and any two converted pairs agree under
-    Diffie-Hellman.
-    """
-    digest = hashlib.sha512(keypair.secret).digest()[:KEY_LEN]
-    scalar = bytearray(digest)
+def agreement_secret(keypair: SigningKeyPair) -> bytes:
+    """The X25519 secret of an Ed25519 signing pair: the clamped SHA-512
+    prefix of the seed, exactly the scalar Ed25519 itself signs with."""
+    scalar = bytearray(hashlib.sha512(keypair.secret).digest()[:KEY_LEN])
     scalar[0] &= 248
     scalar[31] &= 127
     scalar[31] |= 64
-    return AgreementKeyPair(secret=bytes(scalar), public=convert_public_key(keypair.public))
+    return bytes(scalar)
+
+
+def to_agreement_keypair(keypair: SigningKeyPair) -> AgreementKeyPair:
+    """Derive the X25519 agreement pair from an Ed25519 signing pair.
+
+    The converted public key equals the X25519 public key of
+    :func:`agreement_secret`, so any two converted pairs agree under
+    Diffie-Hellman.
+    """
+    return AgreementKeyPair(secret=agreement_secret(keypair), public=convert_public_key(keypair.public))
 
 
 def sign(keypair: SigningKeyPair, message: bytes) -> bytes:

@@ -49,6 +49,7 @@ from .crypto import (
     SigningKeyPair,
     aead_decrypt,
     aead_encrypt,
+    agreement_secret,
     ecdh_1pu,
     ecdh_1pu_receiver,
     ecdh_es,
@@ -175,7 +176,7 @@ class DaxiotClient:
         disclosures: Iterable[Disclosure],
         resolver: Resolver,
     ) -> None:
-        self._static_agreement = to_agreement_keypair(static_keypair)
+        self._static_secret = agreement_secret(static_keypair)
         self.static_did = str(didkey_encode(static_keypair.public))
         self._credential = credential
         self._disclosures = list(disclosures)
@@ -223,7 +224,7 @@ class DaxiotClient:
             _aad(PacketKind.CONNECT, ephemeral_did),
         )
 
-        self._static_key = load_agreement_key(self._static_agreement.secret)
+        self._static_key = load_agreement_key(self._static_secret)
         self._ephemeral_key = ephemeral_key
         self.ephemeral_did = ephemeral_did
         self.broker_did = broker_did
@@ -414,7 +415,7 @@ class DaxiotBroker:
         rr_source: Callable[[], RevocationRegistry],
         event_sink: Callable[[dict], None] | None = None,
     ) -> None:
-        self._agreement = to_agreement_keypair(signing_keypair)
+        self._agreement_secret = agreement_secret(signing_keypair)
         self._static_key: X25519PrivateKey | None = None  # loaded on the first connect
         self.broker_did = str(Did.parse(broker_did))
         self._resolver = resolver
@@ -527,7 +528,7 @@ class DaxiotBroker:
             raise ProtocolOrderError(f"client id {ephemeral_did} already has a session")
 
         if self._static_key is None:
-            self._static_key = load_agreement_key(self._agreement.secret)
+            self._static_key = load_agreement_key(self._agreement_secret)
         ephemeral_document = self._resolver.resolve(ephemeral_did)
         k_es = ecdh_es(
             self._static_key,

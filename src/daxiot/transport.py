@@ -54,7 +54,7 @@ class TcpClientConnection:
 
 class LoopbackConnection:
     """One client's endpoint on a :class:`LoopbackNetwork`; to the router it
-    is a connection, as a ``StreamWriter`` is on TCP."""
+    is a connection, as an asyncio transport is on TCP."""
 
     def __init__(self, network: "LoopbackNetwork") -> None:
         self._network = network

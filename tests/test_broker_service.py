@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import errno
+import io
 import json
 import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -18,13 +21,13 @@ import pytest
 import daxiot
 import daxiot.protocol
 from daxiot.bench import PlaintextBroker
-from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread
+from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread, _Connection
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import Nonce, generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
-from daxiot.wire import Packet, PacketKind, ReasonCode
+from daxiot.wire import MAX_FRAME, Packet, PacketKind, ReasonCode, encode_frame
 
 
 @pytest.fixture
@@ -80,6 +83,13 @@ class TestEndToEnd:
         connection.close()
         deadline = _wait_until(lambda: broker.service.admin_status()["sessions"] == [])
         assert deadline, "session not reaped after disconnect"
+
+
+def _asyncio_errors(caplog, broker) -> list[logging.LogRecord]:
+    """Records at ERROR or above on the asyncio logger once the broker has no
+    connection left; a protocol callback that raised is logged as "Fatal error"."""
+    assert _wait_until(lambda: not broker.service._connections)
+    return [record for record in caplog.records if record.name == "asyncio" and record.levelno >= logging.ERROR]
 
 
 def _wait_until(predicate, attempts: int = 100, interval: float = 0.02) -> bool:
@@ -223,7 +233,7 @@ class TestFaultIsolation:
             ("challenge_sent", None),
             ("auth_rejected", "MalformedCredential"),
         ]
-        assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
+        assert _asyncio_errors(caplog, broker) == []
 
     def test_transport_drop_reaps_session(self, tcp_env):
         env, broker = tcp_env
@@ -262,6 +272,106 @@ class TestFaultIsolation:
         events = [e["event"] for e in broker.service.events]
         assert events.count("session_exhausted") == 1
         assert "connection_error" not in events
+
+
+class TestFraming:
+    def test_connect_sent_one_byte_at_a_time_is_challenged(self, tcp_env, caplog):
+        env, broker = tcp_env
+        client = env.publisher_client()
+        with TcpClientConnection(env.host, broker.port) as connection:
+            connection._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in encode_frame(client.begin_connect(env.broker_did)):
+                connection.send_raw(bytes([byte]))
+            connection.send(client.handle_challenge(connection.recv()))
+            client.handle_connack(connection.recv())
+            connection.send(client.disconnect())
+        assert _asyncio_errors(caplog, broker) == []
+
+    def test_publish_and_disconnect_in_one_segment(self, tcp_env, caplog):
+        env, broker = tcp_env
+        client = env.publisher_client()
+        with _connect(env, broker, client) as connection:
+            session = client.ephemeral_did
+            publish = encode_frame(client.publish(env.topic, b"both"))
+            connection.send_raw(publish + encode_frame(client.disconnect()))
+            reply = connection.recv()
+            assert (reply.kind, reply.reason_code) == (PacketKind.PUBACK, ReasonCode.SUCCESS)
+            with pytest.raises(FramingError, match="closed by the broker"):
+                connection.recv()
+        assert _wait_until(lambda: broker.service.router.connections == {})
+        events = [e["event"] for e in broker.service.events if e["session"] == session]
+        assert events.count("disconnected") == 1 and "connection_error" not in events
+        assert _asyncio_errors(caplog, broker) == []
+
+    def test_oversized_header_is_refused_before_its_body(self, tcp_env, caplog):
+        env, broker = tcp_env
+        with TcpClientConnection(env.host, broker.port) as connection:
+            connection.send_raw((MAX_FRAME + 1).to_bytes(4, "big"))
+            reply = connection.recv()
+            assert (reply.kind, reply.reason_code) == (PacketKind.DISCONNECT, ReasonCode.PROTOCOL_ERROR)
+            with pytest.raises(FramingError, match="closed by the broker"):
+                connection.recv()
+        errors = [(e["event"], e["reason"]) for e in broker.service.events if e["event"] == "connection_error"]
+        assert errors == [("connection_error", "FramingError")]
+        assert _asyncio_errors(caplog, broker) == []
+
+    def test_half_a_frame_then_eof_is_a_framing_error(self, tcp_env, caplog):
+        env, broker = tcp_env
+        client = env.publisher_client()
+        with _connect(env, broker, client) as connection:
+            assert client.ephemeral_did in broker.service.router.connections
+            frame = encode_frame(client.publish(env.topic, b"torn"))
+            connection.send_raw(frame[: len(frame) // 2])
+        assert _wait_until(lambda: broker.service.router.connections == {} and broker.service.engine.sessions == {})
+        errors = [(e["session"], e["reason"]) for e in broker.service.events if e["event"] == "connection_error"]
+        assert errors == [(client.ephemeral_did, "FramingError")]
+        assert _asyncio_errors(caplog, broker) == []
+
+    def test_backed_up_replies_pause_reading_from_the_peer(self):
+        calls = []
+        connection = _Connection(service=None)
+        connection.transport = SimpleNamespace(
+            pause_reading=lambda: calls.append("pause"), resume_reading=lambda: calls.append("resume")
+        )
+        connection.pause_writing()
+        assert calls == ["pause"]
+        connection.resume_writing()
+        assert calls == ["pause", "resume"]
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text: str) -> int:
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _LoggingBroker(BrokerThread):
+    def __init__(self, config: BrokerConfig, event_log) -> None:
+        self.service = BrokerService(config.listen_address, config.engine, event_log)
+
+
+def test_each_event_is_written_as_one_json_line(tmp_path):
+    env = build_scenario(tmp_path / "env")
+    event_log = io.StringIO()
+    with _LoggingBroker(env.config, event_log) as broker:
+        client = env.publisher_client()
+        with _connect(env, broker, client) as connection:
+            connection.send(client.disconnect())
+        assert _wait_until(lambda: not broker.service._connections)
+    lines = [json.dumps(record, sort_keys=True) + "\n" for record in broker.service.events]
+    assert event_log.getvalue() == "".join(lines)
+    assert [json.loads(line)["event"] for line in lines] == ["listening", "challenge_sent", "authenticated", "disconnected"]
+
+
+def test_a_failing_event_log_does_not_stop_the_broker(tmp_path, caplog):
+    env = build_scenario(tmp_path / "env")
+    with _LoggingBroker(env.config, _FullDisk()) as broker:
+        client = env.publisher_client()
+        with _connect(env, broker, client) as connection:
+            connection.send(client.publish(env.topic, b"still served"))
+            assert client.handle_puback(connection.recv()) is ReasonCode.SUCCESS
+        assert _asyncio_errors(caplog, broker) == []
+    events = [e["event"] for e in broker.service.events]
+    assert events[-3:] == ["authenticated", "publish_forwarded", "disconnected"]
 
 
 @pytest.fixture(params=["loopback", "tcp"])

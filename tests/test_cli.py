@@ -178,15 +178,17 @@ _CONFIG = {
         json.dumps({**_CONFIG, "listen_address": 5}).encode(),
         b"\xff\xfe",
         b"[" * 100_000,
+        json.dumps({**_CONFIG, "log_level": "warn"}).encode(),
     ],
-    ids=["unknown key", "not an object", "non-string value", "not UTF-8", "too deep"],
+    ids=["unknown key", "not an object", "non-string value", "not UTF-8", "too deep", "unknown log level"],
 )
 def test_bad_broker_config_exits_2(runner, tmp_path, config):
     path = tmp_path / "broker.json"
     path.write_bytes(config)
     result = runner.invoke(main, ["broker", "--config", str(path)])
     assert result.exit_code == 2
-    assert result.output.startswith("error: ")
+    # Refused while reading the config, before the key files it names are opened.
+    assert result.output.startswith(f"error: broker config {path}")
 
 
 class TestRegistryCommands:

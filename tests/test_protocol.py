@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import establish
+from daxiot.broker_service import load_signing_key
 from daxiot.credential import AuthorizationClaim, RevocationRegistry, issue
 import daxiot.crypto
 import daxiot.did
@@ -22,7 +23,7 @@ from daxiot.errors import (
     ProtocolOrderError,
     ReplayError,
 )
-from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotClient
+from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotBroker, DaxiotClient
 from daxiot.transport import run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
 from helpers import PermissionOracle
@@ -697,6 +698,15 @@ class TestBrokerState:
         assert connection.recv().kind is PacketKind.DISCONNECT
         assert loopback.events[-1] == {"event": "connect_rejected", "session": None, "reason": "AuthenticationError"}
         assert counter.loads == {} and counter.exchanges == {"broker": 1}
+
+    def test_building_a_client_or_broker_converts_no_public_key(self, env, monkeypatch):
+        # Each needs only its own X25519 secret, never its own converted public key.
+        keypair = load_signing_key(env.config.signing_key_path)
+        convert, calls = daxiot.crypto.convert_public_key, []
+        monkeypatch.setattr(daxiot.crypto, "convert_public_key", lambda key: calls.append(key) or convert(key))
+        env.publisher_client()
+        DaxiotBroker(keypair, env.broker_did, env.resolver(), lambda: None, lambda: None)
+        assert calls == []
 
     def test_status_snapshot(self, env, loopback):
         assert loopback.engine.status() == []
