@@ -29,6 +29,7 @@ EXIT_CONFIG = 2
 EXIT_BIND = 3
 
 EventSink = Callable[[dict], None]
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def load_signing_key(path: Path | str) -> SigningKeyPair:
@@ -218,7 +219,7 @@ class BrokerService:
         self.events.append(record)
         if self._event_log is not None:
             try:
-                self._event_log.write(json.dumps(record, sort_keys=True) + "\n")
+                self._event_log.write(_EVENT_ENCODER.encode(record) + "\n")
                 self._event_log.flush()
             except OSError:  # a full disk or a closed pipe must not stop the broker
                 pass
@@ -255,7 +256,7 @@ class BrokerService:
         return {
             "listen": f"{self._host}:{self._port}",
             "sessions": self.engine.status(),
-            "topics": {topic: len(subs) for topic, subs in list(self.engine.topics.items()) if subs},
+            "topics": {topic: len(subs) for topic, subs in list(self.engine.topics.items())},
         }
 
 

@@ -57,10 +57,21 @@ def _b64url_decode(text: str) -> bytes:
         raise MalformedCredential(f"bad base64url segment: {exc}") from exc
 
 
+# Digest equality depends on byte-exact serialization: no whitespace,
+# member order preserved as built. One encoder serves every call.
+_CANONICAL_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def _canonical_json(value: object) -> bytes:
-    # Digest equality depends on byte-exact serialization: no whitespace,
-    # member order preserved as built.
-    return json.dumps(value, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _CANONICAL_ENCODER.encode(value).encode("utf-8")
+
+
+def _signing_input(header_b64: str, payload_b64: str) -> bytes:
+    return f"{header_b64}.{payload_b64}".encode("ascii")
+
+
+# Every credential carries the same header, so it is encoded once.
+_HEADER_B64 = _b64url(_canonical_json({"alg": "EdDSA", "typ": "sd-jwt"}))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +186,7 @@ class SdJwtCredential:
         return data
 
     def signing_input(self) -> bytes:
-        return f"{self.header_b64}.{self.payload_b64}".encode("ascii")
+        return _signing_input(self.header_b64, self.payload_b64)
 
     def compact(self) -> str:
         return f"{self.header_b64}.{self.payload_b64}.{_b64url(self.signature)}"
@@ -332,18 +343,9 @@ def issue(
         "jti": jti,
         "_sd": [d.digest() for d in disclosures],
     }
-    header = {"alg": "EdDSA", "typ": "sd-jwt"}
-    credential = SdJwtCredential(
-        header_b64=_b64url(_canonical_json(header)),
-        payload_b64=_b64url(_canonical_json(payload)),
-        signature=b"",
-    )
-    signature = sign(issuer_keypair, credential.signing_input())
-    credential = SdJwtCredential(
-        header_b64=credential.header_b64,
-        payload_b64=credential.payload_b64,
-        signature=signature,
-    )
+    payload_b64 = _b64url(_canonical_json(payload))
+    signature = sign(issuer_keypair, _signing_input(_HEADER_B64, payload_b64))
+    credential = SdJwtCredential(header_b64=_HEADER_B64, payload_b64=payload_b64, signature=signature)
     return credential, disclosures
 
 
@@ -415,8 +417,9 @@ def verify_presentation(
     if not isinstance(digests, list):
         raise MalformedCredential("credential _sd missing")
     for disclosure in presentation.disclosures:
-        if disclosure.digest() not in digests:
-            raise UnknownDisclosure(f"disclosure digest {disclosure.digest()} not committed")
+        digest = disclosure.digest()
+        if digest not in digests:
+            raise UnknownDisclosure(f"disclosure digest {digest} not committed")
 
     # 6. Collect the verifier's own claims; duplicate keys union their topics.
     verifier = str(Did.parse(verifier_did))

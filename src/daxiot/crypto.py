@@ -13,7 +13,15 @@ derive its public point, which costs about as much as an agreement, so each
 caller loads a key once and keeps it as long as the secret itself is needed.
 The broker loads its static key on its first connect and keeps it for its
 lifetime; a client loads its static and ephemeral keys when it starts a
-connection and drops them when the connection ends.
+connection and drops them when the connection ends. Signing keys are loaded
+once too: loading an Ed25519 seed hashes it and multiplies the base point
+(RFC 8032 section 5.1.5), which costs as much as the signature itself, so each
+:class:`SigningKeyPair` loads its key on its first :func:`sign` and keeps it.
+A pair that never signs, such as a device's or a per-connection ephemeral,
+holds nothing more than its two byte strings. Two threads signing at once
+with a fresh pair at worst load its key twice.
+
+No ``repr`` shows a secret: secret fields and memos are left out of it.
 
 Each :class:`SessionKey` memoizes the ChaCha20-Poly1305 cipher of every
 nonce prefix it has been used with. A prefix stays fixed for a whole run of
@@ -68,8 +76,9 @@ _CIPHERS_PER_KEY = 3
 class SigningKeyPair:
     """Ed25519 identity key pair (32-byte seed and raw public key)."""
 
-    secret: bytes
+    secret: bytes = field(repr=False)
     public: bytes
+    _private_key: Ed25519PrivateKey | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.secret) != KEY_LEN:
@@ -77,12 +86,20 @@ class SigningKeyPair:
         if len(self.public) != KEY_LEN:
             raise CryptoError(f"signing public key must be {KEY_LEN} bytes, got {len(self.public)}")
 
+    def _signer(self) -> Ed25519PrivateKey:
+        """The Ed25519 key object of :attr:`secret`, loaded on first use."""
+        private_key = self._private_key
+        if private_key is None:
+            private_key = Ed25519PrivateKey.from_private_bytes(self.secret)
+            object.__setattr__(self, "_private_key", private_key)
+        return private_key
+
 
 @dataclass(frozen=True)
 class AgreementKeyPair:
     """X25519 key pair derived from a :class:`SigningKeyPair`."""
 
-    secret: bytes
+    secret: bytes = field(repr=False)
     public: bytes
 
     def __post_init__(self) -> None:
@@ -94,7 +111,7 @@ class AgreementKeyPair:
 class SessionKey:
     """A 32-byte AEAD key derived by one of the ``ecdh_*`` agreements."""
 
-    key: bytes
+    key: bytes = field(repr=False)
     _ciphers: dict[bytes, ChaCha20Poly1305] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -231,7 +248,7 @@ def to_agreement_keypair(keypair: SigningKeyPair) -> AgreementKeyPair:
 
 def sign(keypair: SigningKeyPair, message: bytes) -> bytes:
     """Produce a deterministic 64-byte Ed25519 signature."""
-    return Ed25519PrivateKey.from_private_bytes(keypair.secret).sign(message)
+    return keypair._signer().sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

@@ -685,8 +685,10 @@ class DaxiotBroker:
 
     def _evict(self, session_id: str) -> None:
         self.sessions.pop(session_id, None)
-        for subscribers in self.topics.values():
+        for topic, subscribers in list(self.topics.items()):
             subscribers.discard(session_id)
+            if not subscribers:
+                del self.topics[topic]
 
     # -- introspection -------------------------------------------------------------
 

@@ -2,18 +2,24 @@
 
 Everything here is deliberately implemented from first principles (or from a
 different library code path) so that a defect in the package cannot hide
-behind the same defect in its tests.
+behind the same defect in its tests. :func:`source_nodes` walks the package
+source for the guards on where a call may appear.
 """
 
 from __future__ import annotations
 
+import ast
 import base64
 import hashlib
 import hmac
 import json
 import struct
+from pathlib import Path
+from typing import Iterator
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
+import daxiot
 
 B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 
@@ -124,3 +130,17 @@ class PermissionOracle:
 
     def allowed(self, client: str, action: str, topic: str) -> bool:
         return (client, action, topic) in self._allowed
+
+
+def source_nodes() -> Iterator[tuple[str, str, ast.AST]]:
+    """Every AST node of the daxiot package as (file name, innermost
+    enclosing function name or "<module>", node), for guards on where a
+    call may appear."""
+    for path in sorted(Path(daxiot.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner: dict[ast.AST, str] = {}
+        for function in ast.walk(tree):  # outer functions first, so the innermost name wins
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            yield path.name, owner.get(node, "<module>"), node

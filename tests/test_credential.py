@@ -114,6 +114,37 @@ class TestIssue:
             issue(issuer_keypair, issuer_did, issuer_did, LISTING_CLAIMS[:1], "jti-6")
         assert any("self-credential" in message for message in caplog.messages)
 
+    def test_fixed_inputs_give_recorded_bytes(self, monkeypatch):
+        # Bytes recorded from an earlier issue(): issued bytes must not drift
+        # between versions, and a second issue with the loaded key repeats them.
+        salts = iter(range(1, 10))
+        monkeypatch.setattr("daxiot.credential.os.urandom", lambda n: bytes([next(salts)]) * n)
+        issuer_keypair = generate_signing_keypair(bytes(range(32)))
+        subject_did = str(didkey_encode(generate_signing_keypair(b"\x07" * 32).public))
+        claims = [
+            AuthorizationClaim(BROKER_1, publish_topics={"t2"}, subscribe_topics={"t1"}),
+            AuthorizationClaim(BROKER_2, publish_topics={"käfer/°C", "t3"}),
+        ]
+        credential, disclosures = issue(
+            issuer_keypair, "did:web:issuer.example", subject_did, claims, "AC_golden_1"
+        )
+        assert subject_did == "did:key:z6MkvDqGT54cXesYGvABpF1UapVNwjCqRcafi4Px6Thv5T3Z"
+        assert credential.compact() == (
+            "eyJhbGciOiJFZERTQSIsInR5cCI6InNkLWp3dCJ9"
+            ".eyJpc3MiOiJkaWQ6d2ViOmlzc3Vlci5leGFtcGxlIiwic3ViIjoiZGlkOmtleTp6Nk1rdkRxR1Q1NGNYZXNZR3ZBQnBGMV"
+            "VhcFZOd2pDcVJjYWZpNFB4NlRodjVUM1oiLCJ0eXBlIjoiQXV0aG9yaXphdGlvbkNyZWRlbnRpYWwiLCJqdGkiOiJBQ19nb2"
+            "xkZW5fMSIsIl9zZCI6WyJicDJKOU9wTllDeTB6UmR5NXdjeVFuZEFCTGtON0RKc3NFQlJwbWgwLTRBIiwiV21sdTViZkxuX2"
+            "5zemZzOHVtREdhOGRiWmNnZ3IzODFWZGRPRTJhU3BYayJdfQ"
+            ".nLFbrkhYj1H0E4z_BmDcNPZZJFlLYF3t9SaSGKnTRv3pYCXebrNUPQHO9yq7_Ke2T17J_SNwpiXPHz_gZuPuDQ"
+        )
+        assert [d.serialize() for d in disclosures] == [
+            b'["AQEBAQEBAQEBAQEBAQEBAQ","did:web:broker1.com",{"sub":["t1"],"pub":["t2"]}]',
+            '["AgICAgICAgICAgICAgICAg","did:web:broker2.com",{"pub":["käfer/°C","t3"]}]'.encode(),
+        ]
+        salts = iter(range(1, 10))
+        again, _ = issue(issuer_keypair, "did:web:issuer.example", subject_did, claims, "AC_golden_1")
+        assert again == credential
+
 
 class TestHashDisclosure:
     def test_frozen_vector(self):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import ast
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+import daxiot.crypto
 from daxiot.crypto import (
     _CIPHERS_PER_KEY,
     AeadEnvelope,
@@ -25,7 +29,13 @@ from daxiot.crypto import (
     verify,
 )
 from daxiot.errors import CryptoError, IntegrityError, NonceOverflowError
-from helpers import hchacha20_oracle, hkdf_sha256_oracle, montgomery_u_oracle, x25519_public_from_seed
+from helpers import (
+    hchacha20_oracle,
+    hkdf_sha256_oracle,
+    montgomery_u_oracle,
+    source_nodes,
+    x25519_public_from_seed,
+)
 
 seeds = st.binary(min_size=32, max_size=32)
 P = 2**255 - 19
@@ -61,6 +71,65 @@ class TestKeyGeneration:
     def test_signature_determinism(self):
         keypair = generate_signing_keypair()
         assert sign(keypair, b"same") == sign(keypair, b"same")
+
+
+class _CountingEd25519:
+    """Stands in for ``Ed25519PrivateKey`` in daxiot.crypto and counts key loads."""
+
+    def __init__(self) -> None:
+        self.loads = 0
+
+    def from_private_bytes(self, data: bytes) -> Ed25519PrivateKey:
+        self.loads += 1
+        return Ed25519PrivateKey.from_private_bytes(data)
+
+
+class TestSignerMemo:
+    def test_many_signatures_load_the_key_once(self, monkeypatch):
+        keypair = generate_signing_keypair(b"\x05" * 32)
+        counting = _CountingEd25519()
+        monkeypatch.setattr(daxiot.crypto, "Ed25519PrivateKey", counting)
+        messages = [bytes([index]) * index for index in range(6)]
+        signatures = [sign(keypair, message) for message in messages]
+        assert counting.loads == 1
+        assert all(verify(keypair.public, m, sig) for m, sig in zip(messages, signatures))
+
+    def test_memo_is_not_part_of_pair_identity(self):
+        used, fresh = generate_signing_keypair(b"\x06" * 32), generate_signing_keypair(b"\x06" * 32)
+        sign(used, b"x")
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+    def test_a_pair_that_never_signs_holds_no_key_object(self):
+        keypair = generate_signing_keypair()
+        to_agreement_keypair(keypair)
+        assert keypair._private_key is None
+
+
+def _shows(text: str, secret: bytes) -> bool:
+    return repr(secret)[2:-1] in text or secret.hex() in text
+
+
+class TestNoKeyInRepr:
+    def test_key_types(self):
+        keypair = generate_signing_keypair(bytes(range(32)))
+        sign(keypair, b"load the memo")
+        agreement = to_agreement_keypair(keypair)
+        session = SessionKey(key=bytes(range(100, 132)))
+        aead_encrypt(session, Nonce.fresh(), b"x", b"")
+        for text, secret in (
+            (repr(keypair), keypair.secret),
+            (repr(agreement), agreement.secret),
+            (repr(session), session.key),
+        ):
+            assert not _shows(text, secret)
+        assert repr(keypair.public) in repr(keypair)
+
+    def test_scenario_holds_no_seed_in_repr(self, env):
+        keypairs = (env.po_keypair, env.publisher.keypair, env.subscriber.keypair)
+        for keypair in keypairs:
+            sign(keypair, b"load the memo")
+        text = repr(env)
+        assert not any(_shows(text, keypair.secret) for keypair in keypairs)
 
 
 class TestConversion:
@@ -334,3 +403,18 @@ class TestNonce:
             Nonce.from_bytes(b"\x00" * 23)
         with pytest.raises(CryptoError):
             Nonce(prefix=b"\x00" * 16, counter=2**64)
+
+
+def test_private_keys_are_loaded_only_where_they_are_kept():
+    loads = {
+        (path, function, ast.unparse(node.func.value))
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_private_bytes"
+    }
+    assert loads == {
+        ("crypto.py", "generate_signing_keypair", "Ed25519PrivateKey"),
+        ("crypto.py", "_signer", "Ed25519PrivateKey"),
+        ("crypto.py", "load_agreement_key", "X25519PrivateKey"),
+    }

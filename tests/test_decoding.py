@@ -10,13 +10,11 @@ from __future__ import annotations
 import ast
 import base64
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import daxiot
 import daxiot.protocol as protocol
 from daxiot.broker_service import BrokerConfig
 from daxiot.credential import (
@@ -46,6 +44,7 @@ from daxiot.transport import LoopbackNetwork
 from daxiot.wire import Packet, PacketKind, decode_frame
 
 from conftest import establish
+from helpers import source_nodes
 
 DEEP = b"[" * 100_000
 HUGE_INT = b'{"n": ' + b"7" * 5000 + b"}"
@@ -264,12 +263,5 @@ def _is_strict_decode(node: ast.AST) -> bool:
 
 
 def test_outside_bytes_are_decoded_only_by_the_two_decoders():
-    found = set()
-    for path in sorted(Path(daxiot.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text("utf-8"))
-        owner: dict[ast.AST, str] = {}
-        for function in ast.walk(tree):  # outer functions first, so the innermost name wins
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, function.name) for node in ast.walk(function))
-        found |= {(path.name, owner.get(node, "<module>")) for node in ast.walk(tree) if _is_strict_decode(node)}
+    found = {(path, function) for path, function, node in source_nodes() if _is_strict_decode(node)}
     assert found == {("errors.py", "decode_json"), ("errors.py", "decode_text")}

@@ -726,7 +726,7 @@ class TestBrokerState:
         subscriber.handle_suback(connection.recv())
         assert loopback.engine.topics[env.topic]
         connection.send(subscriber.disconnect())
-        assert not loopback.engine.topics[env.topic]
+        assert env.topic not in loopback.engine.topics
 
     def test_wire_capture_has_no_secrets(self, env, loopback):
         publisher, subscriber = env.publisher_client(), env.subscriber_client()
