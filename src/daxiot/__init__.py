@@ -18,9 +18,7 @@ from .credential import (
     verify_presentation,
 )
 from .crypto import (
-    AeadEnvelope,
     AgreementKeyPair,
-    Nonce,
     SessionKey,
     SigningKeyPair,
     generate_signing_keypair,
@@ -34,7 +32,6 @@ from .wire import Packet, PacketKind, ReasonCode
 __version__ = "0.1.0"
 
 __all__ = [
-    "AeadEnvelope",
     "AgreementKeyPair",
     "AuthorizationClaim",
     "AuthorizationGrant",
@@ -45,7 +42,6 @@ __all__ = [
     "DidDocument",
     "DirectoryWebSource",
     "Disclosure",
-    "Nonce",
     "Packet",
     "PacketKind",
     "Presentation",

@@ -23,6 +23,12 @@ with a fresh pair at worst load its key twice.
 
 No ``repr`` shows a secret: secret fields and memos are left out of it.
 
+An AEAD envelope is plain bytes, laid out as XChaCha20-Poly1305 defines it
+(draft-irtf-cfrg-xchacha): the 24-byte nonce, then ciphertext and tag. The
+nonce is a 16-byte prefix and an 8-byte big-endian counter. :func:`aead_encrypt`
+and :func:`aead_decrypt` check only lengths; which nonce comes next, and
+that none repeats, is decided by ``protocol.Channel`` alone.
+
 Each :class:`SessionKey` memoizes the ChaCha20-Poly1305 cipher of every
 nonce prefix it has been used with. A prefix stays fixed for a whole run of
 nonces, so its HChaCha20 subkey is derived once rather than on every AEAD
@@ -53,7 +59,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .errors import CryptoError, IntegrityError, NonceOverflowError
+from .errors import CryptoError, IntegrityError
 
 KEY_LEN = 32
 SIGNATURE_LEN = 64
@@ -61,9 +67,10 @@ NONCE_PREFIX_LEN = 16
 NONCE_LEN = 24  # prefix || 8-byte big-endian counter
 TAG_LEN = 16
 
-_MAX_COUNTER = 2**64 - 1
 _CURVE25519_P = 2**255 - 19
 _CHACHA_CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
+# XChaCha20 runs ChaCha20 under 4 zero bytes || the last 8 nonce bytes.
+_CHACHA_NONCE_PAD = bytes(4)
 # The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
 _CIPHERS_PER_KEY = 3
 
@@ -128,63 +135,6 @@ class SessionKey:
                 self._ciphers.clear()
             cipher = self._ciphers[prefix] = ChaCha20Poly1305(_hchacha20(self.key, prefix))
         return cipher
-
-
-@dataclass(frozen=True)
-class Nonce:
-    """24-byte AEAD nonce: 16-byte random prefix || 64-bit big-endian counter.
-
-    Counters advance by exactly one per use and never wrap; an increment at
-    the maximum raises :class:`NonceOverflowError`.
-    """
-
-    prefix: bytes
-    counter: int
-
-    def __post_init__(self) -> None:
-        if len(self.prefix) != NONCE_PREFIX_LEN:
-            raise CryptoError(f"nonce prefix must be {NONCE_PREFIX_LEN} bytes")
-        if not 0 <= self.counter <= _MAX_COUNTER:
-            raise CryptoError("nonce counter out of range for uint64")
-
-    @classmethod
-    def fresh(cls) -> "Nonce":
-        return cls(prefix=os.urandom(NONCE_PREFIX_LEN), counter=0)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Nonce":
-        if len(data) != NONCE_LEN:
-            raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(data)}")
-        return cls(prefix=data[:NONCE_PREFIX_LEN], counter=int.from_bytes(data[NONCE_PREFIX_LEN:], "big"))
-
-    def to_bytes(self) -> bytes:
-        return self.prefix + self.counter.to_bytes(8, "big")
-
-    def next(self) -> "Nonce":
-        if self.counter >= _MAX_COUNTER:
-            raise NonceOverflowError("nonce counter exhausted; terminate the session")
-        return Nonce(prefix=self.prefix, counter=self.counter + 1)
-
-
-@dataclass(frozen=True)
-class AeadEnvelope:
-    """Serialized ciphertext unit: nonce || ciphertext+tag."""
-
-    nonce: Nonce
-    ciphertext: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.ciphertext) < TAG_LEN:
-            raise CryptoError("ciphertext shorter than the authentication tag")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AeadEnvelope":
-        if len(data) < NONCE_LEN + TAG_LEN:
-            raise CryptoError("envelope too short")
-        return cls(nonce=Nonce.from_bytes(data[:NONCE_LEN]), ciphertext=data[NONCE_LEN:])
-
-    def to_bytes(self) -> bytes:
-        return self.nonce.to_bytes() + self.ciphertext
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +315,25 @@ def _hchacha20(key: bytes, nonce16: bytes) -> bytes:
     return struct.pack("<4L", *permuted[0:4]) + struct.pack("<4L", *permuted[12:16])
 
 
-def _chacha_nonce(nonce: Nonce) -> bytes:
-    # XChaCha20 runs ChaCha20 under 4 zero bytes || the last 8 nonce bytes,
-    # which here are the big-endian counter.
-    return nonce.counter.to_bytes(12, "big")
+def aead_encrypt(key: SessionKey, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    """Encrypt under XChaCha20-Poly1305 into the envelope nonce || ciphertext+tag.
+
+    The caller must never reuse a nonce under one key.
+    """
+    if len(nonce) != NONCE_LEN:
+        raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
+    cipher = key._cipher(nonce[:NONCE_PREFIX_LEN])
+    return nonce + cipher.encrypt(_CHACHA_NONCE_PAD + nonce[NONCE_PREFIX_LEN:], plaintext, aad)
 
 
-def aead_encrypt(key: SessionKey, nonce: Nonce, plaintext: bytes, aad: bytes) -> AeadEnvelope:
-    """Encrypt under XChaCha20-Poly1305; the caller must never reuse a nonce per key."""
-    ciphertext = key._cipher(nonce.prefix).encrypt(_chacha_nonce(nonce), plaintext, aad)
-    return AeadEnvelope(nonce=nonce, ciphertext=ciphertext)
-
-
-def aead_decrypt(key: SessionKey, envelope: AeadEnvelope, aad: bytes) -> bytes:
-    """Decrypt and authenticate; any bit flip in nonce, ciphertext, or aad fails."""
-    cipher = key._cipher(envelope.nonce.prefix)
+def aead_decrypt(key: SessionKey, envelope: bytes, aad: bytes) -> bytes:
+    """Decrypt and authenticate an envelope; any bit flip in nonce, ciphertext, or aad fails."""
+    if len(envelope) < NONCE_LEN + TAG_LEN:
+        raise CryptoError(f"envelope must be at least {NONCE_LEN + TAG_LEN} bytes, got {len(envelope)}")
+    cipher = key._cipher(envelope[:NONCE_PREFIX_LEN])
     try:
-        return cipher.decrypt(_chacha_nonce(envelope.nonce), envelope.ciphertext, aad)
+        return cipher.decrypt(
+            _CHACHA_NONCE_PAD + envelope[NONCE_PREFIX_LEN:NONCE_LEN], envelope[NONCE_LEN:], aad
+        )
     except InvalidTag as exc:
         raise IntegrityError("AEAD authentication failed") from exc

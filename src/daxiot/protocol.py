@@ -12,8 +12,14 @@ The handshake runs over the connect/challenge/response exchange:
   the client's static identity to the broker, and the verified disclosures
   become the session's publish/subscribe grant.
 
+An envelope is bytes, exactly as the wire carries it: the 24-byte nonce,
+then ciphertext and tag. Every fresh nonce (the connect's, the challenge's
+and the one the challenge carries, the broker-to-client start) is a random
+16-byte prefix at counter zero, made by :func:`_fresh_nonce`.
+
 Nonce discipline after the challenge: each direction of a session is one
-:class:`Channel`, a run of prefix||counter nonces under the session key. The
+:class:`Channel`, which alone holds the direction's prefix and integer
+counter, a run of prefix||counter nonces under the session key. The
 client-to-broker channel starts at the challenge nonce; the broker-to-client
 channel starts at a fresh prefix announced in the success acknowledgement, so
 the two directions never share nonce space under the one session key. Every
@@ -28,6 +34,7 @@ of the session. The README's refusal table lists every case.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -43,8 +50,9 @@ from .credential import (
     verify_presentation,
 )
 from .crypto import (
-    AeadEnvelope,
-    Nonce,
+    NONCE_LEN,
+    NONCE_PREFIX_LEN,
+    TAG_LEN,
     SessionKey,
     SigningKeyPair,
     aead_decrypt,
@@ -83,6 +91,7 @@ AUTH_METHOD = "DAXiot"
 
 _ES_LABEL = b"DAXiot-ES"
 _ONE_PU_LABEL = b"DAXiot-1PU"
+_LAST_COUNTER = 2**64 - 1  # never used: a sender stops one short of it
 
 
 def _es_context(ephemeral_did: str, broker_did: str) -> bytes:
@@ -99,56 +108,71 @@ def _aad(kind: PacketKind, ephemeral_did: str) -> bytes:
     return bytes([kind]) + ephemeral_did.encode("utf-8")
 
 
-class Channel:
-    """One direction of a session: its key, its AAD binding, its next nonce.
+def _fresh_nonce() -> bytes:
+    """A random 16-byte prefix at counter zero."""
+    return os.urandom(NONCE_PREFIX_LEN) + bytes(8)
 
-    The only owner of a direction's nonce state. :meth:`seal` encrypts under
-    the next nonces and :meth:`open` accepts exactly those, so a nonce is
-    never used twice under the key; the successor is worked out before
-    anything is committed, so an exhausted channel raises
-    :class:`NonceOverflowError` and stays where it was.
+
+class Channel:
+    """One direction of a session: its key, its AAD binding, its prefix and counter.
+
+    The only owner of a direction's nonce state. The nonce at counter n is
+    ``prefix || n`` as 8 big-endian bytes. :meth:`seal` encrypts under the
+    next nonces and :meth:`open` accepts exactly those, so a nonce is never
+    used twice under the key. A call that needs k nonces requires
+    ``counter + k <= 2**64 - 1``, checked before anything is committed: the
+    last counter is never used, and an exhausted channel raises
+    :class:`NonceOverflowError` and keeps its counter.
     """
 
-    def __init__(self, key: SessionKey, ephemeral_did: str, nonce: Nonce) -> None:
+    def __init__(self, key: SessionKey, ephemeral_did: str, nonce: bytes) -> None:
+        if len(nonce) != NONCE_LEN:
+            raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
         self.key = key
         self.ephemeral_did = ephemeral_did
-        self.nonce = nonce
+        self.prefix = nonce[:NONCE_PREFIX_LEN]
+        self.counter = int.from_bytes(nonce[NONCE_PREFIX_LEN:], "big")
 
-    def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[AeadEnvelope]:
-        """Encrypt each plaintext under the next consecutive nonce."""
-        nonces = [self.nonce]
-        for _ in plaintexts[1:]:
-            nonces.append(nonces[-1].next())
-        successor = nonces[-1].next()
+    @property
+    def nonce(self) -> bytes:
+        """The next nonce this channel uses or accepts."""
+        return self.prefix + self.counter.to_bytes(8, "big")
+
+    def _next_nonces(self, count: int) -> list[bytes]:
+        first = self.counter
+        if first + count > _LAST_COUNTER:
+            raise NonceOverflowError("nonce counter exhausted; terminate the session")
+        return [self.prefix + (first + offset).to_bytes(8, "big") for offset in range(count)]
+
+    def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[bytes]:
+        """Encrypt each plaintext into an envelope under the next consecutive nonce."""
+        nonces = self._next_nonces(len(plaintexts))
         aad = _aad(kind, self.ephemeral_did)
         envelopes = [
             aead_encrypt(self.key, nonce, plaintext, aad)
             for nonce, plaintext in zip(nonces, plaintexts)
         ]
-        self.nonce = successor
+        self.counter += len(nonces)
         return envelopes
 
-    def open(self, kind: PacketKind, *envelopes: AeadEnvelope) -> list[bytes]:
+    def open(self, kind: PacketKind, *envelopes: bytes) -> list[bytes]:
         """Decrypt envelopes that carry exactly the next consecutive nonces."""
-        for offset, envelope in enumerate(envelopes):
-            if (
-                envelope.nonce.prefix != self.nonce.prefix
-                or envelope.nonce.counter != self.nonce.counter + offset
-            ):
+        nonces = self._next_nonces(len(envelopes))
+        for nonce, envelope in zip(nonces, envelopes):
+            if envelope[:NONCE_LEN] != nonce:
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
         aad = _aad(kind, self.ephemeral_did)
         plaintexts = [aead_decrypt(self.key, envelope, aad) for envelope in envelopes]
-        self.nonce = envelopes[-1].nonce.next()
+        self.counter += len(nonces)
         return plaintexts
 
 
-def _envelope(data: bytes | None, what: str) -> AeadEnvelope:
+def _envelope(data: bytes | None, what: str) -> bytes:
     if data is None:
         raise ProtocolError(f"{what} is missing its encrypted field")
-    try:
-        return AeadEnvelope.from_bytes(data)
-    except CryptoError as exc:
-        raise ProtocolError(f"{what} carries a malformed envelope: {exc}") from exc
+    if len(data) < NONCE_LEN + TAG_LEN:
+        raise ProtocolError(f"{what} carries an envelope of {len(data)} bytes, shorter than a nonce and a tag")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +243,7 @@ class DaxiotClient:
         )
         envelope = aead_encrypt(
             k_es,
-            Nonce.fresh(),
+            _fresh_nonce(),
             self.static_did.encode("utf-8"),
             _aad(PacketKind.CONNECT, ephemeral_did),
         )
@@ -234,7 +258,7 @@ class DaxiotClient:
             kind=PacketKind.CONNECT,
             client_id=ephemeral_did,
             auth_method=AUTH_METHOD,
-            auth_data=envelope.to_bytes(),
+            auth_data=envelope,
         )
 
     def handle_challenge(self, packet: Packet) -> Packet:
@@ -257,17 +281,16 @@ class DaxiotClient:
                 f"broker could not be authenticated as {self.broker_did}"
             ) from exc
         try:
-            challenge_nonce = Nonce.from_bytes(plaintext)
+            send = Channel(k_1pu, self.ephemeral_did, plaintext)
         except CryptoError as exc:
             raise ProtocolError(f"challenge payload is not a nonce: {exc}") from exc
 
         presentation = present(self._credential, self._disclosures, self.broker_did)
-        send = Channel(k_1pu, self.ephemeral_did, challenge_nonce)
         (response,) = send.seal(PacketKind.AUTH_RESPONSE, presentation.compact().encode("utf-8"))
         self._send = send
         self._static_key = self._ephemeral_key = self._broker_agreement_key = None
         self.phase = ClientPhase.CHALLENGED
-        return Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=response.to_bytes())
+        return Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=response)
 
     def handle_connack(self, packet: Packet) -> None:
         """Step H, client side: confirm the broker accepted the credential."""
@@ -284,9 +307,9 @@ class DaxiotClient:
                 packet.reason_code,
             )
         envelope = _envelope(packet.auth_data, "connection ack")
-        if envelope.nonce.counter != 0:
+        recv = Channel(self._send.key, self.ephemeral_did, envelope[:NONCE_LEN])
+        if recv.counter != 0:
             raise ProtocolOrderError("broker receive prefix must start at counter zero")
-        recv = Channel(self._send.key, self.ephemeral_did, envelope.nonce)
         try:
             (status,) = recv.open(PacketKind.CONNACK, envelope)
         except IntegrityError as exc:
@@ -302,7 +325,7 @@ class DaxiotClient:
         self._require(ClientPhase.ESTABLISHED, "subscribe")
         (envelope,) = self._send.seal(PacketKind.SUBSCRIBE, topic.encode("utf-8"))
         self._pending_subacks += 1
-        return Packet(kind=PacketKind.SUBSCRIBE, topic=envelope.to_bytes())
+        return Packet(kind=PacketKind.SUBSCRIBE, topic=envelope)
 
     def handle_suback(self, packet: Packet) -> ReasonCode:
         if packet.kind is not PacketKind.SUBACK:
@@ -319,11 +342,7 @@ class DaxiotClient:
             PacketKind.PUBLISH, topic.encode("utf-8"), payload
         )
         self._pending_pubacks += 1
-        return Packet(
-            kind=PacketKind.PUBLISH,
-            topic=topic_envelope.to_bytes(),
-            payload=payload_envelope.to_bytes(),
-        )
+        return Packet(kind=PacketKind.PUBLISH, topic=topic_envelope, payload=payload_envelope)
 
     def handle_puback(self, packet: Packet) -> ReasonCode:
         if packet.kind is not PacketKind.PUBACK:
@@ -520,8 +539,8 @@ class DaxiotBroker:
 
         # Replay detection comes first: an exactly re-delivered connect must
         # be classified as a replay even while its original session lives.
-        nonce_bytes = envelope.nonce.to_bytes()
-        if nonce_bytes in self._seen_connect_nonces:
+        nonce = envelope[:NONCE_LEN]
+        if nonce in self._seen_connect_nonces:
             raise ReplayError("connect replays a previously seen nonce")
 
         if ephemeral_did in self.sessions:
@@ -542,7 +561,7 @@ class DaxiotBroker:
                 "connect authentication data does not decrypt; sender does not hold the ephemeral key"
             ) from exc
         # Only a connect that decrypts is remembered, so garbage cannot grow the set.
-        self._seen_connect_nonces.add(nonce_bytes)
+        self._seen_connect_nonces.add(nonce)
         try:
             static = Did.parse(decode_text(static_did_raw, ProtocolError, "connect static DID"))
         except DidError as exc:
@@ -559,11 +578,11 @@ class DaxiotBroker:
             _one_pu_context(static_did, self.broker_did),
         )
 
-        challenge_nonce = Nonce.fresh()
+        challenge_nonce = _fresh_nonce()
         challenge = aead_encrypt(
             k_1pu,
-            Nonce.fresh(),
-            challenge_nonce.to_bytes(),
+            _fresh_nonce(),
+            challenge_nonce,
             _aad(PacketKind.AUTH_CHALLENGE, ephemeral_did),
         )
         session = BrokerSession(
@@ -574,7 +593,7 @@ class DaxiotBroker:
         self.sessions[ephemeral_did] = session
         self._emit("challenge_sent", ephemeral_did)
         return ephemeral_did, Reply(
-            packets=[Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=challenge.to_bytes())]
+            packets=[Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=challenge)]
         )
 
     def handle_auth_response(self, session_id: str, packet: Packet) -> Reply:
@@ -582,7 +601,7 @@ class DaxiotBroker:
         session = self._session(session_id)
         envelope = _envelope(packet.auth_data, "authentication response")
         if session.phase is not BrokerPhase.AWAIT_AUTH:
-            if envelope.nonce != session.c2b.nonce:
+            if envelope[:NONCE_LEN] != session.c2b.nonce:
                 raise ReplayError("authentication response replays a stale nonce")
             raise ProtocolOrderError("authentication response outside the handshake")
         try:
@@ -601,7 +620,7 @@ class DaxiotBroker:
         )
         session.grant = grant
         session.phase = BrokerPhase.ESTABLISHED
-        session.b2c = Channel(session.c2b.key, session.ephemeral_did, Nonce.fresh())
+        session.b2c = Channel(session.c2b.key, session.ephemeral_did, _fresh_nonce())
         (connack_envelope,) = session.b2c.seal(PacketKind.CONNACK, bytes([ReasonCode.SUCCESS]))
         self._emit("authenticated", session_id, reason=session.static_did)
         return Reply(
@@ -609,7 +628,7 @@ class DaxiotBroker:
                 Packet(
                     kind=PacketKind.CONNACK,
                     reason_code=ReasonCode.SUCCESS,
-                    auth_data=connack_envelope.to_bytes(),
+                    auth_data=connack_envelope,
                 )
             ]
         )
@@ -671,11 +690,7 @@ class DaxiotBroker:
         topic_envelope, payload_envelope = subscriber.b2c.seal(
             PacketKind.PUBLISH, topic.encode("utf-8"), payload
         )
-        return Packet(
-            kind=PacketKind.PUBLISH,
-            topic=topic_envelope.to_bytes(),
-            payload=payload_envelope.to_bytes(),
-        )
+        return Packet(kind=PacketKind.PUBLISH, topic=topic_envelope, payload=payload_envelope)
 
     def handle_disconnect(self, session_id: str) -> Reply:
         if session_id in self.sessions:
@@ -705,8 +720,8 @@ class DaxiotBroker:
                     "phase": session.phase.value,
                     "publish_grants": len(session.grant.publish_topics) if session.grant else 0,
                     "subscribe_grants": len(session.grant.subscribe_topics) if session.grant else 0,
-                    "expected_counter": session.c2b.nonce.counter,
-                    "b2c_counter": session.b2c.nonce.counter if session.b2c else None,
+                    "expected_counter": session.c2b.counter,
+                    "b2c_counter": session.b2c.counter if session.b2c else None,
                 }
             )
         return snapshot

@@ -568,19 +568,15 @@ def test_criterion_7_crypto_vectors():
 
     assert _hchacha20(vectors.HCHACHA_KEY, vectors.HCHACHA_INPUT).hex() == vectors.HCHACHA_SUBKEY
 
-    from daxiot.crypto import Nonce, SessionKey, aead_encrypt
+    from daxiot.crypto import SessionKey, aead_encrypt
 
-    nonce = Nonce(
-        prefix=vectors.XCHACHA_NONCE[:16],
-        counter=int.from_bytes(vectors.XCHACHA_NONCE[16:], "big"),
-    )
     envelope = aead_encrypt(
         SessionKey(key=vectors.XCHACHA_KEY),
-        nonce,
+        vectors.XCHACHA_NONCE,
         vectors.XCHACHA_PLAINTEXT,
         vectors.XCHACHA_AAD,
     )
-    assert envelope.ciphertext.hex() == vectors.XCHACHA_CIPHERTEXT + vectors.XCHACHA_TAG
+    assert envelope == vectors.XCHACHA_NONCE + bytes.fromhex(vectors.XCHACHA_CIPHERTEXT + vectors.XCHACHA_TAG)
     _report(7, "Ed25519, X25519, HKDF, and XChaCha20-Poly1305 match published reference vectors")
 
 

@@ -23,7 +23,7 @@ import daxiot.protocol
 from daxiot.bench import PlaintextBroker
 from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread, _Connection
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
-from daxiot.crypto import Nonce, generate_signing_keypair
+from daxiot.crypto import generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
@@ -260,7 +260,7 @@ class TestFaultIsolation:
             subscriber_conn.send(subscriber.subscribe(env.topic))
             assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
             b2c = broker.service.engine.sessions[subscriber.ephemeral_did].b2c
-            b2c.nonce = Nonce(b2c.nonce.prefix, 2**64 - 2)
+            b2c.counter = 2**64 - 2
 
             publisher_conn.send(publisher.publish(env.topic, b"last"))
             assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
@@ -439,7 +439,7 @@ def _evicted_during_fan_out(env, router, open_connection):
     assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
     publisher_conn = _routed_session(env, router, open_connection, publisher)
     b2c = router.engine.sessions[subscriber.ephemeral_did].b2c
-    b2c.nonce = Nonce(b2c.nonce.prefix, 2**64 - 2)
+    b2c.counter = 2**64 - 2
     publisher_conn.send(publisher.publish(env.topic, b"last"))
     assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
     assert subscriber_conn.recv().kind is PacketKind.DISCONNECT

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,6 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 import daxiot.crypto
 from daxiot.crypto import (
     _CIPHERS_PER_KEY,
-    AeadEnvelope,
-    Nonce,
     SessionKey,
     aead_decrypt,
     aead_encrypt,
@@ -28,7 +27,7 @@ from daxiot.crypto import (
     to_agreement_keypair,
     verify,
 )
-from daxiot.errors import CryptoError, IntegrityError, NonceOverflowError
+from daxiot.errors import CryptoError, IntegrityError
 from helpers import (
     hchacha20_oracle,
     hkdf_sha256_oracle,
@@ -115,7 +114,7 @@ class TestNoKeyInRepr:
         sign(keypair, b"load the memo")
         agreement = to_agreement_keypair(keypair)
         session = SessionKey(key=bytes(range(100, 132)))
-        aead_encrypt(session, Nonce.fresh(), b"x", b"")
+        aead_encrypt(session, os.urandom(24), b"x", b"")
         for text, secret in (
             (repr(keypair), keypair.secret),
             (repr(agreement), agreement.secret),
@@ -283,6 +282,16 @@ class TestKdf:
             assert out != data[start : start + 32]
 
 
+def _nonce(prefix: bytes, counter: int) -> bytes:
+    return prefix + counter.to_bytes(8, "big")
+
+
+def _flip(data: bytes, position: int, mask: int = 0x01) -> bytes:
+    flipped = bytearray(data)
+    flipped[position] ^= mask
+    return bytes(flipped)
+
+
 class TestAead:
     def _key(self):
         return SessionKey(key=b"\x42" * 32)
@@ -290,49 +299,55 @@ class TestAead:
     @settings(max_examples=60, deadline=None)
     @given(plaintext=st.binary(max_size=256), aad=st.binary(max_size=64))
     def test_roundtrip(self, plaintext, aad):
-        envelope = aead_encrypt(self._key(), Nonce.fresh(), plaintext, aad)
+        envelope = aead_encrypt(self._key(), os.urandom(24), plaintext, aad)
         assert aead_decrypt(self._key(), envelope, aad) == plaintext
 
     def test_tampered_ciphertext_rejected(self):
-        envelope = aead_encrypt(self._key(), Nonce.fresh(), b"hello", b"aad")
-        flipped = bytearray(envelope.ciphertext)
-        flipped[0] ^= 0x01
+        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
         with pytest.raises(IntegrityError):
-            aead_decrypt(self._key(), AeadEnvelope(envelope.nonce, bytes(flipped)), b"aad")
+            aead_decrypt(self._key(), _flip(envelope, 24), b"aad")
 
     def test_tampered_nonce_rejected(self):
-        envelope = aead_encrypt(self._key(), Nonce.fresh(), b"hello", b"aad")
-        raw = bytearray(envelope.to_bytes())
-        raw[0] ^= 0x01
-        with pytest.raises(IntegrityError):
-            aead_decrypt(self._key(), AeadEnvelope.from_bytes(bytes(raw)), b"aad")
+        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
+        for position in (0, 23):  # the prefix and the counter
+            with pytest.raises(IntegrityError):
+                aead_decrypt(self._key(), _flip(envelope, position), b"aad")
 
     def test_wrong_aad_rejected(self):
-        envelope = aead_encrypt(self._key(), Nonce.fresh(), b"hello", b"aad")
+        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
         with pytest.raises(IntegrityError):
             aead_decrypt(self._key(), envelope, b"other")
 
     def test_wrong_key_rejected(self):
-        envelope = aead_encrypt(self._key(), Nonce.fresh(), b"hello", b"aad")
+        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
         other = SessionKey(key=b"\x43" * 32)
         with pytest.raises(IntegrityError):
             aead_decrypt(other, envelope, b"aad")
 
     def test_fixed_inputs_fixed_ciphertext(self):
-        nonce = Nonce(prefix=b"\xaa" * 16, counter=7)
+        nonce = _nonce(b"\xaa" * 16, 7)
         one = aead_encrypt(self._key(), nonce, b"payload", b"aad")
         two = aead_encrypt(self._key(), nonce, b"payload", b"aad")
         assert one == two
 
     def test_envelope_serialization(self):
-        envelope = aead_encrypt(self._key(), Nonce.fresh(), b"payload", b"")
-        raw = envelope.to_bytes()
-        assert raw[:24] == envelope.nonce.to_bytes()
-        assert AeadEnvelope.from_bytes(raw) == envelope
+        nonce = os.urandom(24)
+        envelope = aead_encrypt(self._key(), nonce, b"payload", b"")
+        assert envelope[:24] == nonce
+        assert len(envelope) == 24 + len(b"payload") + 16
 
     def test_envelope_too_short(self):
-        with pytest.raises(CryptoError):
-            AeadEnvelope.from_bytes(b"\x00" * 30)
+        for length in (0, 30, 39):
+            with pytest.raises(CryptoError) as refused:
+                aead_decrypt(self._key(), b"\x00" * length, b"")
+            assert refused.type is CryptoError
+        with pytest.raises(IntegrityError):  # long enough: refused by its tag
+            aead_decrypt(self._key(), b"\x00" * 40, b"")
+
+    def test_nonce_of_wrong_length_refused(self):
+        for length in (0, 16, 23, 25):
+            with pytest.raises(CryptoError):
+                aead_encrypt(self._key(), b"\x00" * length, b"x", b"")
 
 
 class TestCipherMemo:
@@ -341,68 +356,34 @@ class TestCipherMemo:
         prefixes = [b"\x01" * 16, b"\x02" * 16]
         for counter in range(20):
             for prefix in prefixes:
-                nonce = Nonce(prefix, counter)
+                nonce = _nonce(prefix, counter)
                 envelope = aead_encrypt(key, nonce, b"reading %d" % counter, b"aad")
                 reference = ChaCha20Poly1305(hchacha20_oracle(key.key, prefix)).encrypt(
                     bytes(4) + counter.to_bytes(8, "big"), b"reading %d" % counter, b"aad"
                 )
-                assert envelope.to_bytes() == nonce.to_bytes() + reference
+                assert envelope == nonce + reference
                 assert aead_decrypt(key, envelope, b"aad") == b"reading %d" % counter
 
     def test_bit_flip_under_warm_cache_rejected(self):
         key = SessionKey(key=b"\x42" * 32)
-        nonce = Nonce.fresh()
-        envelope = aead_encrypt(key, nonce, b"hello", b"aad")
+        envelope = aead_encrypt(key, os.urandom(24), b"hello", b"aad")
         assert aead_decrypt(key, envelope, b"aad") == b"hello"
-        for position in (0, len(envelope.ciphertext) - 1):
-            flipped = bytearray(envelope.ciphertext)
-            flipped[position] ^= 0x80
+        for position in (24, len(envelope) - 1):
             with pytest.raises(IntegrityError):
-                aead_decrypt(key, AeadEnvelope(nonce, bytes(flipped)), b"aad")
+                aead_decrypt(key, _flip(envelope, position, 0x80), b"aad")
         assert aead_decrypt(key, envelope, b"aad") == b"hello"
 
     def test_memo_stays_within_its_bound(self):
         key = SessionKey(key=b"\x42" * 32)
         for index in range(50):
-            envelope = aead_encrypt(key, Nonce(index.to_bytes(16, "big"), 0), b"x", b"")
+            envelope = aead_encrypt(key, _nonce(index.to_bytes(16, "big"), 0), b"x", b"")
             assert aead_decrypt(key, envelope, b"") == b"x"
             assert len(key._ciphers) <= _CIPHERS_PER_KEY
 
     def test_memo_is_not_part_of_key_identity(self):
         used, fresh = SessionKey(key=b"\x42" * 32), SessionKey(key=b"\x42" * 32)
-        aead_encrypt(used, Nonce.fresh(), b"x", b"")
+        aead_encrypt(used, os.urandom(24), b"x", b"")
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-
-
-class TestNonce:
-    def test_layout(self):
-        nonce = Nonce(prefix=b"\x01" * 16, counter=0x0102030405060708)
-        raw = nonce.to_bytes()
-        assert len(raw) == 24
-        assert raw == b"\x01" * 16 + bytes.fromhex("0102030405060708")
-        assert Nonce.from_bytes(raw) == nonce
-
-    def test_next_increments_counter_only(self):
-        nonce = Nonce(prefix=b"\x02" * 16, counter=41)
-        advanced = nonce.next()
-        assert advanced.counter == 42
-        assert advanced.prefix == nonce.prefix
-
-    def test_zero_to_one(self):
-        assert Nonce(prefix=b"\x00" * 16, counter=0).next().counter == 1
-
-    def test_overflow_is_an_error(self):
-        nonce = Nonce(prefix=b"\x00" * 16, counter=2**64 - 1)
-        with pytest.raises(NonceOverflowError):
-            nonce.next()
-
-    def test_bad_lengths(self):
-        with pytest.raises(CryptoError):
-            Nonce(prefix=b"\x00" * 15, counter=0)
-        with pytest.raises(CryptoError):
-            Nonce.from_bytes(b"\x00" * 23)
-        with pytest.raises(CryptoError):
-            Nonce(prefix=b"\x00" * 16, counter=2**64)
 
 
 def test_private_keys_are_loaded_only_where_they_are_kept():

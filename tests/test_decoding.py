@@ -26,7 +26,7 @@ from daxiot.credential import (
     load_credential_files,
     save_credential_files,
 )
-from daxiot.crypto import Nonce, aead_encrypt, ecdh_es, generate_signing_keypair, load_agreement_key, to_agreement_keypair
+from daxiot.crypto import aead_encrypt, ecdh_es, generate_signing_keypair, load_agreement_key, to_agreement_keypair
 from daxiot.did import document_from_json, didkey_encode
 from daxiot.errors import (
     MAX_JSON_DEPTH,
@@ -87,8 +87,8 @@ def _seal_to_broker(engine, session_id: str, kind: PacketKind, plaintext: bytes)
     c2b = engine.sessions[session_id].c2b
     (envelope,) = Channel(c2b.key, session_id, c2b.nonce).seal(kind, plaintext)
     if kind is PacketKind.AUTH_RESPONSE:
-        return Packet(kind=kind, auth_data=envelope.to_bytes())
-    return Packet(kind=kind, topic=envelope.to_bytes())
+        return Packet(kind=kind, auth_data=envelope)
+    return Packet(kind=kind, topic=envelope)
 
 
 def _static_did_site(env, tmp_path):
@@ -100,9 +100,9 @@ def _static_did_site(env, tmp_path):
         broker_key,
         protocol._es_context(ephemeral_did, env.broker_did),
     )
-    envelope = aead_encrypt(key, Nonce.fresh(), NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did))
+    envelope = aead_encrypt(key, protocol._fresh_nonce(), NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did))
     packet = Packet(
-        kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope.to_bytes()
+        kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope
     )
     _raise_refusal(env.engine().handle_connect(packet)[1])
 
@@ -126,7 +126,7 @@ def _client_publish_topic_site(env, tmp_path):
     establish(network, client, env.broker_did)
     session = network.engine.sessions[client.ephemeral_did]
     topic, payload = session.b2c.seal(PacketKind.PUBLISH, NOT_UTF8, b"payload")
-    client.handle_publish(Packet(kind=PacketKind.PUBLISH, topic=topic.to_bytes(), payload=payload.to_bytes()))
+    client.handle_publish(Packet(kind=PacketKind.PUBLISH, topic=topic, payload=payload))
 
 
 def _frame_with_client_id(raw: bytes) -> bytes:

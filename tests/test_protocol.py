@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import establish
 from daxiot.broker_service import load_signing_key
@@ -11,14 +14,16 @@ from daxiot.credential import AuthorizationClaim, RevocationRegistry, issue
 import daxiot.crypto
 import daxiot.did
 import daxiot.protocol
-from daxiot.crypto import AeadEnvelope, Nonce, aead_encrypt
+from daxiot.crypto import SessionKey, aead_encrypt
 from daxiot.errors import (
     AuthenticationError,
     ConnectionRejected,
+    CryptoError,
     DidError,
     IntegrityError,
     NonceOverflowError,
     NothingToPresent,
+    ProtocolError,
     ProtocolMismatch,
     ProtocolOrderError,
     ReplayError,
@@ -26,7 +31,7 @@ from daxiot.errors import (
 from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotBroker, DaxiotClient
 from daxiot.transport import run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
-from helpers import PermissionOracle
+from helpers import PermissionOracle, source_nodes
 
 
 LAST_COUNTER = 2**64 - 1
@@ -39,8 +44,8 @@ def _tamper_envelope(data: bytes) -> bytes:
     return bytes(mutated)
 
 
-def _renonce(data: bytes, nonce: Nonce) -> bytes:
-    return AeadEnvelope(nonce, AeadEnvelope.from_bytes(data).ciphertext).to_bytes()
+def _renonce(data: bytes, nonce: bytes) -> bytes:
+    return nonce + data[24:]
 
 
 def _subscribed_pair(env, loopback):
@@ -51,6 +56,122 @@ def _subscribed_pair(env, loopback):
     subscriber_conn.send(subscriber.subscribe(env.topic))
     assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
     return publisher, publisher_conn, subscriber, subscriber_conn
+
+
+def test_nonce_discipline_lives_in_channel():
+    # One owner of every direction's prefix and counter: only Channel's
+    # methods raise NonceOverflowError, and no nonce or envelope type exists.
+    nodes = list(source_nodes())
+    channel_methods = {
+        (path, method.name)
+        for path, _, node in nodes
+        if path == "protocol.py" and isinstance(node, ast.ClassDef) and node.name == "Channel"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    }
+    raisers = {
+        (path, function)
+        for path, function, node in nodes
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "NonceOverflowError"
+    }
+    assert raisers and raisers <= channel_methods, raisers
+    classes = {node.name for _, _, node in nodes if isinstance(node, ast.ClassDef)}
+    assert not classes & {"Nonce", "AeadEnvelope"}
+
+
+CHANNEL_KEY = SessionKey(key=b"\x42" * 32)
+CHANNEL_DID = "did:key:z6MkChannelTest"
+prefixes = st.binary(min_size=16, max_size=16)
+
+
+def _nonce(prefix: bytes, counter: int) -> bytes:
+    return prefix + counter.to_bytes(8, "big")
+
+
+def _twins(prefix: bytes, counter: int) -> tuple[Channel, Channel]:
+    """A sender and a receiver standing at the same nonce of one direction."""
+    nonce = _nonce(prefix, counter)
+    return Channel(CHANNEL_KEY, CHANNEL_DID, nonce), Channel(CHANNEL_KEY, CHANNEL_DID, nonce)
+
+
+class TestChannel:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        prefix=prefixes,
+        counter=st.one_of(st.integers(0, 8), st.integers(0, LAST_COUNTER - 17)),
+        sizes=st.lists(st.integers(1, 2), min_size=1, max_size=8),
+    )
+    @example(prefix=b"\x01" * 16, counter=0x0102030405060708, sizes=[1])
+    def test_seal_uses_consecutive_nonces_a_twin_opens(self, prefix, counter, sizes):
+        sender, receiver = _twins(prefix, counter)
+        expected = counter
+        for size in sizes:
+            fields = [b"field %d" % index for index in range(size)]
+            envelopes = sender.seal(PacketKind.PUBLISH, *fields)
+            # prefix || 8-byte big-endian counter, one counter per field
+            assert [e[:24] for e in envelopes] == [_nonce(prefix, expected + i) for i in range(size)]
+            assert receiver.open(PacketKind.PUBLISH, *envelopes) == fields
+            expected += size
+            assert sender.counter == receiver.counter == expected
+            assert sender.prefix == receiver.prefix == prefix
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prefix=prefixes,
+        counter=st.one_of(st.integers(0, 8), st.integers(0, LAST_COUNTER - 2)),
+        position=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_any_other_nonce_is_a_replay(self, prefix, counter, position, data):
+        sender, receiver = _twins(prefix, counter)
+        envelopes = sender.seal(PacketKind.PUBLISH, b"topic", b"payload")
+        expected = _nonce(prefix, counter + position)
+        other_prefix = data.draw(st.one_of(st.just(prefix), prefixes))
+        near = st.integers(max(0, counter - 2), min(LAST_COUNTER - 1, counter + 3))
+        other = _nonce(other_prefix, data.draw(st.one_of(near, st.integers(0, LAST_COUNTER - 1))))
+        if other == expected:
+            other = _nonce(bytes(b ^ 0xFF for b in prefix), counter + position)
+        (envelopes[position],) = Channel(CHANNEL_KEY, CHANNEL_DID, other).seal(
+            PacketKind.PUBLISH, b"forged"
+        )
+        with pytest.raises(ReplayError):
+            receiver.open(PacketKind.PUBLISH, *envelopes)
+        assert receiver.counter == counter
+
+    def test_the_last_usable_counter_is_2_64_minus_2(self):
+        prefix = b"\x07" * 16
+        aad = daxiot.protocol._aad(PacketKind.PUBLISH, CHANNEL_DID)
+        for start in range(LAST_COUNTER - 3, LAST_COUNTER + 1):
+            for count in (1, 2):
+                fields = [b"field %d" % index for index in range(count)]
+                sender, receiver = _twins(prefix, start)
+                if start + count - 1 <= LAST_COUNTER - 1:
+                    envelopes = sender.seal(PacketKind.PUBLISH, *fields)
+                    assert receiver.open(PacketKind.PUBLISH, *envelopes) == fields
+                    assert sender.counter == receiver.counter == start + count
+                    continue
+                with pytest.raises(NonceOverflowError):
+                    sender.seal(PacketKind.PUBLISH, *fields)
+                # Envelopes at the counters a sender would have needed, up to the last one.
+                envelopes = [
+                    aead_encrypt(CHANNEL_KEY, _nonce(prefix, min(start + i, LAST_COUNTER)), field, aad)
+                    for i, field in enumerate(fields)
+                ]
+                with pytest.raises(NonceOverflowError):
+                    receiver.open(PacketKind.PUBLISH, *envelopes)
+                assert sender.counter == receiver.counter == start
+
+    def test_a_nonce_of_the_wrong_length_is_refused(self):
+        for length in (0, 15, 16, 23, 25, 32):
+            with pytest.raises(CryptoError):
+                Channel(CHANNEL_KEY, CHANNEL_DID, bytes(length))
+        sender, receiver = _twins(b"\x09" * 16, 5)
+        (envelope,) = sender.seal(PacketKind.SUBSCRIBE, b"topic")
+        with pytest.raises(ReplayError):  # a 16-byte nonce: the prefix alone
+            receiver.open(PacketKind.SUBSCRIBE, envelope[:16] + envelope[24:])
+        assert receiver.counter == 5
 
 
 class TestHandshake:
@@ -280,10 +401,9 @@ class TestReplayProtection:
         publisher_conn.send(publisher.publish(env.topic, b"payload"))
         publisher.handle_puback(publisher_conn.recv())
         forwarded = subscriber_conn.recv()
-        topic_nonce = AeadEnvelope.from_bytes(forwarded.topic).nonce
-        foreign = Nonce.fresh()
-        forwarded.topic = _renonce(forwarded.topic, Nonce(foreign.prefix, topic_nonce.counter))
-        forwarded.payload = _renonce(forwarded.payload, Nonce(foreign.prefix, topic_nonce.counter + 1))
+        foreign = daxiot.protocol._fresh_nonce()[:16]
+        forwarded.topic = _renonce(forwarded.topic, foreign + forwarded.topic[16:24])
+        forwarded.payload = _renonce(forwarded.payload, foreign + forwarded.payload[16:24])
         with pytest.raises(ReplayError):
             subscriber.handle_publish(forwarded)
 
@@ -299,11 +419,23 @@ class TestReplayProtection:
             assert isinstance(reply.error, AuthenticationError)
         assert len(loopback.engine._seen_connect_nonces) == seen
 
+    def test_connack_must_start_at_counter_zero(self, env, loopback):
+        client, connection, response = _challenged(env, loopback)
+        connection.send(response)
+        connack = connection.recv()
+        raw = bytearray(connack.auth_data)
+        raw[23] ^= 0x01  # the last counter byte of the envelope's nonce
+        connack.auth_data = bytes(raw)
+        with pytest.raises(ProtocolOrderError) as refused:
+            client.handle_connack(connack)
+        assert refused.type is ProtocolOrderError
+        assert client.phase is ClientPhase.CHALLENGED
+
     def test_broker_to_client_prefix_is_distinct(self, env, loopback):
         publisher = env.publisher_client()
         establish(loopback, publisher, env.broker_did)
         session = loopback.engine.sessions[publisher.ephemeral_did]
-        assert session.b2c.nonce.prefix != session.c2b.nonce.prefix
+        assert session.b2c.prefix != session.c2b.prefix
 
 
 class TestTampering:
@@ -323,6 +455,21 @@ class TestTampering:
         challenge.auth_data = _tamper_envelope(challenge.auth_data)
         with pytest.raises(AuthenticationError):
             client.handle_challenge(challenge)
+
+    @pytest.mark.parametrize("length", [23, 25])
+    def test_challenge_payload_must_be_one_nonce(self, env, loopback, length):
+        client = env.publisher_client()
+        connection = loopback.open()
+        connection.send(client.begin_connect(env.broker_did))
+        connection.recv()
+        key = loopback.engine.sessions[client.ephemeral_did].c2b.key
+        aad = bytes([PacketKind.AUTH_CHALLENGE]) + client.ephemeral_did.encode()
+        envelope = aead_encrypt(key, daxiot.protocol._fresh_nonce(), bytes(length), aad)
+        challenge = Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=envelope)
+        with pytest.raises(ProtocolError) as refused:
+            client.handle_challenge(challenge)
+        assert refused.type is ProtocolError
+        assert client.phase is ClientPhase.CONNECT_SENT
 
     def test_tampered_auth_response(self, env, loopback):
         client = env.publisher_client()
@@ -385,12 +532,11 @@ class TestTampering:
         packet = publisher_a.publish(env.topic, b"x")
         session_b = loopback.engine.sessions[publisher_b.ephemeral_did]
         # Re-nonce the foreign envelopes to session B's expected counters.
-        topic_env = AeadEnvelope.from_bytes(packet.topic)
-        payload_env = AeadEnvelope.from_bytes(packet.payload)
+        c2b = session_b.c2b
         foreign = Packet(
             kind=PacketKind.PUBLISH,
-            topic=AeadEnvelope(session_b.c2b.nonce, topic_env.ciphertext).to_bytes(),
-            payload=AeadEnvelope(session_b.c2b.nonce.next(), payload_env.ciphertext).to_bytes(),
+            topic=_renonce(packet.topic, c2b.nonce),
+            payload=_renonce(packet.payload, _nonce(c2b.prefix, c2b.counter + 1)),
         )
         reply = loopback.engine.handle_packet(publisher_b.ephemeral_did, foreign)
         assert isinstance(reply.error, IntegrityError)
@@ -431,12 +577,12 @@ class TestAuthorization:
         client.handle_challenge(connection.recv())  # no response sent
         envelope = aead_encrypt(
             client._send.key,
-            Nonce.fresh(),
+            daxiot.protocol._fresh_nonce(),
             env.topic.encode(),
             bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode(),
         )
         reply = loopback.engine.handle_packet(
-            client.ephemeral_did, Packet(kind=PacketKind.SUBSCRIBE, topic=envelope.to_bytes())
+            client.ephemeral_did, Packet(kind=PacketKind.SUBSCRIBE, topic=envelope)
         )
         assert isinstance(reply.error, ProtocolOrderError)
         assert reply.close
@@ -548,11 +694,11 @@ class TestBrokerState:
         publisher = env.publisher_client()
         connection = establish(loopback, publisher, env.broker_did)
         session = loopback.engine.sessions[publisher.ephemeral_did]
-        seen = [session.c2b.nonce.counter]
+        seen = [session.c2b.counter]
         for _ in range(3):
             connection.send(publisher.publish(env.topic, b"x"))
             publisher.handle_puback(connection.recv())
-            seen.append(session.c2b.nonce.counter)
+            seen.append(session.c2b.counter)
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
         assert seen[0] == 1  # challenge consumed counter zero
@@ -563,11 +709,11 @@ class TestBrokerState:
         establish(loopback, client, env.broker_did)
         session = loopback.engine.sessions[client.ephemeral_did]
         fields = [env.topic.encode(), b"last"] if kind is PacketKind.PUBLISH else [env.topic.encode()]
-        prefix, first = session.c2b.nonce.prefix, LAST_COUNTER + 1 - len(fields)
-        session.c2b.nonce = Nonce(prefix, first)
+        prefix, first = session.c2b.prefix, LAST_COUNTER + 1 - len(fields)
+        session.c2b.counter = first
         aad = bytes([kind]) + client.ephemeral_did.encode()
         envelopes = [
-            aead_encrypt(client._send.key, Nonce(prefix, first + i), field, aad).to_bytes()
+            aead_encrypt(client._send.key, _nonce(prefix, first + i), field, aad)
             for i, field in enumerate(fields)
         ]
         packet = Packet(kind=kind, topic=envelopes[0], payload=envelopes[1] if len(envelopes) > 1 else None)
@@ -581,7 +727,7 @@ class TestBrokerState:
     def test_exhausted_subscriber_is_evicted_alone(self, env, loopback):
         publisher, _, subscriber, _ = _subscribed_pair(env, loopback)
         b2c = loopback.engine.sessions[subscriber.ephemeral_did].b2c
-        b2c.nonce = Nonce(b2c.nonce.prefix, LAST_COUNTER - 1)
+        b2c.counter = LAST_COUNTER - 1
         reply = loopback.engine.handle_packet(
             publisher.ephemeral_did, publisher.publish(env.topic, b"x")
         )
@@ -600,7 +746,7 @@ class TestBrokerState:
     def test_exhausted_subscriber_connection_is_closed(self, env, loopback):
         publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, loopback)
         b2c = loopback.engine.sessions[subscriber.ephemeral_did].b2c
-        b2c.nonce = Nonce(b2c.nonce.prefix, LAST_COUNTER - 1)
+        b2c.counter = LAST_COUNTER - 1
         publisher_conn.send(publisher.publish(env.topic, b"x"))
         assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
         assert subscriber_conn.recv().kind is PacketKind.DISCONNECT
@@ -609,7 +755,7 @@ class TestBrokerState:
     def test_exhausted_client_never_reuses_a_nonce(self, env, loopback):
         client = env.publisher_client()
         establish(loopback, client, env.broker_did)
-        client._send.nonce = Nonce(client._send.nonce.prefix, LAST_COUNTER - 1)
+        client._send.counter = LAST_COUNTER - 1
         used = []
         for make in (
             lambda: client.publish(env.topic, b"x"),  # needs two values and a successor
@@ -621,9 +767,9 @@ class TestBrokerState:
                 packet = make()
             except NonceOverflowError:
                 continue
-            used += [AeadEnvelope.from_bytes(f).nonce for f in (packet.topic, packet.payload) if f]
-        assert [n.counter for n in used] == [LAST_COUNTER - 1]
-        assert client._send.nonce.counter == LAST_COUNTER
+            used += [int.from_bytes(f[16:24], "big") for f in (packet.topic, packet.payload) if f]
+        assert used == [LAST_COUNTER - 1]
+        assert client._send.counter == LAST_COUNTER
 
     def test_aead_call_counts(self, env, loopback, monkeypatch):
         # The benchmark's traced runs rebind these two names in
@@ -830,6 +976,36 @@ def _bad_publish(env, loopback):
     return client.ephemeral_did, packet
 
 
+def _subscribe_without_topic(env, loopback):
+    client = env.subscriber_client()
+    establish(loopback, client, env.broker_did)
+    return client.ephemeral_did, Packet(kind=PacketKind.SUBSCRIBE)
+
+
+def _short_subscribe(env, loopback):
+    client = env.subscriber_client()
+    establish(loopback, client, env.broker_did)
+    packet = client.subscribe(env.topic)
+    packet.topic = packet.topic[:39]  # one byte short of a nonce and a tag
+    return client.ephemeral_did, packet
+
+
+def _publish_without_payload(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    packet = client.publish(env.topic, b"x")
+    packet.payload = None
+    return client.ephemeral_did, packet
+
+
+def _short_publish(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    packet = client.publish(env.topic, b"x")
+    packet.topic = packet.topic[:39]
+    return client.ephemeral_did, packet
+
+
 def _auth_response_replayed_when_established(env, loopback):
     client, connection, response = _challenged(env, loopback)
     connection.send(response)
@@ -854,7 +1030,7 @@ def _non_utf8_presentation(env, loopback):
     session = loopback.engine.sessions[client.ephemeral_did]
     channel = Channel(session.c2b.key, client.ephemeral_did, session.c2b.nonce)
     (envelope,) = channel.seal(PacketKind.AUTH_RESPONSE, b"\xff\xfe~")
-    packet = Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=envelope.to_bytes())
+    packet = Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=envelope)
     return client.ephemeral_did, packet
 
 
@@ -862,10 +1038,10 @@ def _exhausted_c2b(env, loopback):
     client = env.subscriber_client()
     establish(loopback, client, env.broker_did)
     session = loopback.engine.sessions[client.ephemeral_did]
-    session.c2b.nonce = Nonce(session.c2b.nonce.prefix, LAST_COUNTER)
+    session.c2b.counter = LAST_COUNTER
     aad = bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode()
     envelope = aead_encrypt(session.c2b.key, session.c2b.nonce, env.topic.encode(), aad)
-    packet = Packet(kind=PacketKind.SUBSCRIBE, topic=envelope.to_bytes())
+    packet = Packet(kind=PacketKind.SUBSCRIBE, topic=envelope)
     return client.ephemeral_did, packet
 
 
@@ -898,6 +1074,18 @@ REFUSALS = {
     ),
     "bad publish when established": (
         _bad_publish, "publish_rejected", "IntegrityError", [(PacketKind.PUBACK, PE)], False, True
+    ),
+    "subscribe without a topic": (
+        _subscribe_without_topic, "subscribe_rejected", "ProtocolError", [(PacketKind.SUBACK, PE)], False, True
+    ),
+    "subscribe with a 39-byte topic": (
+        _short_subscribe, "subscribe_rejected", "ProtocolError", [(PacketKind.SUBACK, PE)], False, True
+    ),
+    "publish without a payload": (
+        _publish_without_payload, "publish_rejected", "ProtocolError", [(PacketKind.PUBACK, PE)], False, True
+    ),
+    "publish with a 39-byte topic": (
+        _short_publish, "publish_rejected", "ProtocolError", [(PacketKind.PUBACK, PE)], False, True
     ),
     "auth response replayed when established": (
         _auth_response_replayed_when_established, "auth_rejected", "ReplayError", [], False, True
