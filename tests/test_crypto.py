@@ -28,6 +28,8 @@ from daxiot.crypto import (
     verify,
 )
 from daxiot.errors import CryptoError, IntegrityError
+from daxiot.protocol import Channel
+from daxiot.wire import PacketKind
 from helpers import (
     hchacha20_oracle,
     hkdf_sha256_oracle,
@@ -384,6 +386,37 @@ class TestCipherMemo:
         used, fresh = SessionKey(key=b"\x42" * 32), SessionKey(key=b"\x42" * 32)
         aead_encrypt(used, os.urandom(24), b"x", b"")
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+class TestNonce:
+    """The nonce layout, kept by :class:`daxiot.protocol.Channel`: ``prefix || counter``."""
+
+    def _channel(self, nonce: bytes) -> Channel:
+        return Channel(SessionKey(key=b"\x42" * 32), "did:key:z6MkNonceTest", nonce)
+
+    def test_layout(self):
+        raw = b"\x01" * 16 + bytes.fromhex("0102030405060708")
+        channel = self._channel(raw)
+        assert len(channel.nonce) == 24
+        assert channel.nonce == raw
+        assert channel.prefix == b"\x01" * 16
+        assert channel.counter == 0x0102030405060708
+        (envelope,) = channel.seal(PacketKind.PUBLISH, b"x")
+        assert envelope[:24] == raw
+
+    def test_next_increments_counter_only(self):
+        channel = self._channel(_nonce(b"\x02" * 16, 41))
+        (envelope,) = channel.seal(PacketKind.PUBLISH, b"x")
+        assert envelope[:24] == _nonce(b"\x02" * 16, 41)
+        assert channel.counter == 42
+        assert channel.prefix == b"\x02" * 16
+        assert channel.nonce == _nonce(b"\x02" * 16, 42)
+
+    def test_zero_to_one(self):
+        channel = self._channel(bytes(24))
+        (envelope,) = channel.seal(PacketKind.PUBLISH, b"x")
+        assert envelope[:24] == bytes(24)
+        assert channel.counter == 1
 
 
 def test_private_keys_are_loaded_only_where_they_are_kept():
