@@ -32,8 +32,13 @@ EventSink = Callable[[dict], None]
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def save_signing_key(path: Path | str, keypair: SigningKeyPair) -> None:
+    """Write an identity as its hex seed on one line, the file :func:`load_signing_key` reads."""
+    Path(path).write_text(keypair.secret.hex() + "\n")
+
+
 def load_signing_key(path: Path | str) -> SigningKeyPair:
-    """Load an identity from a hex seed file written by the keygen command."""
+    """Load an identity from a hex seed file written by :func:`save_signing_key`."""
     try:
         text = Path(path).read_text("utf-8").strip()
         seed = bytes.fromhex(text)

@@ -18,7 +18,7 @@ from typing import Iterator
 import click
 
 from . import bench as bench_mod
-from .broker_service import EXIT_BIND, EXIT_CONFIG, BrokerConfig, BrokerService, load_signing_key
+from .broker_service import EXIT_BIND, EXIT_CONFIG, BrokerConfig, BrokerService, load_signing_key, save_signing_key
 from .credential import (
     AuthorizationClaim,
     RevocationRegistry,
@@ -58,7 +58,7 @@ def keygen(out: Path) -> None:
     keypair = generate_signing_keypair()
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(keypair.secret.hex() + "\n")
+        save_signing_key(out, keypair)
     except OSError as exc:
         _fail(f"cannot write {out}: {exc}")
     click.echo(str(didkey_encode(keypair.public)))

@@ -206,24 +206,25 @@ class SdJwtCredential:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A credential plus the disclosures chosen for one verifier."""
+    """A credential plus the disclosures chosen for one verifier, kept as base64url segments."""
 
     credential: SdJwtCredential
-    disclosures: tuple[Disclosure, ...]
+    segments: tuple[str, ...]
+
+    @property
+    def disclosures(self) -> tuple[Disclosure, ...]:
+        """Decoded on each read; a verifier reads them once, at its step 5."""
+        return tuple(Disclosure.decode(_b64url_decode(segment)) for segment in self.segments)
 
     def compact(self) -> str:
-        parts = [self.credential.compact()]
-        parts.extend(d.encoded() for d in self.disclosures)
-        return "~".join(parts) + "~"
+        return "~".join((self.credential.compact(), *self.segments)) + "~"
 
     @classmethod
     def parse(cls, compact: str) -> "Presentation":
         if not compact.endswith("~"):
             raise MalformedCredential("compact presentation must end with '~'")
         segments = compact[:-1].split("~")
-        credential = SdJwtCredential.parse(segments[0])
-        disclosures = tuple(Disclosure.decode(_b64url_decode(seg)) for seg in segments[1:])
-        return cls(credential=credential, disclosures=disclosures)
+        return cls(credential=SdJwtCredential.parse(segments[0]), segments=tuple(segments[1:]))
 
 
 @dataclass(frozen=True)
@@ -356,10 +357,10 @@ def present(
 ) -> Presentation:
     """Select exactly the disclosures that concern one broker."""
     broker = str(Did.parse(selected_broker))
-    chosen = tuple(d for d in all_disclosures if d.key == broker)
+    chosen = tuple(d.encoded() for d in all_disclosures if d.key == broker)
     if not chosen:
         raise NothingToPresent(f"no authorization claim concerns {broker}")
-    return Presentation(credential=credential, disclosures=chosen)
+    return Presentation(credential=credential, segments=chosen)
 
 
 def verify_presentation(
@@ -412,11 +413,12 @@ def verify_presentation(
     if rr.status(jti) is CredentialStatus.REVOKED:
         raise Revoked(f"credential {jti} is revoked")
 
-    # 5. Every presented disclosure must be committed to in _sd.
+    # 5. Every presented disclosure, decoded only now, must be committed to in _sd.
     digests = payload.get("_sd")
     if not isinstance(digests, list):
         raise MalformedCredential("credential _sd missing")
-    for disclosure in presentation.disclosures:
+    disclosures = presentation.disclosures
+    for disclosure in disclosures:
         digest = disclosure.digest()
         if digest not in digests:
             raise UnknownDisclosure(f"disclosure digest {digest} not committed")
@@ -425,7 +427,7 @@ def verify_presentation(
     verifier = str(Did.parse(verifier_did))
     publish: set[str] = set()
     subscribe: set[str] = set()
-    for disclosure in presentation.disclosures:
+    for disclosure in disclosures:
         if disclosure.key != verifier:
             continue
         claim = disclosure.claim()

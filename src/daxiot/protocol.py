@@ -4,7 +4,8 @@ The handshake runs over the connect/challenge/response exchange:
 
 * the client connects under a fresh ephemeral identity and ships its static
   identity encrypted under an ephemeral-static agreement, so the wire never
-  shows who is connecting and connections are unlinkable;
+  shows who is connecting and connections are unlinkable; from then until
+  step E it keeps only the one-pass unified key, and no X25519 key object;
 * the broker answers with a challenge nonce encrypted under the one-pass
   unified key; decrypting it authenticates the broker to the client;
 * the client answers with a selective credential presentation encrypted
@@ -26,6 +27,8 @@ the two directions never share nonce space under the one session key. Every
 envelope takes the next value of its channel, and a receiver accepts exactly
 that value and nothing else; a publish takes two consecutive values (topic at
 n, payload at n+1), which proves both fields belong to the same message.
+:func:`_seal_publish` and :func:`_open_publish` alone know that layout. The
+broker forwards each message to the topic's sessions in subscription order.
 
 Refusals: the broker's handlers only raise; :meth:`DaxiotBroker._refuse` alone
 turns the error into an event, a reply and, where the table says so, the end
@@ -102,10 +105,10 @@ def _one_pu_context(static_did: str, broker_did: str) -> bytes:
     return _ONE_PU_LABEL + static_did.encode("utf-8") + broker_did.encode("utf-8")
 
 
-def _aad(kind: PacketKind, ephemeral_did: str) -> bytes:
-    # Binds each envelope to its packet kind and session, blocking
-    # cross-context splicing of otherwise valid ciphertexts.
-    return bytes([kind]) + ephemeral_did.encode("utf-8")
+def _aad(kind: PacketKind, ephemeral_did: bytes) -> bytes:
+    # Binds each envelope to its packet kind and session (the UTF-8 ephemeral
+    # DID), blocking cross-context splicing of otherwise valid ciphertexts.
+    return bytes([kind]) + ephemeral_did
 
 
 def _fresh_nonce() -> bytes:
@@ -129,7 +132,7 @@ class Channel:
         if len(nonce) != NONCE_LEN:
             raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
         self.key = key
-        self.ephemeral_did = ephemeral_did
+        self._did = ephemeral_did.encode("utf-8")
         self.prefix = nonce[:NONCE_PREFIX_LEN]
         self.counter = int.from_bytes(nonce[NONCE_PREFIX_LEN:], "big")
 
@@ -147,7 +150,7 @@ class Channel:
     def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[bytes]:
         """Encrypt each plaintext into an envelope under the next consecutive nonce."""
         nonces = self._next_nonces(len(plaintexts))
-        aad = _aad(kind, self.ephemeral_did)
+        aad = _aad(kind, self._did)
         envelopes = [
             aead_encrypt(self.key, nonce, plaintext, aad)
             for nonce, plaintext in zip(nonces, plaintexts)
@@ -161,7 +164,7 @@ class Channel:
         for nonce, envelope in zip(nonces, envelopes):
             if envelope[:NONCE_LEN] != nonce:
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
-        aad = _aad(kind, self.ephemeral_did)
+        aad = _aad(kind, self._did)
         plaintexts = [aead_decrypt(self.key, envelope, aad) for envelope in envelopes]
         self.counter += len(nonces)
         return plaintexts
@@ -173,6 +176,22 @@ def _envelope(data: bytes | None, what: str) -> bytes:
     if len(data) < NONCE_LEN + TAG_LEN:
         raise ProtocolError(f"{what} carries an envelope of {len(data)} bytes, shorter than a nonce and a tag")
     return data
+
+
+def _seal_publish(channel: Channel, topic: bytes, payload: bytes) -> Packet:
+    """Step J on the sending side: the topic at counter n, the payload at n+1."""
+    topic_envelope, payload_envelope = channel.seal(PacketKind.PUBLISH, topic, payload)
+    return Packet(kind=PacketKind.PUBLISH, topic=topic_envelope, payload=payload_envelope)
+
+
+def _open_publish(channel: Channel, packet: Packet) -> tuple[str, bytes]:
+    """Step J on the receiving side: both envelopes, then a strict UTF-8 topic."""
+    topic, payload = channel.open(
+        PacketKind.PUBLISH,
+        _envelope(packet.topic, "publish topic"),
+        _envelope(packet.payload, "publish payload"),
+    )
+    return decode_text(topic, ProtocolError, "publish topic"), payload
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +230,7 @@ class DaxiotClient:
     def _reset_session(self) -> None:
         self.ephemeral_did: str | None = None
         self.broker_did: str | None = None
-        # Set in begin_connect; handle_challenge uses them once and drops them.
-        self._broker_agreement_key: bytes | None = None
-        self._static_key: X25519PrivateKey | None = None
-        self._ephemeral_key: X25519PrivateKey | None = None
+        self._session_key: SessionKey | None = None  # the 1PU key, derived in begin_connect
         self._send: Channel | None = None
         self._recv: Channel | None = None
         self._pending_subacks = 0
@@ -245,14 +261,16 @@ class DaxiotClient:
             k_es,
             _fresh_nonce(),
             self.static_did.encode("utf-8"),
-            _aad(PacketKind.CONNECT, ephemeral_did),
+            _aad(PacketKind.CONNECT, ephemeral_did.encode("utf-8")),
         )
-
-        self._static_key = load_agreement_key(self._static_secret)
-        self._ephemeral_key = ephemeral_key
+        self._session_key = ecdh_1pu(
+            load_agreement_key(self._static_secret),
+            ephemeral_key,
+            document.agreement_key,
+            _one_pu_context(self.static_did, broker_did),
+        )
         self.ephemeral_did = ephemeral_did
         self.broker_did = broker_did
-        self._broker_agreement_key = document.agreement_key
         self.phase = ClientPhase.CONNECT_SENT
         return Packet(
             kind=PacketKind.CONNECT,
@@ -267,28 +285,21 @@ class DaxiotClient:
         if packet.kind is not PacketKind.AUTH_CHALLENGE:
             raise ProtocolOrderError(f"expected a challenge, got {packet.kind.name}")
         envelope = _envelope(packet.auth_data, "challenge")
-
-        k_1pu = ecdh_1pu(
-            self._static_key,
-            self._ephemeral_key,
-            self._broker_agreement_key,
-            _one_pu_context(self.static_did, self.broker_did),
-        )
+        aad = _aad(PacketKind.AUTH_CHALLENGE, self.ephemeral_did.encode("utf-8"))
         try:
-            plaintext = aead_decrypt(k_1pu, envelope, _aad(PacketKind.AUTH_CHALLENGE, self.ephemeral_did))
+            plaintext = aead_decrypt(self._session_key, envelope, aad)
         except IntegrityError as exc:
             raise AuthenticationError(
                 f"broker could not be authenticated as {self.broker_did}"
             ) from exc
         try:
-            send = Channel(k_1pu, self.ephemeral_did, plaintext)
+            send = Channel(self._session_key, self.ephemeral_did, plaintext)
         except CryptoError as exc:
             raise ProtocolError(f"challenge payload is not a nonce: {exc}") from exc
 
         presentation = present(self._credential, self._disclosures, self.broker_did)
         (response,) = send.seal(PacketKind.AUTH_RESPONSE, presentation.compact().encode("utf-8"))
         self._send = send
-        self._static_key = self._ephemeral_key = self._broker_agreement_key = None
         self.phase = ClientPhase.CHALLENGED
         return Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=response)
 
@@ -338,11 +349,9 @@ class DaxiotClient:
     def publish(self, topic: str, payload: bytes) -> Packet:
         """Step J, publisher side: topic at counter n, payload at n+1."""
         self._require(ClientPhase.ESTABLISHED, "publish")
-        topic_envelope, payload_envelope = self._send.seal(
-            PacketKind.PUBLISH, topic.encode("utf-8"), payload
-        )
+        packet = _seal_publish(self._send, topic.encode("utf-8"), payload)
         self._pending_pubacks += 1
-        return Packet(kind=PacketKind.PUBLISH, topic=topic_envelope, payload=payload_envelope)
+        return packet
 
     def handle_puback(self, packet: Packet) -> ReasonCode:
         if packet.kind is not PacketKind.PUBACK:
@@ -357,12 +366,7 @@ class DaxiotClient:
         self._require(ClientPhase.ESTABLISHED, "receive a publish")
         if packet.kind is not PacketKind.PUBLISH:
             raise ProtocolOrderError(f"expected a publish, got {packet.kind.name}")
-        topic, payload = self._recv.open(
-            PacketKind.PUBLISH,
-            _envelope(packet.topic, "publish topic"),
-            _envelope(packet.payload, "publish payload"),
-        )
-        return decode_text(topic, ProtocolError, "publish topic"), payload
+        return _open_publish(self._recv, packet)
 
     def disconnect(self) -> Packet:
         """Leave the session; the next connect gets a fresh ephemeral identity."""
@@ -442,7 +446,7 @@ class DaxiotBroker:
         self._rr_source = rr_source
         self._event_sink = event_sink
         self.sessions: dict[str, BrokerSession] = {}
-        self.topics: dict[str, set[str]] = {}
+        self.topics: dict[str, dict[str, BrokerSession]] = {}
         self._seen_connect_nonces: set[bytes] = set()
 
     # -- helpers --------------------------------------------------------------
@@ -555,7 +559,7 @@ class DaxiotBroker:
             _es_context(ephemeral_did, self.broker_did),
         )
         try:
-            static_did_raw = aead_decrypt(k_es, envelope, _aad(PacketKind.CONNECT, ephemeral_did))
+            static_did_raw = aead_decrypt(k_es, envelope, _aad(PacketKind.CONNECT, ephemeral_did.encode("utf-8")))
         except IntegrityError as exc:
             raise AuthenticationError(
                 "connect authentication data does not decrypt; sender does not hold the ephemeral key"
@@ -583,7 +587,7 @@ class DaxiotBroker:
             k_1pu,
             _fresh_nonce(),
             challenge_nonce,
-            _aad(PacketKind.AUTH_CHALLENGE, ephemeral_did),
+            _aad(PacketKind.AUTH_CHALLENGE, ephemeral_did.encode("utf-8")),
         )
         session = BrokerSession(
             ephemeral_did=ephemeral_did,
@@ -646,19 +650,14 @@ class DaxiotBroker:
             return Reply(
                 packets=[Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.NOT_AUTHORIZED)]
             )
-        self.topics.setdefault(topic, set()).add(session_id)
+        self.topics.setdefault(topic, {})[session_id] = session
         self._emit("subscribed", session_id)
         return Reply(packets=[Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.SUCCESS)])
 
     def handle_publish(self, session_id: str, packet: Packet) -> Reply:
         """Step J: enforce consecutive nonces and the publish grant, fan out."""
         session = self._session(session_id, BrokerPhase.ESTABLISHED)
-        raw_topic, payload = session.c2b.open(
-            PacketKind.PUBLISH,
-            _envelope(packet.topic, "publish topic"),
-            _envelope(packet.payload, "publish payload"),
-        )
-        topic = decode_text(raw_topic, ProtocolError, "publish topic")
+        topic, payload = _open_publish(session.c2b, packet)
 
         if topic not in session.grant.publish_topics:
             self._emit("publish_denied", session_id)
@@ -666,14 +665,13 @@ class DaxiotBroker:
                 packets=[Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.NOT_AUTHORIZED)]
             )
 
+        raw_topic = topic.encode("utf-8")
         forwards: list[tuple[str, Packet]] = []
         delivered = 0
-        for subscriber_id in sorted(self.topics.get(topic, ())):
-            subscriber = self.sessions.get(subscriber_id)
-            if subscriber is None:
-                continue
+        # A copy: ending an exhausted subscriber removes it from the table.
+        for subscriber_id, subscriber in list(self.topics.get(topic, {}).items()):
             try:
-                forwards.append((subscriber_id, self._forward(subscriber, topic, payload)))
+                forwards.append((subscriber_id, _seal_publish(subscriber.b2c, raw_topic, payload)))
                 delivered += 1
             except NonceOverflowError as error:
                 # Ends the subscriber's session alone: its DISCONNECT is
@@ -686,12 +684,6 @@ class DaxiotBroker:
             forwards=forwards,
         )
 
-    def _forward(self, subscriber: BrokerSession, topic: str, payload: bytes) -> Packet:
-        topic_envelope, payload_envelope = subscriber.b2c.seal(
-            PacketKind.PUBLISH, topic.encode("utf-8"), payload
-        )
-        return Packet(kind=PacketKind.PUBLISH, topic=topic_envelope, payload=payload_envelope)
-
     def handle_disconnect(self, session_id: str) -> Reply:
         if session_id in self.sessions:
             self._emit("disconnected", session_id)
@@ -701,7 +693,7 @@ class DaxiotBroker:
     def _evict(self, session_id: str) -> None:
         self.sessions.pop(session_id, None)
         for topic, subscribers in list(self.topics.items()):
-            subscribers.discard(session_id)
+            subscribers.pop(session_id, None)
             if not subscribers:
                 del self.topics[topic]
 

@@ -14,7 +14,7 @@ import socket
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerConfig, EventSink
+from .broker_service import BrokerConfig, EventSink, save_signing_key
 from .credential import (
     AuthorizationClaim,
     Disclosure,
@@ -132,11 +132,11 @@ def build_scenario(
     publisher_kp = generate_signing_keypair()
     subscriber_kp = generate_signing_keypair()
 
-    (keys_dir / "broker.key").write_text(broker_kp.secret.hex() + "\n")
-    (keys_dir / "publisher-owner.key").write_text(po_kp.secret.hex() + "\n")
-    (keys_dir / "subscriber-owner.key").write_text(so_kp.secret.hex() + "\n")
-    (keys_dir / "publisher.key").write_text(publisher_kp.secret.hex() + "\n")
-    (keys_dir / "subscriber.key").write_text(subscriber_kp.secret.hex() + "\n")
+    save_signing_key(keys_dir / "broker.key", broker_kp)
+    save_signing_key(keys_dir / "publisher-owner.key", po_kp)
+    save_signing_key(keys_dir / "subscriber-owner.key", so_kp)
+    save_signing_key(keys_dir / "publisher.key", publisher_kp)
+    save_signing_key(keys_dir / "subscriber.key", subscriber_kp)
 
     write_didweb_document(docs_dir, broker_kp, broker_did, f"tcp://{HOST}:{port}")
     write_didweb_document(docs_dir, po_kp, po_did)

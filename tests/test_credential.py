@@ -264,7 +264,7 @@ class TestVerifyPresentation:
             unknown_keypair, "did:web:unknown-issuer.com", "did:key:z6Mkfoo", LISTING_CLAIMS, "jti-u"
         )
         broken = SdJwtCredential(credential.header_b64, credential.payload_b64, b"\x00" * 64)
-        presentation = Presentation(broken, present(credential, disclosures, BROKER_1).disclosures)
+        presentation = Presentation(broken, present(credential, disclosures, BROKER_1).segments)
         with pytest.raises(UntrustedIssuer):
             self._verify(issuer_setup, presentation, "did:key:z6Mkfoo")
 
@@ -288,7 +288,7 @@ class TestVerifyPresentation:
         original = disclosures[0]
         resalted = Disclosure(salt=original.salt + "x", key=original.key, value=original.value)
         assert resalted.digest() != original.digest()
-        presentation = Presentation(credential, (resalted,))
+        presentation = Presentation(credential, (resalted.encoded(),))
         with pytest.raises(UnknownDisclosure):
             self._verify(issuer_setup, presentation, subject_did)
 
@@ -306,7 +306,7 @@ class TestVerifyPresentation:
         original = disclosures[0]
         resalted = Disclosure(salt="zz" + original.salt, key=original.key, value=original.value)
         with pytest.raises(Revoked):
-            self._verify(issuer_setup, Presentation(credential, (resalted,)), subject_did, rr=revoked)
+            self._verify(issuer_setup, Presentation(credential, (resalted.encoded(),)), subject_did, rr=revoked)
 
     def test_any_single_byte_tamper_is_rejected(self, issuer_setup):
         issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup

@@ -100,7 +100,7 @@ def _static_did_site(env, tmp_path):
         broker_key,
         protocol._es_context(ephemeral_did, env.broker_did),
     )
-    envelope = aead_encrypt(key, protocol._fresh_nonce(), NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did))
+    envelope = aead_encrypt(key, protocol._fresh_nonce(), NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did.encode()))
     packet = Packet(
         kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope
     )

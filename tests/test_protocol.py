@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import establish
 from daxiot.broker_service import load_signing_key
-from daxiot.credential import AuthorizationClaim, RevocationRegistry, issue
+from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
 import daxiot.crypto
 import daxiot.did
 import daxiot.protocol
@@ -29,7 +29,8 @@ from daxiot.errors import (
     ReplayError,
 )
 from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotBroker, DaxiotClient
-from daxiot.transport import run_handshake
+from daxiot.scenario import build_scenario
+from daxiot.transport import LoopbackNetwork, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
 from helpers import PermissionOracle, source_nodes
 
@@ -79,6 +80,21 @@ def test_nonce_discipline_lives_in_channel():
     assert raisers and raisers <= channel_methods, raisers
     classes = {node.name for _, _, node in nodes if isinstance(node, ast.ClassDef)}
     assert not classes & {"Nonce", "AeadEnvelope"}
+
+
+def test_the_publish_layout_lives_in_one_codec():
+    # Only the codec pair seals or opens PUBLISH envelopes, so the layout
+    # (topic at n, payload at n+1, strict UTF-8 topic) is written once.
+    users = {
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("seal", "open")
+        and node.args
+        and ast.unparse(node.args[0]) == "PacketKind.PUBLISH"
+    }
+    assert users == {("protocol.py", "_seal_publish"), ("protocol.py", "_open_publish")}, users
 
 
 CHANNEL_KEY = SessionKey(key=b"\x42" * 32)
@@ -142,7 +158,7 @@ class TestChannel:
 
     def test_the_last_usable_counter_is_2_64_minus_2(self):
         prefix = b"\x07" * 16
-        aad = daxiot.protocol._aad(PacketKind.PUBLISH, CHANNEL_DID)
+        aad = daxiot.protocol._aad(PacketKind.PUBLISH, CHANNEL_DID.encode())
         for start in range(LAST_COUNTER - 3, LAST_COUNTER + 1):
             for count in (1, 2):
                 fields = [b"field %d" % index for index in range(count)]
@@ -307,6 +323,24 @@ class TestHandshake:
         with pytest.raises(ConnectionRejected):
             client.handle_connack(connection.recv())
         assert any(e.get("reason") == "SubjectMismatch" for e in loopback.events)
+
+    @pytest.mark.parametrize("trusted", [True, False])
+    def test_disclosures_are_decoded_only_behind_the_signature(self, tmp_path, monkeypatch, trusted):
+        # The issuer's signature (step 3) comes before any disclosure parse
+        # (step 5): an untrusted issuer's presentation decodes none.
+        env = build_scenario(tmp_path / "env", trust_publisher_owner=trusted)
+        events: list[dict] = []
+        network = LoopbackNetwork(env.engine(event_sink=events.append))
+        decode, decoded = Disclosure.decode, []
+        monkeypatch.setattr(Disclosure, "decode", staticmethod(lambda raw: decoded.append(raw) or decode(raw)))
+        client = env.publisher_client()
+        if trusted:
+            run_handshake(client, network.open(), env.broker_did)
+            assert (events[-1]["event"], len(decoded)) == ("authenticated", 1)
+        else:
+            with pytest.raises(ConnectionRejected):
+                run_handshake(client, network.open(), env.broker_did)
+            assert (events[-1]["event"], events[-1]["reason"], len(decoded)) == ("auth_rejected", "UntrustedIssuer", 0)
 
 
 class TestReplayProtection:
@@ -828,10 +862,49 @@ class TestBrokerState:
             connection = establish(loopback, client, env.broker_did)
             # The keys serve only the handshake: an established client holds none.
             assert not any(isinstance(value, _CountedKey) for value in vars(client).values())
-            assert client._broker_agreement_key is None
             connection.send(client.disconnect())
         assert counter.loads == {"client": 2 * handshakes}
         assert counter.exchanges == {"client": 3 * handshakes, "broker": 3 * handshakes}
+
+    def test_the_client_holds_no_agreement_key_after_step_b(self, env, loopback, monkeypatch):
+        # begin_connect derives the 1PU key at once and keeps only that key.
+        counter = _CountingX25519(monkeypatch, loopback)
+        client = env.publisher_client()
+        client.begin_connect(env.broker_did)
+        assert counter.loads == {"client": 2} and counter.exchanges == {"client": 3}
+        assert not any(isinstance(value, _CountedKey) for value in vars(client).values())
+        assert isinstance(client._session_key, SessionKey)
+
+    def test_fan_out_follows_subscription_order_past_an_exhausted_subscriber(self, env, loopback):
+        publisher = env.publisher_client()
+        establish(loopback, publisher, env.broker_did)
+        subscribers = [env.subscriber_client() for _ in range(3)]
+        for subscriber in subscribers:
+            establish(loopback, subscriber, env.broker_did)
+        # Subscribe in reverse DID order, so subscription order is not DID order.
+        subscribers.sort(key=lambda subscriber: subscriber.ephemeral_did, reverse=True)
+        for subscriber in subscribers:
+            reply = loopback.engine.handle_packet(subscriber.ephemeral_did, subscriber.subscribe(env.topic))
+            assert subscriber.handle_suback(reply.packets[0]) is ReasonCode.SUCCESS
+        first, middle, last = subscribers
+        loopback.engine.sessions[middle.ephemeral_did].b2c.counter = LAST_COUNTER - 1
+
+        reply = loopback.engine.handle_packet(publisher.ephemeral_did, publisher.publish(env.topic, b"in order"))
+
+        assert [(p.kind, p.reason_code) for p in reply.packets] == [(PacketKind.PUBACK, ReasonCode.SUCCESS)]
+        assert [(target, p.kind, p.reason_code) for target, p in reply.forwards] == [
+            (first.ephemeral_did, PacketKind.PUBLISH, None),
+            (middle.ephemeral_did, PacketKind.DISCONNECT, ReasonCode.PROTOCOL_ERROR),
+            (last.ephemeral_did, PacketKind.PUBLISH, None),
+        ]
+        for subscriber, (_, packet) in zip((first, last), reply.forwards[::2]):
+            assert subscriber.handle_publish(packet) == (env.topic, b"in order")
+        assert middle.ephemeral_did not in loopback.engine.sessions
+        assert list(loopback.engine.topics[env.topic]) == [first.ephemeral_did, last.ephemeral_did]
+        assert loopback.events[-2:] == [
+            {"event": "session_exhausted", "session": middle.ephemeral_did, "reason": None},
+            {"event": "publish_forwarded", "session": publisher.ephemeral_did, "reason": "2"},
+        ]
 
     def test_undecryptable_connect_costs_one_exchange(self, env, loopback, monkeypatch):
         counter = _CountingX25519(monkeypatch, loopback)
