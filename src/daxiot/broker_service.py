@@ -3,8 +3,9 @@
 The same server carries the DAXiot engine and the benchmark's plaintext
 baseline; each connection is a small asyncio protocol with no task of its
 own, which stops reading a peer whose replies back up. Trust files are
-re-read on every verification, so edits need no restart. Events go to a
-bounded ring and optionally to a stream, one JSON object per line.
+consulted on every verification and parsed again whenever they change, so
+edits need no restart. Events go to a bounded ring and optionally to a
+stream, one JSON object per line.
 """
 
 from __future__ import annotations
@@ -77,8 +78,10 @@ class BrokerConfig:
     def engine(self, event_sink: EventSink | None = None) -> DaxiotBroker:
         """Check the key, the broker's document and the trust files, then build the engine.
 
-        Any inconsistency raises :class:`ConfigError`. The trust files are
-        re-read on every verification, so edits take effect without a restart.
+        Any inconsistency raises :class:`ConfigError`. Every verification
+        loads the trust files, which are parsed again whenever they change
+        (:class:`~daxiot.snapshot.FileSnapshot`), so edits take effect
+        without a restart.
         """
         keypair = load_signing_key(self.signing_key_path)
         resolver = Resolver(DirectoryWebSource(self.did_web_dir))

@@ -15,10 +15,10 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .crypto import SigningKeyPair, sign, verify
 from .did import Did, Resolver
@@ -36,14 +36,25 @@ from .errors import (
     decode_json,
     decode_text,
 )
+from .snapshot import FileSnapshot
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 CREDENTIAL_TYPE = "AuthorizationCredential"
 SALT_LEN = 16
 
 _PUBLISH_KEY = "pub"
 _SUBSCRIBE_KEY = "sub"
+
+# The longest credential segment a verifier decodes, in base64url characters.
+# issue() adds one 43-character digest per claim, about 61 characters of
+# encoded payload, so this fits some 1000 claims, one per broker a device may
+# use: far more than any deployment issues. An unauthenticated peer can send
+# a payload up to the 1 MiB frame limit; without the cap, decoding a flat
+# JSON list that size cost the broker about 0.1 s before step 1 refused it.
+MAX_SEGMENT_LEN = 64 * 1024
 
 
 def _b64url(data: bytes) -> str:
@@ -180,6 +191,8 @@ class SdJwtCredential:
 
     @staticmethod
     def _segment(b64: str, name: str) -> dict:
+        if len(b64) > MAX_SEGMENT_LEN:
+            raise MalformedCredential(f"credential {name} is longer than {MAX_SEGMENT_LEN} characters")
         data = decode_json(_b64url_decode(b64), MalformedCredential, f"credential {name}")
         if not isinstance(data, dict):
             raise MalformedCredential(f"credential {name} must be a JSON object")
@@ -256,7 +269,11 @@ class TrustedIssuerList:
 
     @classmethod
     def load(cls, path: Path | str) -> "TrustedIssuerList":
-        data = _read_trust_file(path)
+        return _read_trust_file(_issuer_lists, path)
+
+    @classmethod
+    def _parse(cls, path: str, raw: bytes) -> "TrustedIssuerList":
+        data = decode_json(raw, TrustFileError, f"trust file {path}")
         if not isinstance(data, list) or not all(isinstance(d, str) for d in data):
             raise TrustFileError(f"{path}: trusted issuer file must be a JSON array of DIDs")
         return cls(frozenset(data))
@@ -272,37 +289,49 @@ class CredentialStatus(Enum):
 
 @dataclass
 class RevocationRegistry:
-    """jti -> status map; absent ids are ACTIVE and revocation is permanent."""
+    """jti -> status map; absent ids are ACTIVE and revocation is permanent.
 
-    _revoked: set[str] = field(default_factory=set)
+    The revoked ids are a frozenset that :meth:`revoke` replaces, so a
+    registry :meth:`load` returns shares nothing mutable with the kept snapshot.
+    """
+
+    _revoked: frozenset[str] = frozenset()
 
     def status(self, jti: str) -> CredentialStatus:
         return CredentialStatus.REVOKED if jti in self._revoked else CredentialStatus.ACTIVE
 
     def revoke(self, jti: str) -> "RevocationRegistry":
-        self._revoked.add(jti)
+        self._revoked = self._revoked | {jti}
         return self
 
     @classmethod
     def load(cls, path: Path | str) -> "RevocationRegistry":
-        data = _read_trust_file(path)
+        return cls(_read_trust_file(_revocations, path))
+
+    @staticmethod
+    def _parse(path: str, raw: bytes) -> frozenset[str]:
+        data = decode_json(raw, TrustFileError, f"trust file {path}")
         if not isinstance(data, dict):
             raise TrustFileError(f"{path}: revocation registry must be a JSON object")
-        return cls({jti for jti, status in data.items() if status == CredentialStatus.REVOKED.value})
+        return frozenset(jti for jti, status in data.items() if status == CredentialStatus.REVOKED.value)
 
     def save(self, path: Path | str) -> None:
         data = {jti: CredentialStatus.REVOKED.value for jti in sorted(self._revoked)}
         _atomic_write(Path(path), json.dumps(data, indent=2).encode() + b"\n")
 
 
-def _read_trust_file(path: Path | str) -> object:
-    # A missing, torn, non-UTF-8 or too deep file fails closed: the
-    # verification it serves is refused instead of crashing the broker.
+# Each trust file is parsed once and kept until it changes; see daxiot.snapshot.
+_issuer_lists = FileSnapshot(TrustedIssuerList._parse)
+_revocations = FileSnapshot(RevocationRegistry._parse)
+
+
+def _read_trust_file(snapshot: FileSnapshot[T], path: Path | str) -> T:
+    # A missing, torn, non-UTF-8 or too deep file fails closed, on every
+    # read: the verification it serves is refused instead of crashing the broker.
     try:
-        raw = Path(path).read_bytes()
+        return snapshot.read(path)
     except OSError as exc:
         raise TrustFileError(f"{path}: cannot read trust file: {exc}") from exc
-    return decode_json(raw, TrustFileError, f"trust file {path}")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -345,6 +374,8 @@ def issue(
         "_sd": [d.digest() for d in disclosures],
     }
     payload_b64 = _b64url(_canonical_json(payload))
+    if len(payload_b64) > MAX_SEGMENT_LEN:
+        raise CredentialError(f"{len(claims)} claims make a payload no verifier accepts")
     signature = sign(issuer_keypair, _signing_input(_HEADER_B64, payload_b64))
     credential = SdJwtCredential(header_b64=_HEADER_B64, payload_b64=payload_b64, signature=signature)
     return credential, disclosures

@@ -36,6 +36,16 @@ call. The memo holds nothing more secret than the key itself, lives exactly
 as long as the key, and keeps at most :data:`_CIPHERS_PER_KEY` entries: the
 protocol uses no more prefixes than that under one key. Two threads racing on
 one key at worst derive the same subkey twice.
+
+Two results depend on nothing but their input bytes, and a peer that
+reconnects asks for them again, so each is memoized in a bounded table
+inside the function that computes it. :func:`verify` keeps the SHA-256 of
+``public || signature || message`` for the last :data:`_VERDICTS` signatures
+that verified; a hit stands for the same check on the same bytes, and a
+signature that fails is checked again every time, because nothing about a
+failure is kept. :func:`convert_public_key` keeps its last
+:data:`_CONVERSIONS` results. Neither table holds a secret. Two threads
+racing on one entry at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -43,7 +53,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -73,6 +85,11 @@ _CHACHA_CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _CHACHA_NONCE_PAD = bytes(4)
 # The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
 _CIPHERS_PER_KEY = 3
+# Verified signatures and did:key conversions kept for returning peers: a
+# broker's working set is one credential and one static key per device. An
+# entry costs 150-270 bytes, so both tables together stay under 0.5 MiB.
+_VERDICTS = 1024
+_CONVERSIONS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +183,11 @@ def convert_public_key(ed25519_public: bytes) -> bytes:
     """
     if len(ed25519_public) != KEY_LEN:
         raise CryptoError("Ed25519 public key must be 32 bytes")
+    return _montgomery_u(bytes(ed25519_public))
+
+
+@lru_cache(maxsize=_CONVERSIONS)  # an exception is not cached, so a bad key is refused every time
+def _montgomery_u(ed25519_public: bytes) -> bytes:
     y = int.from_bytes(ed25519_public, "little") & ((1 << 255) - 1)
     if y >= _CURVE25519_P:
         raise CryptoError("Ed25519 public key encodes an out-of-range coordinate")
@@ -201,16 +223,29 @@ def sign(keypair: SigningKeyPair, message: bytes) -> bytes:
     return keypair._signer().sign(message)
 
 
+# Digests of the signatures that verified, least recently used first.
+_verified: OrderedDict[bytes, bool] = OrderedDict()
+
+
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """Check an Ed25519 signature; malformed signatures are rejected, not raised."""
+    """Check an Ed25519 signature; malformed signatures are rejected, not raised.
+
+    A signature that verified before on the same key and message is not
+    checked again; see the module docstring.
+    """
     if len(public) != KEY_LEN:
         raise CryptoError("verification key must be 32 bytes")
     if len(signature) != SIGNATURE_LEN:
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-    except InvalidSignature:
-        return False
+    digest = hashlib.sha256(public + signature + message).digest()
+    if not _verified.pop(digest, False):
+        try:
+            Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        except InvalidSignature:
+            return False
+    _verified[digest] = True  # (re)inserted as the most recently used
+    if len(_verified) > _VERDICTS:
+        _verified.popitem(last=False)
     return True
 
 

@@ -9,12 +9,14 @@ network.
 from __future__ import annotations
 
 import json
+import os
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import KEY_LEN, convert_public_key
 from .errors import DidError, DidResolutionError, decode_json
+from .snapshot import FileSnapshot
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {ch: i for i, ch in enumerate(_B58_ALPHABET)}
@@ -175,15 +177,19 @@ def didweb_filename(identifier: str) -> str:
 # ---------------------------------------------------------------------------
 
 class DirectoryWebSource:
-    """did:web document source backed by a directory of JSON files."""
+    """did:web document source backed by a directory of JSON files.
+
+    Each document is parsed once and kept until its file changes
+    (:class:`~daxiot.snapshot.FileSnapshot`).
+    """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        self._documents = FileSnapshot(lambda path, raw: document_from_json(raw))
 
-    def fetch(self, identifier: str) -> bytes:
-        path = self.root / didweb_filename(identifier)
+    def document(self, identifier: str) -> DidDocument:
         try:
-            return path.read_bytes()
+            return self._documents.read(os.path.join(self.root, didweb_filename(identifier)))
         except OSError as exc:
             raise DidResolutionError(f"no document for did:web:{identifier} under {self.root}") from exc
 
@@ -209,7 +215,7 @@ class Resolver:
             )
         if self.web_source is None:
             raise DidResolutionError(f"no did:web source configured, cannot resolve {did}")
-        document = document_from_json(self.web_source.fetch(did.identifier))
+        document = self.web_source.document(did.identifier)
         if document.id != did:
             raise DidError(f"document id {document.id} does not match {did}")
         return document

@@ -426,7 +426,11 @@ class DaxiotBroker:
     Transport-agnostic and single-threaded by contract: callers must
     serialize invocations (an asyncio event loop or one lock suffices).
     ``til_source`` and ``rr_source`` are consulted on every verification so
-    issuer-list and revocation edits take effect without a restart.
+    issuer-list and revocation edits take effect without a restart; the
+    file-backed sources parse a file again only when it changed. A returning
+    peer's issuer signature and static-key conversion are memoized in
+    :mod:`daxiot.crypto`, while membership, revocation, the subject binding,
+    the disclosure digests and the grant are checked on every connect.
     """
 
     def __init__(

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import daxiot.credential
 from daxiot.credential import (
+    MAX_SEGMENT_LEN,
     AuthorizationClaim,
     CredentialStatus,
     Disclosure,
@@ -274,6 +276,32 @@ class TestVerifyPresentation:
         forged = SdJwtCredential(credential.header_b64, credential.payload_b64, b"\x00" * 64)
         with pytest.raises(BadSignature):
             self._verify(issuer_setup, present(forged, disclosures, BROKER_1), subject_did)
+
+    def test_an_oversized_payload_is_refused_before_decoding(self, issuer_setup, monkeypatch):
+        # A flat JSON list past the cap, as any peer holding a did:key can send.
+        _, _, subject_did, _, _ = issuer_setup
+        payload_b64 = daxiot.credential._b64url(b"[" + b"0," * (MAX_SEGMENT_LEN // 2) + b"0]")
+        presentation = Presentation(SdJwtCredential("e30", payload_b64, bytes(64)), ("e30",))
+        monkeypatch.setattr(daxiot.credential, "_b64url_decode", lambda text: pytest.fail("segment decoded"))
+        with pytest.raises(MalformedCredential, match="longer than"):
+            self._verify(issuer_setup, presentation, subject_did)
+
+    def test_the_most_claims_issue_makes_verify(self, issuer_setup):
+        # One claim per broker; the cap admits the largest payload issue() signs.
+        issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
+
+        def credential(count):
+            filler = [AuthorizationClaim(f"did:web:b{i}.example", subscribe_topics={"t"}) for i in range(count - 1)]
+            return issue(issuer_keypair, issuer_did, subject_did, [*LISTING_CLAIMS[:1], *filler], "jti-cap")
+
+        single, _ = credential(1)
+        count = 1 + (MAX_SEGMENT_LEN - len(single.payload_b64)) * 3 // (4 * 46)  # 46 JSON bytes per digest
+        with pytest.raises(CredentialError, match="no verifier accepts"):
+            credential(count + 1)
+        near, disclosures = credential(count)
+        assert MAX_SEGMENT_LEN - 100 < len(near.payload_b64) <= MAX_SEGMENT_LEN
+        grant = self._verify(issuer_setup, present(near, disclosures, BROKER_1), subject_did)
+        assert grant.publish_topics == frozenset({"t2"})
 
     def test_revoked(self, issuer_setup):
         issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup

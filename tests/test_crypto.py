@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 import daxiot.crypto
+from daxiot.credential import AuthorizationClaim, issue
 from daxiot.crypto import (
     _CIPHERS_PER_KEY,
+    _VERDICTS,
     SessionKey,
     aead_decrypt,
     aead_encrypt,
@@ -106,6 +108,53 @@ class TestSignerMemo:
         assert keypair._private_key is None
 
 
+class _CountingEd25519Public:
+    """Stands in for ``Ed25519PublicKey`` in daxiot.crypto and counts verifier loads."""
+
+    def __init__(self) -> None:
+        self.loads = 0
+
+    def from_public_bytes(self, data: bytes) -> Ed25519PublicKey:
+        self.loads += 1
+        return Ed25519PublicKey.from_public_bytes(data)
+
+
+class TestVerdictMemo:
+    def test_only_a_signature_that_verified_is_remembered(self, monkeypatch):
+        keypair = generate_signing_keypair()
+        message = os.urandom(48)
+        signature = sign(keypair, message)
+        forged = bytes([signature[0] ^ 1]) + signature[1:]
+        counting = _CountingEd25519Public()
+        monkeypatch.setattr(daxiot.crypto, "Ed25519PublicKey", counting)
+
+        assert [verify(keypair.public, message, forged) for _ in range(3)] == [False] * 3
+        assert counting.loads == 3
+        assert verify(keypair.public, message, signature) and verify(keypair.public, message, signature)
+        assert counting.loads == 4
+        assert not verify(keypair.public, message + b"!", signature)
+        assert not verify(generate_signing_keypair().public, message, signature)
+        assert counting.loads == 6
+
+    def test_the_memo_stays_at_its_bound(self, monkeypatch):
+        issuer = generate_signing_keypair()
+        claims = [AuthorizationClaim("did:web:broker.example", publish_topics={"t"})]
+        subject_did = "did:key:z6MkBoundTestSubject"
+        credentials = [
+            issue(issuer, "did:web:issuer.example", subject_did, claims, f"jti-{index}")[0]
+            for index in range(_VERDICTS + 100)
+        ]
+        for credential in credentials:
+            assert verify(issuer.public, credential.signing_input(), credential.signature)
+        assert len(daxiot.crypto._verified) == _VERDICTS
+        counting = _CountingEd25519Public()
+        monkeypatch.setattr(daxiot.crypto, "Ed25519PublicKey", counting)
+        for credential in (credentials[-1], credentials[0]):  # the newest is kept, the oldest went
+            assert verify(issuer.public, credential.signing_input(), credential.signature)
+        assert counting.loads == 1
+        assert len(daxiot.crypto._verified) == _VERDICTS
+
+
 def _shows(text: str, secret: bytes) -> bool:
     return repr(secret)[2:-1] in text or secret.hex() in text
 
@@ -162,8 +211,16 @@ class TestConversion:
     # y = 1 is the Edwards identity (denominator 0); y = p and 2^255 - 1 are out of range.
     @pytest.mark.parametrize("y", [1, P, 2**255 - 1])
     def test_unmappable_coordinates_rejected(self, y):
-        with pytest.raises(CryptoError):
-            convert_public_key(y.to_bytes(32, "little"))
+        for _ in range(2):  # a refusal is not memoized
+            with pytest.raises(CryptoError):
+                convert_public_key(y.to_bytes(32, "little"))
+
+    def test_a_repeated_key_is_converted_once(self):
+        public = generate_signing_keypair().public
+        before = daxiot.crypto._montgomery_u.cache_info()
+        assert convert_public_key(public) == convert_public_key(bytearray(public))
+        after = daxiot.crypto._montgomery_u.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(y=st.integers(min_value=0, max_value=P - 1).filter(lambda y: y != 1))
@@ -432,3 +489,14 @@ def test_private_keys_are_loaded_only_where_they_are_kept():
         ("crypto.py", "_signer", "Ed25519PrivateKey"),
         ("crypto.py", "load_agreement_key", "X25519PrivateKey"),
     }
+
+
+def test_signatures_are_verified_only_in_verify():
+    # The verdict memo sits inside crypto.verify, so no other code may
+    # check a signature past it.
+    users = {
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Name) and node.id == "Ed25519PublicKey"
+    }
+    assert users == {("crypto.py", "verify")}, users

@@ -104,7 +104,7 @@ class TestDidParsing:
 
 
 class _ExplodingSource:
-    def fetch(self, identifier):  # pragma: no cover - must never run
+    def document(self, identifier):  # pragma: no cover - must never run
         raise AssertionError("did:key resolution must not touch the web source")
 
 

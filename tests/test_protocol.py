@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import os
 import random
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +14,19 @@ from hypothesis import strategies as st
 
 from conftest import establish
 from daxiot.broker_service import load_signing_key
-from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
+from daxiot.credential import (
+    AuthorizationClaim,
+    Disclosure,
+    RevocationRegistry,
+    TrustedIssuerList,
+    _b64url,
+    _canonical_json,
+    issue,
+)
 import daxiot.crypto
 import daxiot.did
 import daxiot.protocol
+import daxiot.snapshot
 from daxiot.crypto import SessionKey, aead_encrypt
 from daxiot.errors import (
     AuthenticationError,
@@ -1241,3 +1254,68 @@ class TestRefusalPolicy:
         assert isinstance(reply.error, DidError)
         assert loopback.events == [{"event": "connect_rejected", "session": None, "reason": "DidError"}]
         assert [(p.kind, p.reason_code) for p in reply.packets] == [(DISCONNECT, PE)]
+
+
+def _backdate(*paths: Path) -> None:
+    """Move mtimes a minute back, out of the snapshot's racy window, so files are kept."""
+    old = time.time() - 60
+    for path in paths:
+        os.utime(path, (old, old))
+
+
+class TestReturningPeer:
+    """A successful handshake leaves the verdict, the conversions and the
+    file snapshots warm; every later check still runs on the next connect."""
+
+    @pytest.fixture
+    def warm(self, env, loopback):
+        _backdate(env.til_path, env.rr_path, *Path(env.config.did_web_dir).iterdir())
+        establish(loopback, env.publisher_client(), env.broker_did)
+        assert loopback.events[-1]["event"] == "authenticated"
+        return env
+
+    @staticmethod
+    def _refusal(env, loopback, client) -> str:
+        with pytest.raises(ConnectionRejected) as excinfo:
+            run_handshake(client, loopback.open(), env.broker_did)
+        assert excinfo.value.reason_code is ReasonCode.NOT_AUTHORIZED
+        event = loopback.events[-1]
+        assert (event["event"], event["session"]) == ("auth_rejected", client.ephemeral_did)
+        return event["reason"]
+
+    def test_a_returning_peer_reads_no_trust_file_and_checks_no_signature(self, warm, loopback, monkeypatch):
+        opened: list[str] = []
+        monkeypatch.setattr(
+            daxiot.snapshot, "open", lambda path, *a: opened.append(Path(path).name) or open(path, *a), raising=False
+        )
+        monkeypatch.setattr(daxiot.crypto, "Ed25519PublicKey", None)  # any signature check would raise
+        client = warm.publisher_client()  # a new client, whose resolver reads the broker's document once
+        establish(loopback, client, warm.broker_did)
+        assert loopback.events[-1] == {
+            "event": "authenticated", "session": client.ephemeral_did, "reason": warm.publisher.static_did
+        }
+        assert opened == ["broker.example.json"]
+
+    @pytest.mark.parametrize("where", ["signature", "payload"])
+    def test_a_changed_credential_byte_is_a_bad_signature(self, warm, loopback, where):
+        credential = warm.publisher.credential
+        if where == "signature":
+            changed = dataclasses.replace(
+                credential, signature=bytes([credential.signature[0] ^ 1]) + credential.signature[1:]
+            )
+        else:  # one byte of the payload JSON: the last character of the jti
+            payload = credential.payload | {"jti": warm.publisher.jti[:-1] + "2"}
+            changed = dataclasses.replace(credential, payload_b64=_b64url(_canonical_json(payload)))
+        m = warm.publisher
+        client = DaxiotClient(m.keypair, changed, m.disclosures, warm.resolver())
+        assert self._refusal(warm, loopback, client) == "BadSignature"
+
+    def test_a_revoke_between_two_connects_is_refused_at_h(self, warm, loopback):
+        RevocationRegistry.load(warm.rr_path).revoke(warm.publisher.jti).save(warm.rr_path)
+        _backdate(warm.rr_path)
+        assert self._refusal(warm, loopback, warm.publisher_client()) == "Revoked"
+
+    def test_an_issuer_removed_from_the_list_is_untrusted(self, warm, loopback):
+        TrustedIssuerList.load(warm.til_path).without_member(warm.po_did).save(warm.til_path)
+        _backdate(warm.til_path)
+        assert self._refusal(warm, loopback, warm.publisher_client()) == "UntrustedIssuer"
