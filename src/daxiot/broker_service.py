@@ -212,8 +212,10 @@ class BrokerService:
         self, listen_address: str, make_engine: Callable[[EventSink], object], event_log: TextIO | None = None
     ) -> None:
         host, _, port = listen_address.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):  # an IPv6 address, as in [::1]:1883
+            host = host[1:-1]
         if not host or not port.isdigit():
-            raise ConfigError(f"listen_address must be host:port, got {listen_address!r}")
+            raise ConfigError(f"listen_address must be host:port or [IPv6]:port, got {listen_address!r}")
         self._host, self._port = host, int(port)
         self._event_log = event_log
         self.events: deque[dict] = deque(maxlen=1000)

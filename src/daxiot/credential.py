@@ -226,7 +226,7 @@ class Presentation:
 
     @property
     def disclosures(self) -> tuple[Disclosure, ...]:
-        """Decoded on each read; a verifier reads them once, at its step 5."""
+        """Decoded on each read; a verifier decodes its segments one at a time, at its step 5."""
         return tuple(Disclosure.decode(_b64url_decode(segment)) for segment in self.segments)
 
     def compact(self) -> str:
@@ -444,15 +444,25 @@ def verify_presentation(
     if rr.status(jti) is CredentialStatus.REVOKED:
         raise Revoked(f"credential {jti} is revoked")
 
-    # 5. Every presented disclosure, decoded only now, must be committed to in _sd.
+    # 5. Every presented disclosure must be committed to in _sd, once. The
+    # credential bounds the work: no more disclosures than digests, each
+    # decoded only now, one at a time, and refused at the first that fails.
     digests = payload.get("_sd")
     if not isinstance(digests, list):
         raise MalformedCredential("credential _sd missing")
-    disclosures = presentation.disclosures
-    for disclosure in disclosures:
+    if len(presentation.segments) > len(digests):
+        raise UnknownDisclosure(
+            f"{len(presentation.segments)} disclosures presented, {len(digests)} committed"
+        )
+    unused = {digest for digest in digests if isinstance(digest, str)}
+    disclosures = []
+    for segment in presentation.segments:
+        disclosure = Disclosure.decode(_b64url_decode(segment))
         digest = disclosure.digest()
-        if digest not in digests:
-            raise UnknownDisclosure(f"disclosure digest {digest} not committed")
+        if digest not in unused:
+            raise UnknownDisclosure(f"disclosure digest {digest} not committed, or presented twice")
+        unused.remove(digest)
+        disclosures.append(disclosure)
 
     # 6. Collect the verifier's own claims; duplicate keys union their topics.
     verifier = str(Did.parse(verifier_did))

@@ -44,8 +44,10 @@ inside the function that computes it. :func:`verify` keeps the SHA-256 of
 that verified; a hit stands for the same check on the same bytes, and a
 signature that fails is checked again every time, because nothing about a
 failure is kept. :func:`convert_public_key` keeps its last
-:data:`_CONVERSIONS` results. Neither table holds a secret. Two threads
-racing on one entry at worst compute it twice.
+:data:`_CONVERSIONS` results, twice as many, since every handshake also
+converts an ephemeral key that never repeats. Neither table holds a secret;
+together they stay under 0.7 MiB. Two threads racing on one entry at worst
+compute it twice.
 """
 
 from __future__ import annotations
@@ -86,10 +88,13 @@ _CHACHA_NONCE_PAD = bytes(4)
 # The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
 _CIPHERS_PER_KEY = 3
 # Verified signatures and did:key conversions kept for returning peers: a
-# broker's working set is one credential and one static key per device. An
-# entry costs 150-270 bytes, so both tables together stay under 0.5 MiB.
+# broker's working set is one credential and one static key per device. Each
+# handshake also converts the connection's ephemeral key, which never comes
+# back, so conversions get twice the entries: static keys then stay as long
+# as verdicts do. A verdict costs about 150 bytes and a conversion about 210,
+# so both tables together stay under 0.7 MiB.
 _VERDICTS = 1024
-_CONVERSIONS = 1024
+_CONVERSIONS = 2 * _VERDICTS
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,24 @@ The handshake runs over the connect/challenge/response exchange:
   become the session's publish/subscribe grant.
 
 An envelope is bytes, exactly as the wire carries it: the 24-byte nonce,
-then ciphertext and tag. Every fresh nonce (the connect's, the challenge's
-and the one the challenge carries, the broker-to-client start) is a random
-16-byte prefix at counter zero, made by :func:`_fresh_nonce`.
+then ciphertext and tag. Every envelope, the handshake's included, is sealed
+and opened by a :class:`Channel`. Every fresh nonce (the connect's, the
+challenge's and the one the challenge carries, the broker-to-client start) is
+a random 16-byte prefix at counter zero, made by :func:`_fresh_nonce`, so a
+channel the peer starts (the connect, the challenge, the success
+acknowledgement) must begin at counter zero. A handshake envelope that does
+not decrypt means its sender does not hold the key: an authentication failure.
 
 Nonce discipline after the challenge: each direction of a session is one
-:class:`Channel`, which alone holds the direction's prefix and integer
-counter, a run of prefix||counter nonces under the session key. The
-client-to-broker channel starts at the challenge nonce; the broker-to-client
-channel starts at a fresh prefix announced in the success acknowledgement, so
-the two directions never share nonce space under the one session key. Every
-envelope takes the next value of its channel, and a receiver accepts exactly
-that value and nothing else; a publish takes two consecutive values (topic at
-n, payload at n+1), which proves both fields belong to the same message.
-:func:`_seal_publish` and :func:`_open_publish` alone know that layout. The
-broker forwards each message to the topic's sessions in subscription order.
+channel under the session key. The client-to-broker channel starts at the
+challenge nonce; the broker-to-client channel starts at a fresh prefix
+announced in the success acknowledgement, so the two directions never share
+nonce space under the one session key. Every envelope takes the next value of
+its channel, and a receiver accepts exactly that value and nothing else; a
+publish takes two consecutive values (topic at n, payload at n+1), which
+proves both fields belong to the same message. :func:`_seal_publish` and
+:func:`_open_publish` alone know that layout. The broker forwards each
+message to the topic's sessions in subscription order.
 
 Refusals: the broker's handlers only raise; :meth:`DaxiotBroker._refuse` alone
 turns the error into an event, a reply and, where the table says so, the end
@@ -117,15 +120,17 @@ def _fresh_nonce() -> bytes:
 
 
 class Channel:
-    """One direction of a session: its key, its AAD binding, its prefix and counter.
+    """One run of nonces under one key: its AAD binding, its prefix and counter.
 
-    The only owner of a direction's nonce state. The nonce at counter n is
+    The only code that seals or opens an envelope. The nonce at counter n is
     ``prefix || n`` as 8 big-endian bytes. :meth:`seal` encrypts under the
     next nonces and :meth:`open` accepts exactly those, so a nonce is never
     used twice under the key. A call that needs k nonces requires
     ``counter + k <= 2**64 - 1``, checked before anything is committed: the
     last counter is never used, and an exhausted channel raises
-    :class:`NonceOverflowError` and keeps its counter.
+    :class:`NonceOverflowError` and keeps its counter. A one-shot handshake
+    envelope is a channel of its own at a fresh nonce; :meth:`open_first`
+    opens one the peer started, the one place that requires counter zero.
     """
 
     def __init__(self, key: SessionKey, ephemeral_did: str, nonce: bytes) -> None:
@@ -158,23 +163,50 @@ class Channel:
         self.counter += len(nonces)
         return envelopes
 
-    def open(self, kind: PacketKind, *envelopes: bytes) -> list[bytes]:
-        """Decrypt envelopes that carry exactly the next consecutive nonces."""
+    def open(self, kind: PacketKind, *envelopes: bytes | None) -> list[bytes]:
+        """Decrypt the packet's envelopes, which must carry exactly the next
+        consecutive nonces; each nonce is checked before its envelope's length."""
+        if None in envelopes:
+            raise ProtocolError(f"{kind.name.lower()} is missing an encrypted field")
         nonces = self._next_nonces(len(envelopes))
         for nonce, envelope in zip(nonces, envelopes):
             if envelope[:NONCE_LEN] != nonce:
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
+            _envelope(envelope, kind)
         aad = _aad(kind, self._did)
         plaintexts = [aead_decrypt(self.key, envelope, aad) for envelope in envelopes]
         self.counter += len(nonces)
         return plaintexts
 
+    def authenticate(self, kind: PacketKind, envelope: bytes | None) -> bytes:
+        """Open one handshake envelope: only a holder of the key can have sealed
+        it, so a failed decrypt means the sender is not who it claims to be."""
+        try:
+            (plaintext,) = self.open(kind, envelope)
+        except IntegrityError as exc:
+            raise AuthenticationError(
+                f"{kind.name.lower()} does not decrypt; the sender does not hold the key"
+            ) from exc
+        return plaintext
 
-def _envelope(data: bytes | None, what: str) -> bytes:
+    @classmethod
+    def open_first(
+        cls, key: SessionKey, ephemeral_did: str, kind: PacketKind, envelope: bytes | None
+    ) -> tuple[Channel, bytes]:
+        """Open the first envelope of a channel the peer started at a fresh
+        nonce, so at counter zero; return the channel, now at one, and the plaintext."""
+        channel = cls(key, ephemeral_did, _envelope(envelope, kind)[:NONCE_LEN])
+        if channel.counter != 0:
+            raise ProtocolOrderError(f"{kind.name.lower()} must start its channel at counter zero")
+        return channel, channel.authenticate(kind, envelope)
+
+
+def _envelope(data: bytes | None, kind: PacketKind) -> bytes:
+    """The packet's envelope, present and long enough for a nonce and a tag."""
     if data is None:
-        raise ProtocolError(f"{what} is missing its encrypted field")
+        raise ProtocolError(f"{kind.name.lower()} is missing its encrypted field")
     if len(data) < NONCE_LEN + TAG_LEN:
-        raise ProtocolError(f"{what} carries an envelope of {len(data)} bytes, shorter than a nonce and a tag")
+        raise ProtocolError(f"{kind.name.lower()} carries an envelope of {len(data)} bytes, shorter than a nonce and a tag")
     return data
 
 
@@ -186,11 +218,7 @@ def _seal_publish(channel: Channel, topic: bytes, payload: bytes) -> Packet:
 
 def _open_publish(channel: Channel, packet: Packet) -> tuple[str, bytes]:
     """Step J on the receiving side: both envelopes, then a strict UTF-8 topic."""
-    topic, payload = channel.open(
-        PacketKind.PUBLISH,
-        _envelope(packet.topic, "publish topic"),
-        _envelope(packet.payload, "publish payload"),
-    )
+    topic, payload = channel.open(PacketKind.PUBLISH, packet.topic, packet.payload)
     return decode_text(topic, ProtocolError, "publish topic"), payload
 
 
@@ -257,11 +285,8 @@ class DaxiotClient:
             document.agreement_key,
             _es_context(ephemeral_did, broker_did),
         )
-        envelope = aead_encrypt(
-            k_es,
-            _fresh_nonce(),
-            self.static_did.encode("utf-8"),
-            _aad(PacketKind.CONNECT, ephemeral_did.encode("utf-8")),
+        (envelope,) = Channel(k_es, ephemeral_did, _fresh_nonce()).seal(
+            PacketKind.CONNECT, self.static_did.encode("utf-8")
         )
         self._session_key = ecdh_1pu(
             load_agreement_key(self._static_secret),
@@ -284,14 +309,9 @@ class DaxiotClient:
         self._require(ClientPhase.CONNECT_SENT, "process a challenge")
         if packet.kind is not PacketKind.AUTH_CHALLENGE:
             raise ProtocolOrderError(f"expected a challenge, got {packet.kind.name}")
-        envelope = _envelope(packet.auth_data, "challenge")
-        aad = _aad(PacketKind.AUTH_CHALLENGE, self.ephemeral_did.encode("utf-8"))
-        try:
-            plaintext = aead_decrypt(self._session_key, envelope, aad)
-        except IntegrityError as exc:
-            raise AuthenticationError(
-                f"broker could not be authenticated as {self.broker_did}"
-            ) from exc
+        _, plaintext = Channel.open_first(
+            self._session_key, self.ephemeral_did, PacketKind.AUTH_CHALLENGE, packet.auth_data
+        )
         try:
             send = Channel(self._session_key, self.ephemeral_did, plaintext)
         except CryptoError as exc:
@@ -317,14 +337,9 @@ class DaxiotClient:
                 f"broker rejected the connection: {packet.reason_code.name if packet.reason_code else 'no reason'}",
                 packet.reason_code,
             )
-        envelope = _envelope(packet.auth_data, "connection ack")
-        recv = Channel(self._send.key, self.ephemeral_did, envelope[:NONCE_LEN])
-        if recv.counter != 0:
-            raise ProtocolOrderError("broker receive prefix must start at counter zero")
-        try:
-            (status,) = recv.open(PacketKind.CONNACK, envelope)
-        except IntegrityError as exc:
-            raise AuthenticationError("connection ack failed authentication") from exc
+        recv, status = Channel.open_first(
+            self._session_key, self.ephemeral_did, PacketKind.CONNACK, packet.auth_data
+        )
         if status != bytes([ReasonCode.SUCCESS]):
             raise AuthenticationError("connection ack payload contradicts its reason code")
         self._recv = recv
@@ -388,7 +403,6 @@ class BrokerPhase(Enum):
 class BrokerSession:
     """Per-client broker state keyed by the client's ephemeral DID."""
 
-    ephemeral_did: str
     static_did: str
     c2b: Channel
     phase: BrokerPhase = BrokerPhase.AWAIT_AUTH
@@ -543,7 +557,7 @@ class DaxiotBroker:
         if Did.parse(packet.client_id).method != "key":
             raise ProtocolError("client id must be a did:key")
         ephemeral_did = packet.client_id
-        envelope = _envelope(packet.auth_data, "connect")
+        envelope = _envelope(packet.auth_data, PacketKind.CONNECT)
 
         # Replay detection comes first: an exactly re-delivered connect must
         # be classified as a replay even while its original session lives.
@@ -562,12 +576,7 @@ class DaxiotBroker:
             ephemeral_document.agreement_key,
             _es_context(ephemeral_did, self.broker_did),
         )
-        try:
-            static_did_raw = aead_decrypt(k_es, envelope, _aad(PacketKind.CONNECT, ephemeral_did.encode("utf-8")))
-        except IntegrityError as exc:
-            raise AuthenticationError(
-                "connect authentication data does not decrypt; sender does not hold the ephemeral key"
-            ) from exc
+        _, static_did_raw = Channel.open_first(k_es, ephemeral_did, PacketKind.CONNECT, envelope)
         # Only a connect that decrypts is remembered, so garbage cannot grow the set.
         self._seen_connect_nonces.add(nonce)
         try:
@@ -587,18 +596,12 @@ class DaxiotBroker:
         )
 
         challenge_nonce = _fresh_nonce()
-        challenge = aead_encrypt(
-            k_1pu,
-            _fresh_nonce(),
-            challenge_nonce,
-            _aad(PacketKind.AUTH_CHALLENGE, ephemeral_did.encode("utf-8")),
+        (challenge,) = Channel(k_1pu, ephemeral_did, _fresh_nonce()).seal(
+            PacketKind.AUTH_CHALLENGE, challenge_nonce
         )
-        session = BrokerSession(
-            ephemeral_did=ephemeral_did,
-            static_did=static_did,
-            c2b=Channel(k_1pu, ephemeral_did, challenge_nonce),
+        self.sessions[ephemeral_did] = BrokerSession(
+            static_did=static_did, c2b=Channel(k_1pu, ephemeral_did, challenge_nonce)
         )
-        self.sessions[ephemeral_did] = session
         self._emit("challenge_sent", ephemeral_did)
         return ephemeral_did, Reply(
             packets=[Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=challenge)]
@@ -607,17 +610,11 @@ class DaxiotBroker:
     def handle_auth_response(self, session_id: str, packet: Packet) -> Reply:
         """Steps G and H: authenticate the static identity, verify the credential."""
         session = self._session(session_id)
-        envelope = _envelope(packet.auth_data, "authentication response")
         if session.phase is not BrokerPhase.AWAIT_AUTH:
-            if envelope[:NONCE_LEN] != session.c2b.nonce:
+            if _envelope(packet.auth_data, PacketKind.AUTH_RESPONSE)[:NONCE_LEN] != session.c2b.nonce:
                 raise ReplayError("authentication response replays a stale nonce")
             raise ProtocolOrderError("authentication response outside the handshake")
-        try:
-            (compact,) = session.c2b.open(PacketKind.AUTH_RESPONSE, envelope)
-        except IntegrityError as exc:
-            raise AuthenticationError(
-                "authentication response does not decrypt; sender does not hold the static key"
-            ) from exc
+        compact = session.c2b.authenticate(PacketKind.AUTH_RESPONSE, packet.auth_data)
         grant = verify_presentation(
             Presentation.parse(decode_text(compact, MalformedCredential, "presentation")),
             expected_subject=session.static_did,
@@ -628,7 +625,7 @@ class DaxiotBroker:
         )
         session.grant = grant
         session.phase = BrokerPhase.ESTABLISHED
-        session.b2c = Channel(session.c2b.key, session.ephemeral_did, _fresh_nonce())
+        session.b2c = Channel(session.c2b.key, session_id, _fresh_nonce())
         (connack_envelope,) = session.b2c.seal(PacketKind.CONNACK, bytes([ReasonCode.SUCCESS]))
         self._emit("authenticated", session_id, reason=session.static_did)
         return Reply(
@@ -646,7 +643,7 @@ class DaxiotBroker:
     def handle_subscribe(self, session_id: str, packet: Packet) -> Reply:
         """Step I: decrypt the topic, enforce the subscribe grant, register."""
         session = self._session(session_id, BrokerPhase.ESTABLISHED)
-        (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, _envelope(packet.topic, "subscribe"))
+        (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, packet.topic)
         topic = decode_text(raw, ProtocolError, "subscribe topic")
 
         if topic not in session.grant.subscribe_topics:
@@ -708,10 +705,10 @@ class DaxiotBroker:
         snapshot = []
         # Copy first: callers may snapshot from another thread while the
         # event loop mutates the registry.
-        for session in list(self.sessions.values()):
+        for session_id, session in list(self.sessions.items()):
             snapshot.append(
                 {
-                    "session": session.ephemeral_did,
+                    "session": session_id,
                     "static_did": session.static_did,
                     "phase": session.phase.value,
                     "publish_grants": len(session.grant.publish_topics) if session.grant else 0,

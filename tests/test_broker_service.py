@@ -20,7 +20,7 @@ import pytest
 
 import daxiot
 import daxiot.protocol
-from daxiot.bench import PlaintextBroker
+from daxiot.bench import PlaintextBroker, PlaintextEngine
 from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread, _Connection
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import generate_signing_keypair
@@ -129,6 +129,22 @@ class TestConfigValidation:
         config = dataclasses.replace(env.config, listen_address="nonsense")
         with pytest.raises(ConfigError):
             BrokerService(config.listen_address, config.engine)
+
+    def test_a_bracketed_ipv6_address_is_served(self):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+
+        class Ipv6PlaintextBroker(BrokerThread):
+            def __init__(self) -> None:
+                self.service = BrokerService("[::1]:0", lambda event_sink: PlaintextEngine())
+
+        with Ipv6PlaintextBroker() as broker, TcpClientConnection("::1", broker.port) as connection:
+            connection.send(Packet(kind=PacketKind.CONNECT))
+            assert connection.recv().kind is PacketKind.CONNACK
+        assert broker.service.events[0]["reason"] == f"::1:{broker.port}"
 
     def test_unreadable_registry(self, tmp_path):
         env = build_scenario(tmp_path / "env")

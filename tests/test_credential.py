@@ -320,6 +320,43 @@ class TestVerifyPresentation:
         with pytest.raises(UnknownDisclosure):
             self._verify(issuer_setup, presentation, subject_did)
 
+    @staticmethod
+    def _decodes(monkeypatch) -> list[bytes]:
+        """Every disclosure Disclosure.decode is asked to parse from now on."""
+        calls: list[bytes] = []
+        decode = Disclosure.decode.__func__
+        monkeypatch.setattr(Disclosure, "decode", classmethod(lambda cls, raw: calls.append(raw) or decode(cls, raw)))
+        return calls
+
+    def test_more_disclosures_than_digests_are_refused_before_decoding(self, issuer_setup, monkeypatch):
+        issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
+        credential, disclosures = issue(issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS, "jti-n")
+        committed = tuple(disclosure.encoded() for disclosure in disclosures)
+        decodes = self._decodes(monkeypatch)
+        with pytest.raises(UnknownDisclosure):
+            self._verify(issuer_setup, Presentation(credential, committed + committed[:1]), subject_did)
+        assert decodes == []
+
+    def test_decoding_stops_at_the_first_uncommitted_disclosure(self, issuer_setup, monkeypatch):
+        issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
+        credential, disclosures = issue(issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS, "jti-s")
+        original = disclosures[0]
+        resalted = Disclosure(salt=original.salt + "x", key=original.key, value=original.value)
+        decodes = self._decodes(monkeypatch)
+        with pytest.raises(UnknownDisclosure):
+            self._verify(issuer_setup, Presentation(credential, (resalted.encoded(), original.encoded())), subject_did)
+        assert len(decodes) == 1
+
+    def test_a_repeated_disclosure_is_refused(self, issuer_setup, monkeypatch):
+        issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
+        credential, disclosures = issue(issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS, "jti-d")
+        mine = present(credential, disclosures, BROKER_1).segments
+        assert len(mine) == 1 and len(disclosures) == 2  # two segments stay within the two digests
+        decodes = self._decodes(monkeypatch)
+        with pytest.raises(UnknownDisclosure):
+            self._verify(issuer_setup, Presentation(credential, mine * 2), subject_did)
+        assert len(decodes) == 2
+
     def test_verification_order(self, issuer_setup):
         # Failing step k must never surface an error from a later step.
         issuer_keypair, issuer_did, subject_did, _, til = issuer_setup

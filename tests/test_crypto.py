@@ -222,6 +222,22 @@ class TestConversion:
         after = daxiot.crypto._montgomery_u.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
+    def test_static_keys_outlast_one_ephemeral_per_handshake(self):
+        # A broker converts one fresh ephemeral key and one static key per
+        # handshake: with as many devices as there are verdicts, reconnecting
+        # in turn, every static key must still be in the memo on its return.
+        statics = [os.urandom(32) for _ in range(_VERDICTS)]
+        for static in statics:
+            convert_public_key(os.urandom(32))
+            convert_public_key(static)
+        hits = 0
+        for static in statics:
+            convert_public_key(os.urandom(32))
+            before = daxiot.crypto._montgomery_u.cache_info().hits
+            convert_public_key(static)
+            hits += daxiot.crypto._montgomery_u.cache_info().hits - before
+        assert hits == _VERDICTS
+
     @settings(max_examples=200, deadline=None)
     @given(y=st.integers(min_value=0, max_value=P - 1).filter(lambda y: y != 1))
     def test_inverse_matches_fermat_oracle_and_ignores_sign_bit(self, y):
@@ -489,6 +505,17 @@ def test_private_keys_are_loaded_only_where_they_are_kept():
         ("crypto.py", "_signer", "Ed25519PrivateKey"),
         ("crypto.py", "load_agreement_key", "X25519PrivateKey"),
     }
+
+
+def test_envelopes_are_sealed_and_opened_only_in_channel():
+    # Nonce discipline, the AAD binding and what a failed decrypt means are
+    # written once: in protocol.py only Channel calls the AEAD or builds an AAD.
+    nodes = [node for path, _, node in source_nodes() if path == "protocol.py"]
+    (channel,) = [node for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Channel"]
+    inside = {id(node) for node in ast.walk(channel)}
+    users = [node for node in nodes if isinstance(node, ast.Name) and node.id in ("aead_encrypt", "aead_decrypt", "_aad")]
+    assert {node.id for node in users} == {"aead_encrypt", "aead_decrypt", "_aad"}
+    assert [(node.id, node.lineno) for node in users if id(node) not in inside] == []
 
 
 def test_signatures_are_verified_only_in_verify():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import os
 import random
 import time
@@ -201,6 +202,24 @@ class TestChannel:
         with pytest.raises(ReplayError):  # a 16-byte nonce: the prefix alone
             receiver.open(PacketKind.SUBSCRIBE, envelope[:16] + envelope[24:])
         assert receiver.counter == 5
+
+
+def test_a_seeded_session_puts_the_same_bytes_on_the_wire(tmp_path, monkeypatch):
+    # Every random byte (keys, salts, nonces) comes from one seeded generator,
+    # so two handshakes, a subscribe and a publish make one fixed transcript:
+    # no change to how envelopes are sealed or opened may move a wire byte.
+    monkeypatch.setattr(os, "urandom", random.Random(16).randbytes)
+    env = build_scenario(tmp_path / "env")
+    network = LoopbackNetwork(env.engine())
+    publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, network)
+    publisher_conn.send(publisher.publish(env.topic, b"21.5 C"))
+    assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+    assert subscriber.handle_publish(subscriber_conn.recv()) == (env.topic, b"21.5 C")
+    transcript = hashlib.sha256()
+    for direction, frame in network.captures:
+        transcript.update(direction.encode() + len(frame).to_bytes(4, "big") + frame)
+    assert len(network.captures) == 13
+    assert transcript.hexdigest() == "9207b337785c3c7ff2e357a2c144615aa82015936f9006061bbd5a0e312a087a"
 
 
 class TestHandshake:
@@ -466,17 +485,37 @@ class TestReplayProtection:
             assert isinstance(reply.error, AuthenticationError)
         assert len(loopback.engine._seen_connect_nonces) == seen
 
-    def test_connack_must_start_at_counter_zero(self, env, loopback):
-        client, connection, response = _challenged(env, loopback)
-        connection.send(response)
-        connack = connection.recv()
-        raw = bytearray(connack.auth_data)
-        raw[23] ^= 0x01  # the last counter byte of the envelope's nonce
-        connack.auth_data = bytes(raw)
+    @pytest.mark.parametrize(
+        "kind", [PacketKind.CONNECT, PacketKind.AUTH_CHALLENGE, PacketKind.CONNACK], ids=lambda kind: kind.name
+    )
+    def test_a_peer_started_channel_must_start_at_counter_zero(self, env, loopback, kind):
+        # Every fresh nonce is at counter zero, so the first envelope of a
+        # channel the peer started is refused at any other counter.
+        def at_counter_one(envelope: bytes) -> bytes:
+            return envelope[:23] + bytes([envelope[23] ^ 0x01]) + envelope[24:]
+
+        client = env.publisher_client()
+        if kind is PacketKind.CONNECT:
+            packet = client.begin_connect(env.broker_did)
+            packet.auth_data = at_counter_one(packet.auth_data)
+            session_id, reply = loopback.engine.handle_connect(packet)
+            assert (session_id, loopback.engine.sessions, loopback.engine._seen_connect_nonces) == (None, {}, set())
+            assert loopback.events == [{"event": "connect_rejected", "session": None, "reason": "ProtocolOrderError"}]
+            assert [(p.kind, p.reason_code) for p in reply.packets] == [(DISCONNECT, PE)]
+            assert reply.close and type(reply.error) is ProtocolOrderError
+            return
+        connection = loopback.open()
+        connection.send(client.begin_connect(env.broker_did))
+        packet, handle = connection.recv(), client.handle_challenge
+        if kind is PacketKind.CONNACK:
+            connection.send(client.handle_challenge(packet))
+            packet, handle = connection.recv(), client.handle_connack
+        phase = client.phase
+        packet.auth_data = at_counter_one(packet.auth_data)
         with pytest.raises(ProtocolOrderError) as refused:
-            client.handle_connack(connack)
+            handle(packet)
         assert refused.type is ProtocolOrderError
-        assert client.phase is ClientPhase.CHALLENGED
+        assert client.phase is phase
 
     def test_broker_to_client_prefix_is_distinct(self, env, loopback):
         publisher = env.publisher_client()
