@@ -29,8 +29,6 @@ from .transport import TcpClientConnection, run_handshake
 from .wire import Packet, PacketKind, ReasonCode
 
 MODES = ("plaintext", "daxiot")
-DEFAULT_CONNECTS = 1000
-DEFAULT_PUBLISHES = 10000
 _TOPIC = "bench/topic"
 _PAYLOAD = b"bench-payload-0123456789abcdef"
 
@@ -133,11 +131,7 @@ def _summary(samples_ms: list[float]) -> dict:
     return {name: round(value, 4) for name, value in summary.items()}
 
 
-def run_bench(
-    mode: str,
-    iterations_connect: int = DEFAULT_CONNECTS,
-    iterations_publish: int = DEFAULT_PUBLISHES,
-) -> dict:
+def run_bench(mode: str, iterations_connect: int, iterations_publish: int) -> dict:
     """Run one scenario and return its report dictionary."""
     if mode not in MODES:
         raise DaxiotError(f"unknown benchmark mode {mode!r}")

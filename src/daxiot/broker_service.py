@@ -30,6 +30,7 @@ EXIT_CONFIG = 2
 EXIT_BIND = 3
 
 EventSink = Callable[[dict], None]
+_RECEIVE_AREA = 64 * 1024  # bytes one socket read may return
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
@@ -150,8 +151,17 @@ class Router:
             self.connections.pop(session_id, None)
 
 
-class _Connection(asyncio.Protocol):
-    """One accepted TCP connection; while its replies back up, the peer is not read."""
+class _Connection(asyncio.BufferedProtocol):
+    """One accepted TCP connection; while its replies back up, the peer is not read.
+
+    The transport reads into the service's one receive area, and each read is
+    copied out at once into this connection's buffer of unframed bytes.
+    Without the area, asyncio would allocate a 256 KiB bytes object per read,
+    which glibc serves with mmap and munmap: on a 2-vCPU VM a small read took
+    about 20 µs that way and 2 µs into a kept buffer. Every asyncio transport
+    calls :meth:`get_buffer`, fills the area and calls :meth:`buffer_updated`
+    in one step, so connections can share the area.
+    """
 
     def __init__(self, service: "BrokerService") -> None:
         self._service = service
@@ -163,9 +173,12 @@ class _Connection(asyncio.Protocol):
         self.lost = asyncio.get_running_loop().create_future()
         self._service._connections.add(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._service._receive_area
+
+    def buffer_updated(self, nbytes: int) -> None:
         buffer = self._buffer
-        buffer += data
+        buffer += self._service._receive_area[:nbytes]
         try:
             while len(buffer) >= 4 and len(buffer) >= (end := 4 + frame_length(buffer[:4])):
                 frame = bytes(buffer[:end])
@@ -222,6 +235,7 @@ class BrokerService:
         self.engine = make_engine(self._record_event)
         self.router = Router(self.engine)
         self._connections: set[_Connection] = set()
+        self._receive_area = memoryview(bytearray(_RECEIVE_AREA))
         self._server: asyncio.Server | None = None
 
     def _record_event(self, record: dict) -> None:
@@ -239,14 +253,20 @@ class BrokerService:
         """Bound port; meaningful after start (resolves a configured port 0)."""
         return self._port
 
+    @property
+    def _address(self) -> str:
+        """``host:port``, with an IPv6 host in brackets so the port can be split off."""
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        return f"{host}:{self._port}"
+
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
         try:
             self._server = await loop.create_server(lambda: _Connection(self), self._host, self._port)
         except OSError as exc:
-            raise BindError(f"cannot bind {self._host}:{self._port}: {exc}") from exc
+            raise BindError(f"cannot bind {self._address}: {exc}") from exc
         self._port = self._server.sockets[0].getsockname()[1]
-        self._record_event({"event": "listening", "session": None, "reason": f"{self._host}:{self._port}"})
+        self._record_event({"event": "listening", "session": None, "reason": self._address})
 
     async def shutdown(self) -> None:
         """Stop accepting, abort every connection (dropping unsent bytes, so a
@@ -264,7 +284,7 @@ class BrokerService:
     def admin_status(self) -> dict:
         """Read-only point-in-time snapshot of sessions and topic registrations."""
         return {
-            "listen": f"{self._host}:{self._port}",
+            "listen": self._address,
             "sessions": self.engine.status(),
             "topics": {topic: len(subs) for topic, subs in list(self.engine.topics.items())},
         }

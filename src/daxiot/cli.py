@@ -13,11 +13,10 @@ import signal
 import sys
 import urllib.parse
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import click
 
-from . import bench as bench_mod
 from .broker_service import EXIT_BIND, EXIT_CONFIG, BrokerConfig, BrokerService, load_signing_key, save_signing_key
 from .credential import (
     AuthorizationClaim,
@@ -28,13 +27,13 @@ from .credential import (
     save_credential_files,
 )
 from .crypto import generate_signing_keypair
-from .demo import run_demo
 from .did import Did, DirectoryWebSource, Resolver, didkey_encode
 from .errors import BindError, ConfigError, DaxiotError, decode_json
 from .protocol import DaxiotClient
-from .scenario import write_didweb_document
-from .transport import TcpClientConnection, run_handshake
 from .wire import ReasonCode
+
+if TYPE_CHECKING:
+    from .transport import TcpClientConnection
 
 
 @click.group()
@@ -86,6 +85,8 @@ def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Pa
         did = Did.parse(did_text)
         if did.method != "web":
             raise DaxiotError(f"{did} is not a did:web")
+        from .scenario import write_didweb_document
+
         keypair = load_signing_key(key_path)
         path = write_didweb_document(out_dir, keypair, str(did), endpoint)
     except DaxiotError as exc:
@@ -200,6 +201,8 @@ def _connect_client(
     key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path
 ) -> Iterator[tuple[DaxiotClient, TcpClientConnection]]:
     """An established session, disconnected on normal exit and closed on every exit."""
+    from .transport import TcpClientConnection, run_handshake
+
     keypair = load_signing_key(key_path)
     credential, disclosures = load_credential_files(credential_dir)
     resolver = Resolver(DirectoryWebSource(did_web_dir))
@@ -264,16 +267,20 @@ def subscribe(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir
 @click.option("--untrusted-issuer", is_flag=True, help="Leave the publisher owner off the issuer list.")
 def demo(revoke_first: bool, untrusted_issuer: bool) -> None:
     """Run the full scenario end to end in a temporary directory."""
+    from .demo import run_demo
+
     sys.exit(run_demo(revoke_first=revoke_first, untrusted_issuer=untrusted_issuer, echo=click.echo))
 
 
 @main.command("bench")
 @click.option("--mode", type=click.Choice(["plaintext", "daxiot", "both"]), default="both", show_default=True)
-@click.option("--iterations-connect", default=bench_mod.DEFAULT_CONNECTS, show_default=True)
-@click.option("--iterations-publish", default=bench_mod.DEFAULT_PUBLISHES, show_default=True)
+@click.option("--iterations-connect", default=1000, show_default=True)
+@click.option("--iterations-publish", default=10000, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit the machine-readable report.")
 def bench(mode: str, iterations_connect: int, iterations_publish: int, as_json: bool) -> None:
     """Measure connect and publish round-trip latency per scenario."""
+    from . import bench as bench_mod
+
     modes = list(bench_mod.MODES) if mode == "both" else [mode]
     try:
         reports = [

@@ -54,13 +54,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -69,7 +68,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
@@ -82,7 +82,10 @@ NONCE_LEN = 24  # prefix || 8-byte big-endian counter
 TAG_LEN = 16
 
 _CURVE25519_P = 2**255 - 19
-_CHACHA_CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
+# ChaCha20's four constant words, "expand 32-byte k", as one little-endian integer.
+_SIGMA = int.from_bytes(b"expand 32-byte k", "little")
+_LANE_TOPS = 0x80000000_80000000_80000000_80000000  # the top bit of each 32-bit lane
+_ZERO_BLOCK = bytes(64)
 # XChaCha20 runs ChaCha20 under 4 zero bytes || the last 8 nonce bytes.
 _CHACHA_NONCE_PAD = bytes(4)
 # The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
@@ -174,9 +177,7 @@ def generate_signing_keypair(seed: bytes | None = None) -> SigningKeyPair:
     elif len(seed) != KEY_LEN:
         raise CryptoError(f"seed must be {KEY_LEN} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    public = private.public_key().public_bytes_raw()
     return SigningKeyPair(secret=seed, public=public)
 
 
@@ -340,19 +341,20 @@ def _hchacha20(key: bytes, nonce16: bytes) -> bytes:
 
     The library returns keystream = initial_state + permuted_state; the
     HChaCha20 output is words 0-3 and 12-15 of the permuted state alone, so
-    the initial state is subtracted back out word-wise.
+    the initial state of just those words (the constants, then the 16-byte
+    input) is subtracted back out, four 32-bit lanes at a time.
     """
-    keystream = (
-        Cipher(algorithms.ChaCha20(key, nonce16), mode=None).encryptor().update(b"\x00" * 64)
-    )
-    out_words = struct.unpack("<16L", keystream)
-    init_words = (
-        list(_CHACHA_CONSTANTS)
-        + list(struct.unpack("<8L", key))
-        + list(struct.unpack("<4L", nonce16))
-    )
-    permuted = [(o - i) & 0xFFFFFFFF for o, i in zip(out_words, init_words)]
-    return struct.pack("<4L", *permuted[0:4]) + struct.pack("<4L", *permuted[12:16])
+    keystream = Cipher(ChaCha20(key, nonce16), mode=None).encryptor().update(_ZERO_BLOCK)
+    first = _lanes_minus(int.from_bytes(keystream[:16], "little"), _SIGMA)
+    last = _lanes_minus(int.from_bytes(keystream[48:], "little"), int.from_bytes(nonce16, "little"))
+    return first.to_bytes(16, "little") + last.to_bytes(16, "little")
+
+
+def _lanes_minus(x: int, y: int) -> int:
+    """Four independent 32-bit subtractions mod 2**32, packed little-endian
+    in 128-bit integers: setting every lane's top bit in ``x`` and clearing it
+    in ``y`` keeps any borrow inside its lane, and the XOR puts the top bits right."""
+    return ((x | _LANE_TOPS) - (y & ~_LANE_TOPS)) ^ ((x ^ ~y) & _LANE_TOPS)
 
 
 def aead_encrypt(key: SessionKey, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:

@@ -133,11 +133,14 @@ class Channel:
     opens one the peer started, the one place that requires counter zero.
     """
 
+    __slots__ = ("key", "_did", "_aads", "prefix", "counter")
+
     def __init__(self, key: SessionKey, ephemeral_did: str, nonce: bytes) -> None:
         if len(nonce) != NONCE_LEN:
             raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
         self.key = key
         self._did = ephemeral_did.encode("utf-8")
+        self._aads: dict[PacketKind, bytes] = {}
         self.prefix = nonce[:NONCE_PREFIX_LEN]
         self.counter = int.from_bytes(nonce[NONCE_PREFIX_LEN:], "big")
 
@@ -146,21 +149,25 @@ class Channel:
         """The next nonce this channel uses or accepts."""
         return self.prefix + self.counter.to_bytes(8, "big")
 
-    def _next_nonces(self, count: int) -> list[bytes]:
+    def _next(self, kind: PacketKind, count: int) -> tuple[int, bytes]:
+        """The first of the next ``count`` counters and the AAD of ``kind``; nothing is committed."""
         first = self.counter
         if first + count > _LAST_COUNTER:
             raise NonceOverflowError("nonce counter exhausted; terminate the session")
-        return [self.prefix + (first + offset).to_bytes(8, "big") for offset in range(count)]
+        aad = self._aads.get(kind)
+        if aad is None:
+            aad = self._aads[kind] = _aad(kind, self._did)
+        return first, aad
 
     def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[bytes]:
         """Encrypt each plaintext into an envelope under the next consecutive nonce."""
-        nonces = self._next_nonces(len(plaintexts))
-        aad = _aad(kind, self._did)
+        first, aad = self._next(kind, len(plaintexts))
+        key, prefix = self.key, self.prefix
         envelopes = [
-            aead_encrypt(self.key, nonce, plaintext, aad)
-            for nonce, plaintext in zip(nonces, plaintexts)
+            aead_encrypt(key, prefix + (first + offset).to_bytes(8, "big"), plaintext, aad)
+            for offset, plaintext in enumerate(plaintexts)
         ]
-        self.counter += len(nonces)
+        self.counter = first + len(plaintexts)
         return envelopes
 
     def open(self, kind: PacketKind, *envelopes: bytes | None) -> list[bytes]:
@@ -168,14 +175,15 @@ class Channel:
         consecutive nonces; each nonce is checked before its envelope's length."""
         if None in envelopes:
             raise ProtocolError(f"{kind.name.lower()} is missing an encrypted field")
-        nonces = self._next_nonces(len(envelopes))
-        for nonce, envelope in zip(nonces, envelopes):
-            if envelope[:NONCE_LEN] != nonce:
+        first, aad = self._next(kind, len(envelopes))
+        prefix = self.prefix
+        for offset, envelope in enumerate(envelopes):
+            if envelope[:NONCE_LEN] != prefix + (first + offset).to_bytes(8, "big"):
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
             _envelope(envelope, kind)
-        aad = _aad(kind, self._did)
-        plaintexts = [aead_decrypt(self.key, envelope, aad) for envelope in envelopes]
-        self.counter += len(nonces)
+        key = self.key
+        plaintexts = [aead_decrypt(key, envelope, aad) for envelope in envelopes]
+        self.counter = first + len(envelopes)
         return plaintexts
 
     def authenticate(self, kind: PacketKind, envelope: bytes | None) -> bytes:
@@ -410,7 +418,7 @@ class BrokerSession:
     b2c: Channel | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Reply:
     """Broker reaction to one inbound packet.
 

@@ -8,6 +8,7 @@ Strings are UTF-8; encrypted fields carry serialized AEAD envelopes.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -43,7 +44,7 @@ FIELD_PAYLOAD = 0x05
 FIELD_REASON_CODE = 0x06
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One wire message; unset fields are simply absent from the frame."""
 
@@ -56,29 +57,35 @@ class Packet:
     reason_code: ReasonCode | None = None
 
 
-def _field(tag: int, value: bytes) -> bytes:
-    if len(value) > MAX_FRAME:
-        raise FramingError(f"field 0x{tag:02x} too large")
-    return bytes([tag]) + len(value).to_bytes(4, "big") + value
+_FIELD_HEADER = struct.Struct(">BI")  # tag, value length
+_FRAME_HEADER = struct.Struct(">IB")  # body length, packet kind
+# Byte values to members, so decoding never calls an Enum constructor.
+_KINDS = {kind.value: kind for kind in PacketKind}
+_REASONS = {code.value: code for code in ReasonCode}
 
 
 def encode_frame(packet: Packet) -> bytes:
-    body = bytearray([packet.kind])
+    parts = [b""]  # the frame header, once the body length is known
+    pack = _FIELD_HEADER.pack
     if packet.client_id is not None:
-        body += _field(FIELD_CLIENT_ID, packet.client_id.encode("utf-8"))
+        value = packet.client_id.encode("utf-8")
+        parts += (pack(FIELD_CLIENT_ID, len(value)), value)
     if packet.auth_method is not None:
-        body += _field(FIELD_AUTH_METHOD, packet.auth_method.encode("utf-8"))
+        value = packet.auth_method.encode("utf-8")
+        parts += (pack(FIELD_AUTH_METHOD, len(value)), value)
     if packet.auth_data is not None:
-        body += _field(FIELD_AUTH_DATA, packet.auth_data)
+        parts += (pack(FIELD_AUTH_DATA, len(packet.auth_data)), packet.auth_data)
     if packet.topic is not None:
-        body += _field(FIELD_TOPIC, packet.topic)
+        parts += (pack(FIELD_TOPIC, len(packet.topic)), packet.topic)
     if packet.payload is not None:
-        body += _field(FIELD_PAYLOAD, packet.payload)
+        parts += (pack(FIELD_PAYLOAD, len(packet.payload)), packet.payload)
     if packet.reason_code is not None:
-        body += _field(FIELD_REASON_CODE, bytes([packet.reason_code]))
-    if len(body) > MAX_FRAME:
+        parts += (pack(FIELD_REASON_CODE, 1), bytes((packet.reason_code,)))
+    length = 1 + sum(map(len, parts))  # the kind byte, then every field
+    if length > MAX_FRAME:
         raise FramingError("frame exceeds maximum size")
-    return len(body).to_bytes(4, "big") + bytes(body)
+    parts[0] = _FRAME_HEADER.pack(length, packet.kind)
+    return b"".join(parts)
 
 
 def frame_length(header: bytes) -> int:
@@ -90,51 +97,46 @@ def frame_length(header: bytes) -> int:
 
 
 def decode_frame(frame: bytes) -> Packet:
-    if len(frame) < 5:
+    """Parse one whole frame in a single pass; anything malformed raises :class:`FramingError`."""
+    end = len(frame)
+    if end < 5:
         raise FramingError("frame shorter than header")
-    declared = int.from_bytes(frame[:4], "big")
+    declared, kind_byte = _FRAME_HEADER.unpack_from(frame)
     if declared > MAX_FRAME:
         raise FramingError("declared frame length exceeds maximum")
-    if declared != len(frame) - 4:
+    if declared != end - 4:
         raise FramingError("declared frame length does not match data")
-    try:
-        kind = PacketKind(frame[4])
-    except ValueError as exc:
-        raise FramingError(f"unknown packet kind 0x{frame[4]:02x}") from exc
+    kind = _KINDS.get(kind_byte)
+    if kind is None:
+        raise FramingError(f"unknown packet kind 0x{kind_byte:02x}")
 
-    packet = Packet(kind=kind)
-    seen: set[int] = set()
+    values: list[bytes | None] = [None] * (FIELD_REASON_CODE + 1)  # indexed by tag
+    unpack = _FIELD_HEADER.unpack_from
     offset = 5
-    while offset < len(frame):
-        if offset + 5 > len(frame):
+    while offset < end:
+        if offset + 5 > end:
             raise FramingError("truncated field header")
-        tag = frame[offset]
-        length = int.from_bytes(frame[offset + 1 : offset + 5], "big")
+        tag, length = unpack(frame, offset)
         offset += 5
-        if offset + length > len(frame):
+        if offset + length > end:
             raise FramingError(f"field 0x{tag:02x} overruns the frame")
-        value = frame[offset : offset + length]
-        offset += length
-        if tag in seen:
-            raise FramingError(f"duplicate field 0x{tag:02x}")
-        seen.add(tag)
-        if tag == FIELD_CLIENT_ID:
-            packet.client_id = decode_text(value, FramingError, "client_id")
-        elif tag == FIELD_AUTH_METHOD:
-            packet.auth_method = decode_text(value, FramingError, "auth_method")
-        elif tag == FIELD_AUTH_DATA:
-            packet.auth_data = value
-        elif tag == FIELD_TOPIC:
-            packet.topic = value
-        elif tag == FIELD_PAYLOAD:
-            packet.payload = value
-        elif tag == FIELD_REASON_CODE:
-            if length != 1:
-                raise FramingError("reason_code must be one byte")
-            try:
-                packet.reason_code = ReasonCode(value[0])
-            except ValueError as exc:
-                raise FramingError(f"unknown reason code 0x{value[0]:02x}") from exc
-        else:
+        if not FIELD_CLIENT_ID <= tag <= FIELD_REASON_CODE:
             raise FramingError(f"unknown field tag 0x{tag:02x}")
-    return packet
+        if values[tag] is not None:
+            raise FramingError(f"duplicate field 0x{tag:02x}")
+        values[tag] = frame[offset : offset + length]
+        offset += length
+
+    _, client_id, auth_method, auth_data, topic, payload, reason = values
+    if client_id is not None:
+        client_id = decode_text(client_id, FramingError, "client_id")
+    if auth_method is not None:
+        auth_method = decode_text(auth_method, FramingError, "auth_method")
+    if reason is not None:
+        if len(reason) != 1:
+            raise FramingError("reason_code must be one byte")
+        code = _REASONS.get(reason[0])
+        if code is None:
+            raise FramingError(f"unknown reason code 0x{reason[0]:02x}")
+        reason = code
+    return Packet(kind, client_id, auth_method, auth_data, topic, payload, reason)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import asyncio
 import base64
 import dataclasses
 import errno
@@ -7,6 +8,7 @@ import io
 import json
 import logging
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -144,7 +146,10 @@ class TestConfigValidation:
         with Ipv6PlaintextBroker() as broker, TcpClientConnection("::1", broker.port) as connection:
             connection.send(Packet(kind=PacketKind.CONNECT))
             assert connection.recv().kind is PacketKind.CONNACK
-        assert broker.service.events[0]["reason"] == f"::1:{broker.port}"
+            clash = BrokerService(f"[::1]:{broker.port}", lambda event_sink: PlaintextEngine())
+            with pytest.raises(BindError, match=re.escape(f"cannot bind [::1]:{broker.port}:")):
+                asyncio.run(clash.start())
+        assert broker.service.events[0]["reason"] == f"[::1]:{broker.port}"
 
     def test_unreadable_registry(self, tmp_path):
         env = build_scenario(tmp_path / "env")
@@ -317,6 +322,30 @@ class TestFraming:
         assert _wait_until(lambda: broker.service.router.connections == {})
         events = [e["event"] for e in broker.service.events if e["session"] == session]
         assert events.count("disconnected") == 1 and "connection_error" not in events
+        assert _asyncio_errors(caplog, broker) == []
+
+    def test_two_peers_interleaving_partial_frames_stay_apart(self, tcp_env, caplog):
+        # Every connection reads into the service's one receive area; each
+        # read must be copied out before another connection's read lands.
+        # The first frame is larger than the area, so it also takes several reads.
+        env, broker = tcp_env
+        first, second = env.publisher_client(), env.publisher_client()
+        with _connect(env, broker, first) as one, _connect(env, broker, second) as two:
+            frames = [
+                encode_frame(first.publish(env.topic, b"1" * 100_000)),
+                encode_frame(second.publish(env.topic, b"2" * 100)),
+            ]
+            for connection, frame in zip((one, two), frames):
+                connection.send_raw(frame[:60])
+            held = lambda: sorted(len(c._buffer) for c in broker.service._connections)
+            assert _wait_until(lambda: held() == [60, 60])
+            for connection, frame in zip((one, two), frames):
+                connection.send_raw(frame[60:])
+            assert first.handle_puback(one.recv()) is ReasonCode.SUCCESS
+            assert second.handle_puback(two.recv()) is ReasonCode.SUCCESS
+            one.send(first.disconnect())
+            two.send(second.disconnect())
+        assert "connection_error" not in [e["event"] for e in broker.service.events]
         assert _asyncio_errors(caplog, broker) == []
 
     def test_oversized_header_is_refused_before_its_body(self, tcp_env, caplog):

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import daxiot
 from daxiot.broker_service import BrokerThread
 from daxiot.cli import main
 from daxiot.credential import (
@@ -376,3 +382,26 @@ class TestBenchCommand:
         assert result.exit_code == 0
         assert "Scenario" in result.output
         assert "plaintext" in result.output
+
+    def test_help_shows_the_iteration_defaults(self, runner):
+        result = invoke(runner, "bench", "--help")
+        assert result.exit_code == 0
+        assert re.search(r"--iterations-connect INTEGER\s+\[default: 1000\]", result.output)
+        assert re.search(r"--iterations-publish INTEGER\s+\[default: 10000\]", result.output)
+
+
+def test_the_broker_command_imports_only_what_it_runs():
+    # The client, demo and benchmark modules, and the key-serialization
+    # module with its SSH formats, are imported by the commands that use them.
+    unused = (
+        "daxiot.bench",
+        "daxiot.demo",
+        "daxiot.scenario",
+        "daxiot.transport",
+        "cryptography.hazmat.primitives.serialization",
+    )
+    probe = f"import sys, daxiot.cli; print([name for name in {unused!r} if name in sys.modules])"
+    src = Path(daxiot.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert result.stdout.strip() == "[]", result.stdout

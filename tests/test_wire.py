@@ -36,6 +36,50 @@ def test_roundtrip(packet):
     assert decode_frame(encode_frame(packet)) == packet
 
 
+def _decodes_or_refuses(frame: bytes) -> None:
+    """Only FramingError may escape decode_frame. An accepted frame round-trips:
+    re-encoded, it decodes to the same packet, and it keeps its length, so
+    no byte was dropped or read twice (fields may come back in tag order)."""
+    try:
+        packet = decode_frame(frame)
+    except FramingError:
+        return
+    again = encode_frame(packet)
+    assert decode_frame(again) == packet and len(again) == len(frame)
+
+
+def _frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+# Bodies of short fields with tags and kinds around the known ones, then up
+# to 4 stray bytes, so every field check (truncated header, unknown tag,
+# duplicate, reason length and value) is reached.
+field_bodies = st.builds(
+    lambda kind, fields, tail: bytes([kind])
+    + b"".join(bytes([tag]) + len(v).to_bytes(4, "big") + v for tag, v in fields)
+    + tail,
+    st.integers(0, 10),
+    st.lists(st.tuples(st.integers(0, 7), st.binary(max_size=3)), max_size=4),
+    st.binary(max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(frame=st.binary(max_size=64) | st.binary(max_size=60).map(_frame) | field_bodies.map(_frame))
+def test_arbitrary_bytes_decode_or_raise_framing_error(frame):
+    _decodes_or_refuses(frame)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=packets, data=st.data())
+def test_mutated_frames_decode_or_raise_framing_error(packet, data):
+    frame = bytearray(encode_frame(packet))
+    for _ in range(data.draw(st.integers(1, 3))):
+        frame[data.draw(st.integers(0, len(frame) - 1))] = data.draw(st.integers(0, 255))
+    _decodes_or_refuses(bytes(frame))
+
+
 def test_bit_exact_layout():
     packet = Packet(
         kind=PacketKind.CONNECT,
