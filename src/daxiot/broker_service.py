@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -22,7 +23,7 @@ from typing import Callable, TextIO
 from .credential import RevocationRegistry, TrustedIssuerList
 from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypair
 from .did import DirectoryWebSource, Resolver
-from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError, decode_json
+from .errors import BindError, ConfigError, CredentialError, CryptoError, DaxiotError, FramingError, decode_json
 from .protocol import DaxiotBroker
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
 
@@ -35,18 +36,24 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def save_signing_key(path: Path | str, keypair: SigningKeyPair) -> None:
-    """Write an identity as its hex seed on one line, the file :func:`load_signing_key` reads."""
-    Path(path).write_text(keypair.secret.hex() + "\n")
+    """Write an identity as its hex seed on one line, the file :func:`load_signing_key` reads.
+
+    The file is left readable by its owner alone (mode 0600), also when it
+    already existed with a wider mode.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w", encoding="utf-8") as out:
+        os.fchmod(fd, 0o600)
+        out.write(keypair.secret.hex() + "\n")
 
 
 def load_signing_key(path: Path | str) -> SigningKeyPair:
     """Load an identity from a hex seed file written by :func:`save_signing_key`."""
     try:
         text = Path(path).read_text("utf-8").strip()
-        seed = bytes.fromhex(text)
-    except (OSError, ValueError) as exc:
+        return generate_signing_keypair(bytes.fromhex(text))
+    except (OSError, ValueError, CryptoError) as exc:
         raise ConfigError(f"cannot load signing key from {path}: {exc}") from exc
-    return generate_signing_keypair(seed)
 
 
 @dataclass
@@ -280,14 +287,6 @@ class BrokerService:
         await asyncio.gather(*(connection.lost for connection in connections))
         if self._server is not None:
             await self._server.wait_closed()
-
-    def admin_status(self) -> dict:
-        """Read-only point-in-time snapshot of sessions and topic registrations."""
-        return {
-            "listen": self._address,
-            "sessions": self.engine.status(),
-            "topics": {topic: len(subs) for topic, subs in list(self.engine.topics.items())},
-        }
 
 
 class BrokerThread:

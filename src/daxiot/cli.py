@@ -210,8 +210,16 @@ def _connect_client(
     if document.service_endpoint is None:
         raise DaxiotError(f"{broker_did} document carries no service endpoint")
     endpoint = urllib.parse.urlparse(document.service_endpoint)
+    try:
+        port = endpoint.port
+    except ValueError:  # not a number, or above 65535
+        port = None
+    if endpoint.scheme != "tcp" or not endpoint.hostname or not port:
+        raise DaxiotError(
+            f"{broker_did} service endpoint {document.service_endpoint!r} is not tcp://host:port"
+        )
     client = DaxiotClient(keypair, credential, disclosures, resolver)
-    with TcpClientConnection(endpoint.hostname, endpoint.port) as connection:
+    with TcpClientConnection(endpoint.hostname, port) as connection:
         run_handshake(client, connection, broker_did)
         yield client, connection
         connection.send(client.disconnect())

@@ -201,7 +201,7 @@ class Resolver:
     resolution never touches the web source.
     """
 
-    def __init__(self, web_source: DirectoryWebSource | None = None) -> None:
+    def __init__(self, web_source: DirectoryWebSource) -> None:
         self.web_source = web_source
 
     def resolve(self, did: Did | str) -> DidDocument:
@@ -213,8 +213,6 @@ class Resolver:
                 verification_key=verification,
                 agreement_key=convert_public_key(verification),
             )
-        if self.web_source is None:
-            raise DidResolutionError(f"no did:web source configured, cannot resolve {did}")
         document = self.web_source.document(did.identifier)
         if document.id != did:
             raise DidError(f"document id {document.id} does not match {did}")

@@ -402,18 +402,16 @@ class DaxiotClient:
 # Broker
 # ---------------------------------------------------------------------------
 
-class BrokerPhase(Enum):
-    AWAIT_AUTH = "await-auth"
-    ESTABLISHED = "established"
-
-
 @dataclass
 class BrokerSession:
-    """Per-client broker state keyed by the client's ephemeral DID."""
+    """Per-client broker state keyed by the client's ephemeral DID.
+
+    Step H sets ``grant`` and ``b2c`` together, and a failed step H ends the
+    session, so a session is established exactly when ``b2c`` is set.
+    """
 
     static_did: str
     c2b: Channel
-    phase: BrokerPhase = BrokerPhase.AWAIT_AUTH
     grant: AuthorizationGrant | None = None
     b2c: Channel | None = None
 
@@ -481,12 +479,12 @@ class DaxiotBroker:
         if self._event_sink is not None:
             self._event_sink({"event": event, "session": session, "reason": reason})
 
-    def _session(self, session_id: str, phase: BrokerPhase | None = None) -> BrokerSession:
+    def _session(self, session_id: str, established: bool = False) -> BrokerSession:
         session = self.sessions.get(session_id)
         if session is None:
             raise ProtocolOrderError(f"no session {session_id}")
-        if phase is not None and session.phase is not phase:
-            raise ProtocolOrderError(f"session is {session.phase.value}, not {phase.value}")
+        if established and session.b2c is None:
+            raise ProtocolOrderError("session is not established")
         return session
 
     # -- refusal policy ------------------------------------------------------------
@@ -502,7 +500,7 @@ class DaxiotBroker:
             ReasonCode.NOT_AUTHORIZED if isinstance(error, CredentialError) else ReasonCode.PROTOCOL_ERROR
         )
         session = self.sessions.get(session_id)
-        established = session is not None and session.phase is BrokerPhase.ESTABLISHED
+        established = session is not None and session.b2c is not None
         ack = [Packet(kind=_ACKS[kind], reason_code=code)] if kind in _ACKS else []
         if isinstance(error, NonceOverflowError):
             event, reason, packets, ends = "session_exhausted", None, [], True
@@ -618,7 +616,7 @@ class DaxiotBroker:
     def handle_auth_response(self, session_id: str, packet: Packet) -> Reply:
         """Steps G and H: authenticate the static identity, verify the credential."""
         session = self._session(session_id)
-        if session.phase is not BrokerPhase.AWAIT_AUTH:
+        if session.b2c is not None:
             if _envelope(packet.auth_data, PacketKind.AUTH_RESPONSE)[:NONCE_LEN] != session.c2b.nonce:
                 raise ReplayError("authentication response replays a stale nonce")
             raise ProtocolOrderError("authentication response outside the handshake")
@@ -632,7 +630,6 @@ class DaxiotBroker:
             resolver=self._resolver,
         )
         session.grant = grant
-        session.phase = BrokerPhase.ESTABLISHED
         session.b2c = Channel(session.c2b.key, session_id, _fresh_nonce())
         (connack_envelope,) = session.b2c.seal(PacketKind.CONNACK, bytes([ReasonCode.SUCCESS]))
         self._emit("authenticated", session_id, reason=session.static_did)
@@ -650,7 +647,7 @@ class DaxiotBroker:
 
     def handle_subscribe(self, session_id: str, packet: Packet) -> Reply:
         """Step I: decrypt the topic, enforce the subscribe grant, register."""
-        session = self._session(session_id, BrokerPhase.ESTABLISHED)
+        session = self._session(session_id, established=True)
         (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, packet.topic)
         topic = decode_text(raw, ProtocolError, "subscribe topic")
 
@@ -665,7 +662,7 @@ class DaxiotBroker:
 
     def handle_publish(self, session_id: str, packet: Packet) -> Reply:
         """Step J: enforce consecutive nonces and the publish grant, fan out."""
-        session = self._session(session_id, BrokerPhase.ESTABLISHED)
+        session = self._session(session_id, established=True)
         topic, payload = _open_publish(session.c2b, packet)
 
         if topic not in session.grant.publish_topics:
@@ -705,24 +702,3 @@ class DaxiotBroker:
             subscribers.pop(session_id, None)
             if not subscribers:
                 del self.topics[topic]
-
-    # -- introspection -------------------------------------------------------------
-
-    def status(self) -> list[dict]:
-        """Point-in-time snapshot of every session, for operators."""
-        snapshot = []
-        # Copy first: callers may snapshot from another thread while the
-        # event loop mutates the registry.
-        for session_id, session in list(self.sessions.items()):
-            snapshot.append(
-                {
-                    "session": session_id,
-                    "static_did": session.static_did,
-                    "phase": session.phase.value,
-                    "publish_grants": len(session.grant.publish_topics) if session.grant else 0,
-                    "subscribe_grants": len(session.grant.subscribe_topics) if session.grant else 0,
-                    "expected_counter": session.c2b.counter,
-                    "b2c_counter": session.b2c.counter if session.b2c else None,
-                }
-            )
-        return snapshot

@@ -69,23 +69,21 @@ class TestEndToEnd:
         publisher_conn.close()
         subscriber_conn.close()
 
-    def test_admin_status_lifecycle(self, tcp_env):
+    def test_session_lifecycle_over_tcp(self, tcp_env):
         env, broker = tcp_env
-        assert broker.service.admin_status()["sessions"] == []
+        sessions = broker.service.engine.sessions
+        assert sessions == {}
 
         publisher = env.publisher_client()
         connection = _connect(env, broker, publisher)
-        status = broker.service.admin_status()
-        assert len(status["sessions"]) == 1
-        entry = status["sessions"][0]
-        assert entry["static_did"] == publisher.static_did
-        assert entry["publish_grants"] == 1
+        session = sessions[publisher.ephemeral_did]
+        assert list(sessions) == [publisher.ephemeral_did]
+        assert session.static_did == publisher.static_did
+        assert session.grant.publish_topics == frozenset({env.topic})
 
         connection.send(publisher.disconnect())
         connection.close()
-        deadline = _wait_until(lambda: broker.service.admin_status()["sessions"] == [])
-        assert deadline, "session not reaped after disconnect"
-
+        assert _wait_until(lambda: not sessions), "session not reaped after disconnect"
 
 def _asyncio_errors(caplog, broker) -> list[logging.LogRecord]:
     """Records at ERROR or above on the asyncio logger once the broker has no
@@ -261,7 +259,7 @@ class TestFaultIsolation:
         client = env.publisher_client()
         connection = _connect(env, broker, client)
         connection.close()  # abrupt close, no Disconnect packet
-        assert _wait_until(lambda: broker.service.admin_status()["sessions"] == [])
+        assert _wait_until(lambda: not broker.service.engine.sessions)
 
     def test_data_before_connect_is_refused(self, tcp_env):
         env, broker = tcp_env

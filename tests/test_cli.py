@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -53,6 +54,19 @@ class TestKeyCommands:
         first = invoke(runner, "did-show", "--key", key_path).output
         second = invoke(runner, "did-show", "--key", key_path).output
         assert first == second
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new file", "over a 0644 file"])
+    def test_keygen_writes_a_key_only_its_owner_can_read(self, runner, tmp_path, existing):
+        key_path = tmp_path / "device.key"
+        if existing:
+            key_path.write_text("stale\n")
+            key_path.chmod(0o644)
+        old_umask = os.umask(0o022)
+        try:
+            assert invoke(runner, "keygen", "--out", key_path).exit_code == 0
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(key_path.stat().st_mode) == 0o600
 
     def test_did_show_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["did-show", "--key", str(tmp_path / "absent.key")])
@@ -197,6 +211,16 @@ def test_bad_broker_config_exits_2(runner, tmp_path, config):
     assert result.output.startswith(f"error: broker config {path}")
 
 
+def test_a_key_of_the_wrong_length_exits_2(runner, tmp_path):
+    key_path = tmp_path / "broker.key"
+    key_path.write_text("00" * 31 + "\n")
+    path = tmp_path / "broker.json"
+    path.write_text(json.dumps({**_CONFIG, "signing_key_path": str(key_path)}))
+    result = runner.invoke(main, ["broker", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot load signing key from {key_path}")
+
+
 class TestRegistryCommands:
     def test_til_add_remove_roundtrip(self, runner, tmp_path):
         til_path = tmp_path / "til.json"
@@ -282,6 +306,37 @@ class TestClientCommands:
         )
         assert result.exit_code == 1
         assert result.output.startswith(f"error: MalformedCredential: {torn}: disclosure is not JSON")
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["tcp://127.0.0.1:abc", "tcp://127.0.0.1:70000", "tcp://127.0.0.1", "udp://127.0.0.1:1883"],
+        ids=["port not a number", "port above 65535", "no port", "not tcp"],
+    )
+    def test_a_bad_service_endpoint_is_an_error(self, runner, tmp_path, endpoint):
+        from daxiot.broker_service import load_signing_key
+        from daxiot.scenario import write_didweb_document
+
+        env = build_scenario(tmp_path / "env")
+        broker_key = load_signing_key(env.config.signing_key_path)
+        write_didweb_document(Path(env.config.did_web_dir), broker_key, env.broker_did, endpoint)
+        save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
+        result = runner.invoke(
+            main,
+            [
+                "publish",
+                "--key", str(tmp_path / "env" / "keys" / "publisher.key"),
+                "--credential-dir", str(tmp_path / "pub-cred"),
+                "--broker-did", env.broker_did,
+                "--did-web-dir", env.config.did_web_dir,
+                "--topic", env.topic,
+                "--message", "never sent",
+            ],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: DaxiotError: {env.broker_did} service endpoint {endpoint!r} is not tcp://host:port\n"
+        )
 
     def test_subscribe_command_receives_message(self, runner, tmp_path):
         # CliRunner patches global stdout, so only the subscriber runs through

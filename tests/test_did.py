@@ -129,10 +129,6 @@ class TestResolution:
         with pytest.raises(DidResolutionError):
             Resolver(DirectoryWebSource(tmp_path)).resolve("did:web:absent.example")
 
-    def test_didweb_without_source(self):
-        with pytest.raises(DidResolutionError):
-            Resolver().resolve("did:web:broker1.com")
-
     def test_malformed_document(self, tmp_path):
         (tmp_path / didweb_filename("bad.example")).write_text("not json")
         with pytest.raises(DidError):

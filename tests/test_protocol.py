@@ -42,7 +42,7 @@ from daxiot.errors import (
     ProtocolOrderError,
     ReplayError,
 )
-from daxiot.protocol import BrokerPhase, Channel, ClientPhase, DaxiotBroker, DaxiotClient
+from daxiot.protocol import Channel, ClientPhase, DaxiotBroker, DaxiotClient
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
@@ -229,7 +229,7 @@ class TestHandshake:
         session = loopback.engine.sessions[publisher.ephemeral_did]
 
         assert publisher.phase is ClientPhase.ESTABLISHED
-        assert session.phase is BrokerPhase.ESTABLISHED
+        assert session.b2c is not None
         # Both directions share the one-pass unified key and stand at the
         # same next nonce on either end. (The ES key agreed, or the broker
         # could not have decrypted the connect.)
@@ -978,17 +978,6 @@ class TestBrokerState:
         env.publisher_client()
         DaxiotBroker(keypair, env.broker_did, env.resolver(), lambda: None, lambda: None)
         assert calls == []
-
-    def test_status_snapshot(self, env, loopback):
-        assert loopback.engine.status() == []
-        publisher = env.publisher_client()
-        connection = establish(loopback, publisher, env.broker_did)
-        snapshot = loopback.engine.status()
-        assert len(snapshot) == 1
-        assert snapshot[0]["static_did"] == publisher.static_did
-        assert snapshot[0]["publish_grants"] == 1
-        connection.send(publisher.disconnect())
-        assert loopback.engine.status() == []
 
     def test_disconnect_cleans_topic_table(self, env, loopback):
         subscriber = env.subscriber_client()
