@@ -234,8 +234,8 @@ class BrokerService:
         host, _, port = listen_address.rpartition(":")
         if host.startswith("[") and host.endswith("]"):  # an IPv6 address, as in [::1]:1883
             host = host[1:-1]
-        if not host or not port.isdigit():
-            raise ConfigError(f"listen_address must be host:port or [IPv6]:port, got {listen_address!r}")
+        if not host or not port.isdecimal() or int(port) > 65535:
+            raise ConfigError(f"listen_address must be host:port or [IPv6]:port, port 0-65535, got {listen_address!r}")
         self._host, self._port = host, int(port)
         self._event_log = event_log
         self.events: deque[dict] = deque(maxlen=1000)

@@ -36,7 +36,7 @@ from .errors import (
     decode_json,
     decode_text,
 )
-from .snapshot import FileSnapshot
+from .snapshot import FileSnapshot, replace_file
 
 logger = logging.getLogger(__name__)
 
@@ -279,7 +279,7 @@ class TrustedIssuerList:
         return cls(frozenset(data))
 
     def save(self, path: Path | str) -> None:
-        _atomic_write(Path(path), json.dumps(sorted(self.members), indent=2).encode() + b"\n")
+        replace_file(path, json.dumps(sorted(self.members), indent=2).encode() + b"\n")
 
 
 class CredentialStatus(Enum):
@@ -317,7 +317,7 @@ class RevocationRegistry:
 
     def save(self, path: Path | str) -> None:
         data = {jti: CredentialStatus.REVOKED.value for jti in sorted(self._revoked)}
-        _atomic_write(Path(path), json.dumps(data, indent=2).encode() + b"\n")
+        replace_file(path, json.dumps(data, indent=2).encode() + b"\n")
 
 
 # Each trust file is parsed once and kept until it changes; see daxiot.snapshot.
@@ -332,12 +332,6 @@ def _read_trust_file(snapshot: FileSnapshot[T], path: Path | str) -> T:
         return snapshot.read(path)
     except OSError as exc:
         raise TrustFileError(f"{path}: cannot read trust file: {exc}") from exc
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +491,9 @@ def save_credential_files(
         path = directory / f"disclosure-{index:03d}.json"
         path.write_bytes(disclosure.serialize() + b"\n")
         written.append(path)
+    # A disclosure left from an earlier issuance would be presented and refused.
+    for stale in set(directory.glob("disclosure-*.json")).difference(written):
+        stale.unlink()
     return written
 
 

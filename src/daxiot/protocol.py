@@ -13,6 +13,13 @@ The handshake runs over the connect/challenge/response exchange:
   the client's static identity to the broker, and the verified disclosures
   become the session's publish/subscribe grant.
 
+A client's phase is which of its fields are set: idle without a session key,
+CONNECT sent with the key alone, challenged once its sending channel exists,
+established once its receiving channel does. Each step sets its field last, so
+a step that raises leaves the phase as it was. A DISCONNECT in place of the
+challenge or the success acknowledgement is the broker's refusal, raised as
+:class:`ConnectionRejected` with its reason code.
+
 An envelope is bytes, exactly as the wire carries it: the 24-byte nonce,
 then ciphertext and tag. Every envelope, the handshake's included, is sealed
 and opened by a :class:`Channel`. Every fresh nonce (the connect's, the
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .credential import (
@@ -234,11 +240,13 @@ def _open_publish(channel: Channel, packet: Packet) -> tuple[str, bytes]:
 # Client
 # ---------------------------------------------------------------------------
 
-class ClientPhase(Enum):
-    IDLE = "idle"
-    CONNECT_SENT = "connect-sent"
-    CHALLENGED = "challenged"
-    ESTABLISHED = "established"
+def _handshake_reply(packet: Packet, kind: PacketKind) -> None:
+    """Check that the broker answered a handshake step with ``kind``; a
+    DISCONNECT in its place is the broker's refusal, with its reason code."""
+    if packet.kind is PacketKind.DISCONNECT:
+        raise ConnectionRejected(f"broker disconnected instead of sending {kind.name}", packet.reason_code)
+    if packet.kind is not kind:
+        raise ProtocolOrderError(f"expected {kind.name}, got {packet.kind.name}")
 
 
 class DaxiotClient:
@@ -260,27 +268,22 @@ class DaxiotClient:
         self._credential = credential
         self._disclosures = list(disclosures)
         self._resolver = resolver
-        self.phase = ClientPhase.IDLE
         self._reset_session()
 
     def _reset_session(self) -> None:
         self.ephemeral_did: str | None = None
         self.broker_did: str | None = None
         self._session_key: SessionKey | None = None  # the 1PU key, derived in begin_connect
-        self._send: Channel | None = None
-        self._recv: Channel | None = None
-        self._pending_subacks = 0
-        self._pending_pubacks = 0
-
-    def _require(self, phase: ClientPhase, action: str) -> None:
-        if self.phase is not phase:
-            raise ProtocolOrderError(f"cannot {action} in phase {self.phase.value}")
+        self._send: Channel | None = None  # set at step F
+        self._recv: Channel | None = None  # set at step H
+        self._pending = {PacketKind.SUBACK: 0, PacketKind.PUBACK: 0}  # acks the broker owes
 
     # -- handshake ----------------------------------------------------------
 
     def begin_connect(self, broker_did: Did | str) -> Packet:
         """Steps A and B: fresh ephemeral identity, encrypted static identity."""
-        self._require(ClientPhase.IDLE, "connect")
+        if self._session_key is not None:
+            raise ProtocolOrderError("cannot connect: a session is already open; disconnect first")
         broker_did = str(Did.parse(broker_did))
         document = self._resolver.resolve(broker_did)
 
@@ -304,7 +307,6 @@ class DaxiotClient:
         )
         self.ephemeral_did = ephemeral_did
         self.broker_did = broker_did
-        self.phase = ClientPhase.CONNECT_SENT
         return Packet(
             kind=PacketKind.CONNECT,
             client_id=ephemeral_did,
@@ -314,9 +316,9 @@ class DaxiotClient:
 
     def handle_challenge(self, packet: Packet) -> Packet:
         """Steps E and F: authenticate the broker, answer with a presentation."""
-        self._require(ClientPhase.CONNECT_SENT, "process a challenge")
-        if packet.kind is not PacketKind.AUTH_CHALLENGE:
-            raise ProtocolOrderError(f"expected a challenge, got {packet.kind.name}")
+        if self._session_key is None or self._send is not None:
+            raise ProtocolOrderError("cannot process a challenge: no CONNECT is awaiting one")
+        _handshake_reply(packet, PacketKind.AUTH_CHALLENGE)
         _, plaintext = Channel.open_first(
             self._session_key, self.ephemeral_did, PacketKind.AUTH_CHALLENGE, packet.auth_data
         )
@@ -328,72 +330,65 @@ class DaxiotClient:
         presentation = present(self._credential, self._disclosures, self.broker_did)
         (response,) = send.seal(PacketKind.AUTH_RESPONSE, presentation.compact().encode("utf-8"))
         self._send = send
-        self.phase = ClientPhase.CHALLENGED
         return Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=response)
 
     def handle_connack(self, packet: Packet) -> None:
         """Step H, client side: confirm the broker accepted the credential."""
-        self._require(ClientPhase.CHALLENGED, "process a connection ack")
-        if packet.kind is PacketKind.DISCONNECT:
-            raise ConnectionRejected(
-                "broker disconnected during the handshake", packet.reason_code
-            )
-        if packet.kind is not PacketKind.CONNACK:
-            raise ProtocolOrderError(f"expected a connection ack, got {packet.kind.name}")
+        if self._send is None or self._recv is not None:
+            raise ProtocolOrderError("cannot process a connection ack: no authentication response is awaiting one")
+        _handshake_reply(packet, PacketKind.CONNACK)
         if packet.reason_code is not ReasonCode.SUCCESS:
-            raise ConnectionRejected(
-                f"broker rejected the connection: {packet.reason_code.name if packet.reason_code else 'no reason'}",
-                packet.reason_code,
-            )
+            reason = packet.reason_code.name if packet.reason_code is not None else "no reason"
+            raise ConnectionRejected(f"broker rejected the connection: {reason}", packet.reason_code)
         recv, status = Channel.open_first(
             self._session_key, self.ephemeral_did, PacketKind.CONNACK, packet.auth_data
         )
         if status != bytes([ReasonCode.SUCCESS]):
             raise AuthenticationError("connection ack payload contradicts its reason code")
         self._recv = recv
-        self.phase = ClientPhase.ESTABLISHED
 
     # -- established-session operations --------------------------------------
 
     def subscribe(self, topic: str) -> Packet:
-        self._require(ClientPhase.ESTABLISHED, "subscribe")
+        if self._recv is None:
+            raise ProtocolOrderError("cannot subscribe: no session is established")
         (envelope,) = self._send.seal(PacketKind.SUBSCRIBE, topic.encode("utf-8"))
-        self._pending_subacks += 1
+        self._pending[PacketKind.SUBACK] += 1
         return Packet(kind=PacketKind.SUBSCRIBE, topic=envelope)
 
-    def handle_suback(self, packet: Packet) -> ReasonCode:
-        if packet.kind is not PacketKind.SUBACK:
-            raise ProtocolOrderError(f"expected a subscribe ack, got {packet.kind.name}")
-        if self._pending_subacks == 0:
-            raise ProtocolOrderError("subscribe ack without an outstanding subscribe")
-        self._pending_subacks -= 1
+    def _acknowledged(self, packet: Packet, kind: PacketKind) -> ReasonCode:
+        """Settle one outstanding request with its ack of ``kind``."""
+        if packet.kind is not kind:
+            raise ProtocolOrderError(f"expected {kind.name}, got {packet.kind.name}")
+        if self._pending[kind] == 0:
+            raise ProtocolOrderError(f"{kind.name} without an outstanding request")
+        self._pending[kind] -= 1
         return packet.reason_code if packet.reason_code is not None else ReasonCode.PROTOCOL_ERROR
+
+    def handle_suback(self, packet: Packet) -> ReasonCode:
+        return self._acknowledged(packet, PacketKind.SUBACK)
 
     def publish(self, topic: str, payload: bytes) -> Packet:
         """Step J, publisher side: topic at counter n, payload at n+1."""
-        self._require(ClientPhase.ESTABLISHED, "publish")
+        if self._recv is None:
+            raise ProtocolOrderError("cannot publish: no session is established")
         packet = _seal_publish(self._send, topic.encode("utf-8"), payload)
-        self._pending_pubacks += 1
+        self._pending[PacketKind.PUBACK] += 1
         return packet
 
     def handle_puback(self, packet: Packet) -> ReasonCode:
-        if packet.kind is not PacketKind.PUBACK:
-            raise ProtocolOrderError(f"expected a publish ack, got {packet.kind.name}")
-        if self._pending_pubacks == 0:
-            raise ProtocolOrderError("publish ack without an outstanding publish")
-        self._pending_pubacks -= 1
-        return packet.reason_code if packet.reason_code is not None else ReasonCode.PROTOCOL_ERROR
+        return self._acknowledged(packet, PacketKind.PUBACK)
 
     def handle_publish(self, packet: Packet) -> tuple[str, bytes]:
         """Step J, subscriber side: decrypt a forwarded message."""
-        self._require(ClientPhase.ESTABLISHED, "receive a publish")
+        if self._recv is None:
+            raise ProtocolOrderError("cannot receive a publish: no session is established")
         if packet.kind is not PacketKind.PUBLISH:
             raise ProtocolOrderError(f"expected a publish, got {packet.kind.name}")
         return _open_publish(self._recv, packet)
 
     def disconnect(self) -> Packet:
         """Leave the session; the next connect gets a fresh ephemeral identity."""
-        self.phase = ClientPhase.IDLE
         self._reset_session()
         return Packet(kind=PacketKind.DISCONNECT, reason_code=ReasonCode.SUCCESS)
 

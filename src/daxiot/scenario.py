@@ -34,6 +34,7 @@ from .did import (
     document_to_json,
 )
 from .protocol import DaxiotBroker, DaxiotClient
+from .snapshot import replace_file
 
 
 HOST = "127.0.0.1"
@@ -50,7 +51,7 @@ def write_didweb_document(
     )
     docs_dir.mkdir(parents=True, exist_ok=True)
     path = docs_dir / didweb_filename(Did.parse(did).identifier)
-    path.write_bytes(document_to_json(document))
+    replace_file(path, document_to_json(document))  # the broker reads it on every handshake
     return path
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
@@ -60,3 +61,11 @@ class FileSnapshot(Generic[T]):
                 self._entries.clear()
             self._entries[path] = (key, value)
         return value
+
+
+def replace_file(path: str | os.PathLike, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it over
+    ``path``, so a reader sees the old file or the new one, never a torn one."""
+    tmp = Path(f"{os.fspath(path)}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)

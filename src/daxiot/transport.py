@@ -9,9 +9,9 @@ import socket
 from collections import deque
 
 from .broker_service import Router
-from .errors import ConnectionRejected, FramingError, ProtocolOrderError
+from .errors import FramingError, ProtocolOrderError
 from .protocol import DaxiotBroker, DaxiotClient
-from .wire import Packet, PacketKind, decode_frame, encode_frame, frame_length
+from .wire import Packet, decode_frame, encode_frame, frame_length
 
 
 class TcpClientConnection:
@@ -116,8 +116,5 @@ def run_handshake(
 ) -> None:
     """Drive the full connect/challenge/response/ack exchange over a transport."""
     connection.send(client.begin_connect(broker_did))
-    first = connection.recv()
-    if first.kind is PacketKind.DISCONNECT:
-        raise ConnectionRejected("broker disconnected instead of challenging", first.reason_code)
-    connection.send(client.handle_challenge(first))
+    connection.send(client.handle_challenge(connection.recv()))
     client.handle_connack(connection.recv())

@@ -93,6 +93,34 @@ class TestKeyCommands:
         document = Resolver(DirectoryWebSource(tmp_path / "docs")).resolve("did:web:owner.example")
         assert document.service_endpoint == "tcp://127.0.0.1:9"
 
+    def test_didweb_emit_replaces_a_document_whole(self, runner, tmp_path):
+        # The broker reads a did:web document on every handshake: a reader
+        # that opened the old document reads all of it, because the new one
+        # is renamed into place instead of written over the old one's bytes.
+        key_path = tmp_path / "owner.key"
+        invoke(runner, "keygen", "--out", key_path)
+
+        def emit(endpoint):
+            result = invoke(
+                runner,
+                "didweb-emit",
+                "--key", key_path,
+                "--did", "did:web:owner.example",
+                "--endpoint", endpoint,
+                "--out-dir", tmp_path / "docs",
+            )
+            assert result.exit_code == 0
+            return Path(result.output.strip())
+
+        path = emit("tcp://127.0.0.1:9")
+        old = path.read_bytes()
+        with open(path, "rb") as reader:
+            assert emit("tcp://127.0.0.1:10") == path
+            assert reader.read() == old
+        document = Resolver(DirectoryWebSource(tmp_path / "docs")).resolve("did:web:owner.example")
+        assert document.service_endpoint == "tcp://127.0.0.1:10"
+        assert os.listdir(tmp_path / "docs") == [path.name]
+
 
 class TestIssuance:
     def _issue(self, runner, tmp_path, claims: dict | bytes):
@@ -221,6 +249,15 @@ def test_a_key_of_the_wrong_length_exits_2(runner, tmp_path):
     assert result.stderr.startswith(f"error: cannot load signing key from {key_path}")
 
 
+@pytest.mark.parametrize("port", ["65536", "99999", "\u00b2"], ids=["65536", "99999", "superscript two"])
+def test_a_listen_port_that_is_not_0_to_65535_exits_2(runner, tmp_path, port):
+    path = tmp_path / "broker.json"
+    path.write_text(json.dumps({**_CONFIG, "listen_address": f"127.0.0.1:{port}"}))
+    result = runner.invoke(main, ["broker", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: listen_address must be host:port")
+
+
 class TestRegistryCommands:
     def test_til_add_remove_roundtrip(self, runner, tmp_path):
         til_path = tmp_path / "til.json"
@@ -285,6 +322,45 @@ class TestClientCommands:
         # here, so that a socket left open there fails this test.
         del result
         gc.collect()
+
+    def test_a_credential_issued_again_into_its_directory_connects(self, runner, tmp_path):
+        # The second issuance has fewer claims: a disclosure file left over
+        # from the first would be presented and refused as unknown.
+        env = build_scenario(tmp_path / "env")
+        keys = tmp_path / "env" / "keys"
+
+        def issue(claims):
+            claims_path = tmp_path / "claims.json"
+            claims_path.write_text(json.dumps(claims))
+            result = invoke(
+                runner,
+                "issue",
+                "--key", keys / "publisher-owner.key",
+                "--issuer-did", env.po_did,
+                "--subject-did", env.publisher.static_did,
+                "--claims", claims_path,
+                "--jti", "AC-publisher-0002",
+                "--out-dir", tmp_path / "pub-cred",
+            )
+            assert result.exit_code == 0
+
+        grant = {"pub": [env.topic]}
+        issue({"did:web:a.example": grant, "did:web:b.example": grant, env.broker_did: grant})
+        issue({env.broker_did: grant})
+        assert len(load_credential_files(tmp_path / "pub-cred")[1]) == 1
+        with BrokerThread(env.config):
+            result = invoke(
+                runner,
+                "publish",
+                "--key", keys / "publisher.key",
+                "--credential-dir", tmp_path / "pub-cred",
+                "--broker-did", env.broker_did,
+                "--did-web-dir", env.config.did_web_dir,
+                "--topic", env.topic,
+                "--message", "after re-issue",
+            )
+        assert result.exit_code == 0, result.output
+        assert f"published to {env.topic}" in result.output
 
     def test_torn_disclosure_file_is_an_error(self, runner, tmp_path):
         env = build_scenario(tmp_path / "env")

@@ -42,7 +42,7 @@ from daxiot.errors import (
     ProtocolOrderError,
     ReplayError,
 )
-from daxiot.protocol import Channel, ClientPhase, DaxiotBroker, DaxiotClient
+from daxiot.protocol import Channel, DaxiotBroker, DaxiotClient
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame
@@ -61,6 +61,18 @@ def _tamper_envelope(data: bytes) -> bytes:
 
 def _renonce(data: bytes, nonce: bytes) -> bytes:
     return nonce + data[24:]
+
+
+def _client_state(client):
+    """What a client's phase and debts are: its session key, each channel
+    with its next nonce, and the acks it waits for."""
+    send, recv = client._send, client._recv
+    return (
+        client._session_key,
+        send, send and send.nonce,
+        recv, recv and recv.nonce,
+        dict(client._pending),
+    )
 
 
 def _subscribed_pair(env, loopback):
@@ -228,7 +240,7 @@ class TestHandshake:
         connection = establish(loopback, publisher, env.broker_did)
         session = loopback.engine.sessions[publisher.ephemeral_did]
 
-        assert publisher.phase is ClientPhase.ESTABLISHED
+        assert publisher._recv is not None
         assert session.b2c is not None
         # Both directions share the one-pass unified key and stand at the
         # same next nonce on either end. (The ES key agreed, or the broker
@@ -298,8 +310,10 @@ class TestHandshake:
         client = DaxiotClient(env.publisher.keypair, credential, disclosures, env.resolver())
         connection = loopback.open()
         connection.send(client.begin_connect(env.broker_did))
+        state = _client_state(client)
         with pytest.raises(NothingToPresent):
             client.handle_challenge(connection.recv())
+        assert _client_state(client) == state  # the step raised after building its channel
 
     def test_duplicate_client_id_rejected(self, env, loopback):
         client = env.publisher_client()
@@ -510,12 +524,12 @@ class TestReplayProtection:
         if kind is PacketKind.CONNACK:
             connection.send(client.handle_challenge(packet))
             packet, handle = connection.recv(), client.handle_connack
-        phase = client.phase
+        state = _client_state(client)
         packet.auth_data = at_counter_one(packet.auth_data)
         with pytest.raises(ProtocolOrderError) as refused:
             handle(packet)
         assert refused.type is ProtocolOrderError
-        assert client.phase is phase
+        assert _client_state(client) == state
 
     def test_broker_to_client_prefix_is_distinct(self, env, loopback):
         publisher = env.publisher_client()
@@ -555,7 +569,7 @@ class TestTampering:
         with pytest.raises(ProtocolError) as refused:
             client.handle_challenge(challenge)
         assert refused.type is ProtocolError
-        assert client.phase is ClientPhase.CONNECT_SENT
+        assert client._session_key is not None and client._send is None
 
     def test_tampered_auth_response(self, env, loopback):
         client = env.publisher_client()
@@ -735,6 +749,102 @@ class TestAuthorization:
                 connection.send(client.publish(topic, b"?"))
                 outcome = client.handle_puback(recv_ack(PacketKind.PUBACK)) is ReasonCode.SUCCESS
                 assert outcome == oracle.allowed(client.static_did, "pub", topic)
+
+
+CLIENT_STATES = ("idle", "connect-sent", "challenged", "established")
+# The operations each state accepts; disconnect is accepted in every state.
+IN_ORDER = {
+    "idle": {"begin_connect"},
+    "connect-sent": {"handle_challenge"},
+    "challenged": {"handle_connack"},
+    "established": {"subscribe", "publish", "handle_publish"},
+}
+
+
+def _client_at(env, loopback, state):
+    """A publisher brought to ``state`` over the loopback, and the packets the
+    broker has sent it by then; the last of them not yet handled."""
+    client, connection = env.publisher_client(), loopback.open()
+    packets = {}
+    step = CLIENT_STATES.index(state)
+    if step >= 1:
+        connection.send(client.begin_connect(env.broker_did))
+        packets["challenge"] = connection.recv()
+    if step >= 2:
+        connection.send(client.handle_challenge(packets["challenge"]))
+        packets["connack"] = connection.recv()
+    if step >= 3:
+        client.handle_connack(packets["connack"])
+        b2c = loopback.engine.sessions[client.ephemeral_did].b2c
+        packets["publish"] = daxiot.protocol._seal_publish(b2c, env.topic.encode(), b"21.5 C")
+    return client, packets
+
+
+# Each operation gets the broker's real packet where one exists, so that only
+# the order check can tell a stale challenge or connack from a fresh one.
+CLIENT_OPERATIONS = {
+    "begin_connect": lambda env, client, packets: client.begin_connect(env.broker_did),
+    "handle_challenge": lambda env, client, packets: client.handle_challenge(
+        packets.get("challenge", Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=bytes(40)))
+    ),
+    "handle_connack": lambda env, client, packets: client.handle_connack(
+        packets.get("connack", Packet(kind=PacketKind.CONNACK, reason_code=ReasonCode.SUCCESS, auth_data=bytes(40)))
+    ),
+    "subscribe": lambda env, client, packets: client.subscribe(env.topic),
+    "handle_suback": lambda env, client, packets: client.handle_suback(
+        Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.SUCCESS)
+    ),
+    "publish": lambda env, client, packets: client.publish(env.topic, b"21.5 C"),
+    "handle_puback": lambda env, client, packets: client.handle_puback(
+        Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.SUCCESS)
+    ),
+    "handle_publish": lambda env, client, packets: client.handle_publish(
+        packets.get("publish", Packet(kind=PacketKind.PUBLISH, topic=bytes(40), payload=bytes(40)))
+    ),
+    "disconnect": lambda env, client, packets: client.disconnect(),
+}
+
+
+@pytest.mark.parametrize("operation", CLIENT_OPERATIONS)
+@pytest.mark.parametrize("state", CLIENT_STATES)
+def test_client_operations_in_every_state(env, loopback, state, operation):
+    # A client's state is which of its fields are set; an operation out of
+    # order is refused before it changes any of them.
+    client, packets = _client_at(env, loopback, state)
+    key, send, recv = client._session_key, client._send, client._recv
+    assert (key is not None, send is not None, recv is not None) == (
+        state != "idle", state in ("challenged", "established"), state == "established"
+    )
+    call = CLIENT_OPERATIONS[operation]
+    if operation == "disconnect":
+        assert call(env, client, packets).kind is PacketKind.DISCONNECT
+        assert _client_state(client) == (None, None, None, None, None, {PacketKind.SUBACK: 0, PacketKind.PUBACK: 0})
+    elif operation in IN_ORDER[state]:
+        call(env, client, packets)
+    else:
+        state_before = _client_state(client)
+        with pytest.raises(ProtocolOrderError) as refused:
+            call(env, client, packets)
+        assert refused.type is ProtocolOrderError
+        assert _client_state(client) == state_before
+
+
+@pytest.mark.parametrize("reason", [ReasonCode.PROTOCOL_ERROR, ReasonCode.NOT_AUTHORIZED])
+def test_a_disconnect_in_place_of_the_challenge_is_a_rejection(env, loopback, reason):
+    client, connection = env.publisher_client(), loopback.open()
+    connect = client.begin_connect(env.broker_did)
+    if reason is ReasonCode.PROTOCOL_ERROR:  # the broker's own refusal of a connect
+        connect.auth_data = _tamper_envelope(connect.auth_data)
+        connection.send(connect)
+        refusal = connection.recv()
+    else:
+        refusal = Packet(kind=PacketKind.DISCONNECT, reason_code=reason)
+    assert refusal.kind is PacketKind.DISCONNECT
+    state = _client_state(client)
+    with pytest.raises(ConnectionRejected) as rejected:
+        client.handle_challenge(refusal)
+    assert rejected.value.reason_code is reason
+    assert _client_state(client) == state
 
 
 class _CountingX25519:
