@@ -4,8 +4,8 @@ The same server carries the DAXiot engine and the benchmark's plaintext
 baseline; each connection is a small asyncio protocol with no task of its
 own, which stops reading a peer whose replies back up. Trust files are
 consulted on every verification and parsed again whenever they change, so
-edits need no restart. Events go to a bounded ring and optionally to a
-stream, one JSON object per line.
+edits need no restart. Events go to an optional stream, one JSON object per
+line.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, TextIO
@@ -238,7 +237,6 @@ class BrokerService:
             raise ConfigError(f"listen_address must be host:port or [IPv6]:port, port 0-65535, got {listen_address!r}")
         self._host, self._port = host, int(port)
         self._event_log = event_log
-        self.events: deque[dict] = deque(maxlen=1000)
         self.engine = make_engine(self._record_event)
         self.router = Router(self.engine)
         self._connections: set[_Connection] = set()
@@ -246,11 +244,9 @@ class BrokerService:
         self._server: asyncio.Server | None = None
 
     def _record_event(self, record: dict) -> None:
-        record = {"ts": time.time(), **record}
-        self.events.append(record)
         if self._event_log is not None:
             try:
-                self._event_log.write(_EVENT_ENCODER.encode(record) + "\n")
+                self._event_log.write(_EVENT_ENCODER.encode({"ts": time.time(), **record}) + "\n")
                 self._event_log.flush()
             except OSError:  # a full disk or a closed pipe must not stop the broker
                 pass

@@ -13,12 +13,12 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerThread
+from .broker_service import BrokerService, BrokerThread
 from .credential import RevocationRegistry
 from .errors import ConnectionRejected, DaxiotError
 from .scenario import ScenarioEnv, build_scenario
 from .transport import TcpClientConnection, run_handshake
-from .wire import PacketKind, ReasonCode
+from .wire import ReasonCode
 
 
 @dataclass
@@ -30,11 +30,17 @@ class DemoFailure(DaxiotError):
         return f"failed at step {self.step}: {self.cause}"
 
 
-def _broker_rejection_cause(broker: BrokerThread, fallback: str) -> str:
-    for event in reversed(broker.service.events):
-        if event.get("event") in ("auth_rejected", "connect_rejected"):
-            return event.get("reason", fallback)
-    return fallback
+class _DemoBroker(BrokerThread):
+    """The scenario's broker; it keeps the last refusal its engine reported,
+    the event that names a ``step``."""
+
+    def __init__(self, env: ScenarioEnv) -> None:
+        self.refusal: dict | None = None
+        self.service = BrokerService(env.config.listen_address, lambda event_sink: env.engine(self._keep))
+
+    def _keep(self, event: dict) -> None:
+        if "step" in event:
+            self.refusal = event
 
 
 def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
@@ -48,7 +54,7 @@ def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
         echo(f"revoked publisher credential {env.publisher.jti} before connecting")
 
     try:
-        with BrokerThread(env.config) as broker, ExitStack() as connections:
+        with _DemoBroker(env) as broker, ExitStack() as connections:
             echo(f"broker {env.broker_did} listening on {env.host}:{broker.port}")
             _run_flow(env, broker, echo, connections)
     except DemoFailure as failure:
@@ -58,79 +64,60 @@ def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
     return 0
 
 
-def _run_flow(env: ScenarioEnv, broker: BrokerThread, echo, connections: ExitStack) -> None:
-    """Steps A-J; every connection opened here is closed by ``connections``."""
+def _run_flow(env: ScenarioEnv, broker: _DemoBroker, echo, connections: ExitStack) -> None:
+    """Steps A-J; every connection opened here is closed by ``connections``.
+
+    A failing client call is charged to ``step``, the first step not yet
+    printed, and a broker refusal to its event's step and reason.
+    """
     publisher = env.publisher_client()
     subscriber = env.subscriber_client()
-
-    # --- publisher connects (steps A through H) ---
+    step = "A"
     try:
+        # --- publisher connects (steps A through H) ---
         connect_packet = publisher.begin_connect(env.broker_did)
-    except DaxiotError as exc:
-        raise DemoFailure("A", f"{type(exc).__name__}: {exc}") from exc
-    echo(f"step A: publisher created ephemeral identity {publisher.ephemeral_did}")
-
-    try:
+        echo(f"step A: publisher created ephemeral identity {publisher.ephemeral_did}")
+        step = "B"
         publisher_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
         publisher_conn.send(connect_packet)
-    except (DaxiotError, OSError) as exc:
-        raise DemoFailure("B", f"{type(exc).__name__}: {exc}") from exc
-    echo("step B: publisher sent an anonymous connection request")
-
-    try:
+        echo("step B: publisher sent an anonymous connection request")
+        step = "C"
         challenge = publisher_conn.recv()
-    except DaxiotError as exc:
-        raise DemoFailure("C", f"{type(exc).__name__}: {exc}") from exc
-    if challenge.kind is not PacketKind.AUTH_CHALLENGE:
-        raise DemoFailure("C", _broker_rejection_cause(broker, "broker refused the connect"))
-    echo("step C: broker authenticated the ephemeral identity")
-    echo("step D: broker sent an encrypted credential challenge")
-
-    try:
+        step = "E"
         response = publisher.handle_challenge(challenge)
-    except DaxiotError as exc:
-        raise DemoFailure("E", f"{type(exc).__name__}: {exc}") from exc
-    echo(f"step E: publisher authenticated the broker as {env.broker_did}")
-
-    try:
+        echo("step C: broker authenticated the ephemeral identity")
+        echo("step D: broker sent an encrypted credential challenge")
+        echo(f"step E: publisher authenticated the broker as {env.broker_did}")
+        step = "F"
         publisher_conn.send(response)
-    except (DaxiotError, OSError) as exc:
-        raise DemoFailure("F", f"{type(exc).__name__}: {exc}") from exc
-    echo("step F: publisher presented its credential (one disclosure only)")
+        echo("step F: publisher presented its credential (one disclosure only)")
+        step = "G"
+        publisher.handle_connack(publisher_conn.recv())
+        echo("step G: broker decrypted the presentation, publisher authenticated")
+        echo("step H: broker verified authorizations and confirmed the connection")
 
-    try:
-        connack = publisher_conn.recv()
-        publisher.handle_connack(connack)
-    except ConnectionRejected as exc:
-        raise DemoFailure("H", _broker_rejection_cause(broker, str(exc))) from exc
-    except DaxiotError as exc:
-        raise DemoFailure("G", f"{type(exc).__name__}: {exc}") from exc
-    echo("step G: broker decrypted the presentation, publisher authenticated")
-    echo("step H: broker verified authorizations and confirmed the connection")
-
-    # --- subscriber connects and subscribes (step I) ---
-    try:
+        # --- subscriber connects and subscribes (step I) ---
+        step = "I"
         subscriber_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
         run_handshake(subscriber, subscriber_conn, env.broker_did)
         subscriber_conn.send(subscriber.subscribe(env.topic))
         if subscriber.handle_suback(subscriber_conn.recv()) is not ReasonCode.SUCCESS:
-            raise DemoFailure("I", "subscription was not authorized")
-    except DemoFailure:
-        raise
-    except DaxiotError as exc:
-        raise DemoFailure("I", f"{type(exc).__name__}: {exc}") from exc
-    echo(f"step I: subscriber connected and subscribed to {env.topic!r}")
+            raise DemoFailure(step, "subscription was not authorized")
+        echo(f"step I: subscriber connected and subscribed to {env.topic!r}")
 
-    # --- publish, forward, receive (step J) ---
-    try:
+        # --- publish, forward, receive (step J) ---
+        step = "J"
         publisher_conn.send(publisher.publish(env.topic, env.payload))
         if publisher.handle_puback(publisher_conn.recv()) is not ReasonCode.SUCCESS:
-            raise DemoFailure("J", "publish was not authorized")
+            raise DemoFailure(step, "publish was not authorized")
         topic, payload = subscriber.handle_publish(subscriber_conn.recv())
     except DemoFailure:
         raise
-    except DaxiotError as exc:
-        raise DemoFailure("J", f"{type(exc).__name__}: {exc}") from exc
+    except ConnectionRejected as exc:
+        refusal = broker.refusal or {}
+        raise DemoFailure(refusal.get("step") or step, refusal.get("reason") or str(exc)) from exc
+    except (DaxiotError, OSError) as exc:
+        raise DemoFailure(step, f"{type(exc).__name__}: {exc}") from exc
     if (topic, payload) != (env.topic, env.payload):
         raise DemoFailure("J", "subscriber decrypted a different message than published")
     echo(f"step J: subscriber received {payload!r} on {topic!r}")

@@ -16,8 +16,8 @@ The handshake runs over the connect/challenge/response exchange:
 A client's phase is which of its fields are set: idle without a session key,
 CONNECT sent with the key alone, challenged once its sending channel exists,
 established once its receiving channel does. Each step sets its field last, so
-a step that raises leaves the phase as it was. A DISCONNECT in place of the
-challenge or the success acknowledgement is the broker's refusal, raised as
+a step that raises leaves the phase as it was. A DISCONNECT in place of any
+reply the client awaits is the broker's refusal, raised as
 :class:`ConnectionRejected` with its reason code.
 
 An envelope is bytes, exactly as the wire carries it: the 24-byte nonce,
@@ -41,8 +41,8 @@ proves both fields belong to the same message. :func:`_seal_publish` and
 message to the topic's sessions in subscription order.
 
 Refusals: the broker's handlers only raise; :meth:`DaxiotBroker._refuse` alone
-turns the error into an event, a reply and, where the table says so, the end
-of the session. The README's refusal table lists every case.
+turns the error into an event naming its step (A-J), a reply and, where the
+README's refusal table says so, the end of the session.
 """
 
 from __future__ import annotations
@@ -240,15 +240,6 @@ def _open_publish(channel: Channel, packet: Packet) -> tuple[str, bytes]:
 # Client
 # ---------------------------------------------------------------------------
 
-def _handshake_reply(packet: Packet, kind: PacketKind) -> None:
-    """Check that the broker answered a handshake step with ``kind``; a
-    DISCONNECT in its place is the broker's refusal, with its reason code."""
-    if packet.kind is PacketKind.DISCONNECT:
-        raise ConnectionRejected(f"broker disconnected instead of sending {kind.name}", packet.reason_code)
-    if packet.kind is not kind:
-        raise ProtocolOrderError(f"expected {kind.name}, got {packet.kind.name}")
-
-
 class DaxiotClient:
     """Publisher/subscriber protocol engine, transport-agnostic.
 
@@ -318,7 +309,7 @@ class DaxiotClient:
         """Steps E and F: authenticate the broker, answer with a presentation."""
         if self._session_key is None or self._send is not None:
             raise ProtocolOrderError("cannot process a challenge: no CONNECT is awaiting one")
-        _handshake_reply(packet, PacketKind.AUTH_CHALLENGE)
+        self._reply(packet, PacketKind.AUTH_CHALLENGE)
         _, plaintext = Channel.open_first(
             self._session_key, self.ephemeral_did, PacketKind.AUTH_CHALLENGE, packet.auth_data
         )
@@ -336,7 +327,7 @@ class DaxiotClient:
         """Step H, client side: confirm the broker accepted the credential."""
         if self._send is None or self._recv is not None:
             raise ProtocolOrderError("cannot process a connection ack: no authentication response is awaiting one")
-        _handshake_reply(packet, PacketKind.CONNACK)
+        self._reply(packet, PacketKind.CONNACK)
         if packet.reason_code is not ReasonCode.SUCCESS:
             reason = packet.reason_code.name if packet.reason_code is not None else "no reason"
             raise ConnectionRejected(f"broker rejected the connection: {reason}", packet.reason_code)
@@ -356,17 +347,8 @@ class DaxiotClient:
         self._pending[PacketKind.SUBACK] += 1
         return Packet(kind=PacketKind.SUBSCRIBE, topic=envelope)
 
-    def _acknowledged(self, packet: Packet, kind: PacketKind) -> ReasonCode:
-        """Settle one outstanding request with its ack of ``kind``."""
-        if packet.kind is not kind:
-            raise ProtocolOrderError(f"expected {kind.name}, got {packet.kind.name}")
-        if self._pending[kind] == 0:
-            raise ProtocolOrderError(f"{kind.name} without an outstanding request")
-        self._pending[kind] -= 1
-        return packet.reason_code if packet.reason_code is not None else ReasonCode.PROTOCOL_ERROR
-
     def handle_suback(self, packet: Packet) -> ReasonCode:
-        return self._acknowledged(packet, PacketKind.SUBACK)
+        return self._reply(packet, PacketKind.SUBACK)
 
     def publish(self, topic: str, payload: bytes) -> Packet:
         """Step J, publisher side: topic at counter n, payload at n+1."""
@@ -377,15 +359,27 @@ class DaxiotClient:
         return packet
 
     def handle_puback(self, packet: Packet) -> ReasonCode:
-        return self._acknowledged(packet, PacketKind.PUBACK)
+        return self._reply(packet, PacketKind.PUBACK)
 
     def handle_publish(self, packet: Packet) -> tuple[str, bytes]:
         """Step J, subscriber side: decrypt a forwarded message."""
         if self._recv is None:
             raise ProtocolOrderError("cannot receive a publish: no session is established")
-        if packet.kind is not PacketKind.PUBLISH:
-            raise ProtocolOrderError(f"expected a publish, got {packet.kind.name}")
+        self._reply(packet, PacketKind.PUBLISH)
         return _open_publish(self._recv, packet)
+
+    def _reply(self, packet: Packet, kind: PacketKind) -> ReasonCode:
+        """Check that the broker sent ``kind``, settling one request if it is an
+        ack; a DISCONNECT in its place is the broker's refusal, with its reason code."""
+        if packet.kind is not kind:
+            if packet.kind is PacketKind.DISCONNECT:
+                raise ConnectionRejected(f"broker disconnected instead of sending {kind.name}", packet.reason_code)
+            raise ProtocolOrderError(f"expected {kind.name}, got {packet.kind.name}")
+        if kind in self._pending:
+            if self._pending[kind] == 0:
+                raise ProtocolOrderError(f"{kind.name} without an outstanding request")
+            self._pending[kind] -= 1
+        return packet.reason_code if packet.reason_code is not None else ReasonCode.PROTOCOL_ERROR
 
     def disconnect(self) -> Packet:
         """Leave the session; the next connect gets a fresh ephemeral identity."""
@@ -409,6 +403,7 @@ class BrokerSession:
     c2b: Channel
     grant: AuthorizationGrant | None = None
     b2c: Channel | None = None
+    topics: set[str] = field(default_factory=set)  # what it subscribed to, so eviction visits only these
 
 
 @dataclass(slots=True)
@@ -432,6 +427,20 @@ _ACKS = {
     PacketKind.AUTH_RESPONSE: PacketKind.CONNACK,
     PacketKind.SUBSCRIBE: PacketKind.SUBACK,
     PacketKind.PUBLISH: PacketKind.PUBACK,
+}
+# The step of the exchange (A-J) that refuses or denies a packet of each kind;
+# any other kind has none. A credential refusal of an AUTH_RESPONSE is step H's.
+_STEPS = {
+    PacketKind.CONNECT: "C",
+    PacketKind.AUTH_RESPONSE: "G",
+    PacketKind.SUBSCRIBE: "I",
+    PacketKind.PUBLISH: "J",
+}
+# The handler of each kind a client may send on its session, but DISCONNECT.
+_HANDLERS = {
+    PacketKind.AUTH_RESPONSE: "handle_auth_response",
+    PacketKind.SUBSCRIBE: "handle_subscribe",
+    PacketKind.PUBLISH: "handle_publish",
 }
 
 
@@ -470,31 +479,30 @@ class DaxiotBroker:
 
     # -- helpers --------------------------------------------------------------
 
-    def _emit(self, event: str, session: str | None = None, reason: str | None = None) -> None:
+    def _emit(self, event: str, session: str | None = None, reason: str | None = None, **step: str | None) -> None:
         if self._event_sink is not None:
-            self._event_sink({"event": event, "session": session, "reason": reason})
-
-    def _session(self, session_id: str, established: bool = False) -> BrokerSession:
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise ProtocolOrderError(f"no session {session_id}")
-        if established and session.b2c is None:
-            raise ProtocolOrderError("session is not established")
-        return session
+            self._event_sink({"event": event, "session": session, "reason": reason, **step})
 
     # -- refusal policy ------------------------------------------------------------
 
     def _refuse(self, session_id: str | None, kind: PacketKind, error: DaxiotError) -> Reply:
         """The one refusal policy: which event, which reply, whether the session ends.
 
-        ``session_id`` is None for the first packet of a connection. The rules
-        apply in order; the README's refusal table lists them.
+        ``session_id`` is None for the first packet of a connection. A packet
+        on a session the engine does not hold has nothing to refuse, so its
+        error is raised. The rules apply in order; the README's refusal table
+        lists them.
         """
+        session = self.sessions.get(session_id)
+        if session is None and session_id is not None:
+            raise error
         reason: str | None = type(error).__name__
         code = (
             ReasonCode.NOT_AUTHORIZED if isinstance(error, CredentialError) else ReasonCode.PROTOCOL_ERROR
         )
-        session = self.sessions.get(session_id)
+        step = _STEPS.get(kind)
+        if code is ReasonCode.NOT_AUTHORIZED and kind is PacketKind.AUTH_RESPONSE:
+            step = "H"
         established = session is not None and session.b2c is not None
         ack = [Packet(kind=_ACKS[kind], reason_code=code)] if kind in _ACKS else []
         if isinstance(error, NonceOverflowError):
@@ -511,7 +519,7 @@ class DaxiotBroker:
             event, packets, ends = f"{kind.name.lower()}_rejected", ack, False
         else:
             event, packets, ends = "protocol_error", ack, True
-        self._emit(event, session_id, reason=reason)
+        self._emit(event, session_id, reason, step=step)
         if not ends:
             return Reply(packets=packets, error=error)
         if session_id is not None:
@@ -522,20 +530,17 @@ class DaxiotBroker:
     # -- dispatch --------------------------------------------------------------
 
     def handle_packet(self, session_id: str, packet: Packet) -> Reply:
-        """Route one post-connect packet from an existing session."""
-        if packet.kind is PacketKind.DISCONNECT:
+        """Route one post-connect packet to its handler, which finds the session."""
+        kind = packet.kind
+        handler = _HANDLERS.get(kind)
+        if handler is None and kind is PacketKind.DISCONNECT:
             return self.handle_disconnect(session_id)
-        self._session(session_id)  # an unknown session raises: there is nothing to refuse
         try:
-            if packet.kind is PacketKind.AUTH_RESPONSE:
-                return self.handle_auth_response(session_id, packet)
-            if packet.kind is PacketKind.SUBSCRIBE:
-                return self.handle_subscribe(session_id, packet)
-            if packet.kind is PacketKind.PUBLISH:
-                return self.handle_publish(session_id, packet)
-            raise ProtocolOrderError(f"client must not send {packet.kind.name} on an open session")
+            if handler is None:
+                raise ProtocolOrderError(f"client must not send {kind.name} after its CONNECT")
+            return getattr(self, handler)(session_id, packet)
         except DaxiotError as error:
-            return self._refuse(session_id, packet.kind, error)
+            return self._refuse(session_id, kind, error)
 
     # -- handshake ---------------------------------------------------------------
 
@@ -610,7 +615,9 @@ class DaxiotBroker:
 
     def handle_auth_response(self, session_id: str, packet: Packet) -> Reply:
         """Steps G and H: authenticate the static identity, verify the credential."""
-        session = self._session(session_id)
+        session = self.sessions.get(session_id)
+        if session is None:
+            raise ProtocolOrderError(f"no session {session_id}")
         if session.b2c is not None:
             if _envelope(packet.auth_data, PacketKind.AUTH_RESPONSE)[:NONCE_LEN] != session.c2b.nonce:
                 raise ReplayError("authentication response replays a stale nonce")
@@ -642,26 +649,31 @@ class DaxiotBroker:
 
     def handle_subscribe(self, session_id: str, packet: Packet) -> Reply:
         """Step I: decrypt the topic, enforce the subscribe grant, register."""
-        session = self._session(session_id, established=True)
+        session = self.sessions.get(session_id)
+        if session is None or session.b2c is None:
+            raise ProtocolOrderError("session is not established")
         (raw,) = session.c2b.open(PacketKind.SUBSCRIBE, packet.topic)
         topic = decode_text(raw, ProtocolError, "subscribe topic")
 
         if topic not in session.grant.subscribe_topics:
-            self._emit("subscribe_denied", session_id)
+            self._emit("subscribe_denied", session_id, step=_STEPS[packet.kind])
             return Reply(
                 packets=[Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.NOT_AUTHORIZED)]
             )
         self.topics.setdefault(topic, {})[session_id] = session
+        session.topics.add(topic)
         self._emit("subscribed", session_id)
         return Reply(packets=[Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.SUCCESS)])
 
     def handle_publish(self, session_id: str, packet: Packet) -> Reply:
         """Step J: enforce consecutive nonces and the publish grant, fan out."""
-        session = self._session(session_id, established=True)
+        session = self.sessions.get(session_id)
+        if session is None or session.b2c is None:
+            raise ProtocolOrderError("session is not established")
         topic, payload = _open_publish(session.c2b, packet)
 
         if topic not in session.grant.publish_topics:
-            self._emit("publish_denied", session_id)
+            self._emit("publish_denied", session_id, step=_STEPS[packet.kind])
             return Reply(
                 packets=[Packet(kind=PacketKind.PUBACK, reason_code=ReasonCode.NOT_AUTHORIZED)]
             )
@@ -692,8 +704,8 @@ class DaxiotBroker:
         return Reply(close=True)
 
     def _evict(self, session_id: str) -> None:
-        self.sessions.pop(session_id, None)
-        for topic, subscribers in list(self.topics.items()):
-            subscribers.pop(session_id, None)
+        for topic in self.sessions.pop(session_id).topics:
+            subscribers = self.topics[topic]
+            del subscribers[session_id]
             if not subscribers:
                 del self.topics[topic]

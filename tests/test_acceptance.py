@@ -8,17 +8,19 @@ measurement methodology and the crypto-cost ordering only.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import daxiot.protocol
 from daxiot.bench import run_bench
-from daxiot.broker_service import BrokerThread
+from daxiot.broker_service import BrokerThread, save_signing_key
 from daxiot.cli import main as cli_main
 from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
 from daxiot.crypto import (
@@ -40,9 +42,10 @@ from daxiot.errors import (
     ReplayError,
 )
 from daxiot.protocol import DaxiotBroker, DaxiotClient
-from daxiot.scenario import build_scenario
+from daxiot.scenario import build_scenario, write_didweb_document
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, encode_frame
+from conftest import LoggingBroker
 from helpers import PermissionOracle, disclosure_digest_oracle
 
 import test_crypto_vectors as vectors
@@ -222,12 +225,30 @@ class _AdversarialHarness:
             self.env_revoked.engine(event_sink=self.events_revoked.append)
         )
 
+        # A second broker with its own key and DID over the same trust files.
+        self.events_second: list[dict] = []
+        second_key, second_did = generate_signing_keypair(), "did:web:second-broker.example"
+        write_didweb_document(Path(self.env.config.did_web_dir), second_key, second_did)
+        save_signing_key(tmp_path / "second-broker.key", second_key)
+        second_config = dataclasses.replace(
+            self.env.config, broker_did=second_did, signing_key_path=str(tmp_path / "second-broker.key")
+        )
+        self.second_broker = second_config.engine(event_sink=self.events_second.append)
+
     # Every attack returns True when the attack was rejected.
 
     def _established_publisher(self):
         client = self.env.publisher_client()
         connection = self.network.open()
         run_handshake(client, connection, self.env.broker_did)
+        return client, connection
+
+    def _subscribed_subscriber(self):
+        client = self.env.subscriber_client()
+        connection = self.network.open()
+        run_handshake(client, connection, self.env.broker_did)
+        connection.send(client.subscribe(self.env.topic))
+        client.handle_suback(connection.recv())
         return client, connection
 
     def _tamper(self, envelope_bytes: bytes) -> bytes:
@@ -401,11 +422,7 @@ class _AdversarialHarness:
 
     def tampered_forwarded_publish(self) -> bool:
         publisher, publisher_conn = self._established_publisher()
-        subscriber = self.env.subscriber_client()
-        subscriber_conn = self.network.open()
-        run_handshake(subscriber, subscriber_conn, self.env.broker_did)
-        subscriber_conn.send(subscriber.subscribe(self.env.topic))
-        subscriber.handle_suback(subscriber_conn.recv())
+        subscriber, subscriber_conn = self._subscribed_subscriber()
         publisher_conn.send(publisher.publish(self.env.topic, b"payload"))
         publisher.handle_puback(publisher_conn.recv())
         forwarded = subscriber_conn.recv()
@@ -415,6 +432,39 @@ class _AdversarialHarness:
             forwarded.payload = self._tamper(forwarded.payload)
         try:
             subscriber.handle_publish(forwarded)
+        except (IntegrityError, ReplayError):
+            return True
+        return False
+
+    def wrong_broker(self) -> bool:
+        # A CONNECT made for one broker, relayed to another: the ES key binds
+        # the broker's static key and DID, so the second cannot open it.
+        client = self.env.publisher_client()
+        session_id, reply = self.second_broker.handle_connect(client.begin_connect(self.env.broker_did))
+        refusal = self.events_second[-1]
+        return session_id is None and reply.close and (refusal["event"], refusal["step"]) == ("connect_rejected", "C")
+
+    def reflection(self) -> bool:
+        # A forwarded broker-to-client PUBLISH sent back client-to-broker.
+        publisher, publisher_conn = self._established_publisher()
+        subscriber, subscriber_conn = self._subscribed_subscriber()
+        publisher_conn.send(publisher.publish(self.env.topic, b"payload"))
+        publisher.handle_puback(publisher_conn.recv())
+        reply = self.engine.handle_packet(subscriber.ephemeral_did, subscriber_conn.recv())
+        subscriber_conn.close()
+        return isinstance(reply.error, (ReplayError, IntegrityError)) and not reply.forwards
+
+    def cross_session_splice(self) -> bool:
+        # One subscriber's copy of a message, in place of another's.
+        publisher, publisher_conn = self._established_publisher()
+        (_, first_conn), (second, second_conn) = self._subscribed_subscriber(), self._subscribed_subscriber()
+        publisher_conn.send(publisher.publish(self.env.topic, b"payload"))
+        publisher.handle_puback(publisher_conn.recv())
+        moved = first_conn.recv()
+        first_conn.close()
+        second_conn.close()
+        try:
+            second.handle_publish(moved)
         except (IntegrityError, ReplayError):
             return True
         return False
@@ -439,6 +489,9 @@ def test_criterion_4_adversarial_suite(tmp_path):
         harness.tampered_subscribe,
         harness.tampered_publish,
         harness.tampered_forwarded_publish,
+        harness.wrong_broker,
+        harness.reflection,
+        harness.cross_session_splice,
     ]
     false_accepts = 0
     counts: dict[str, int] = {}
@@ -593,7 +646,7 @@ def test_criterion_8_lifecycle(tmp_path):
         assert result.exit_code == 0, result.output
         return result
 
-    with BrokerThread(env.config) as broker:
+    with LoggingBroker(env.config) as broker:
         # Baseline: both devices connect.
         for client in (env.publisher_client(), env.subscriber_client()):
             connection = TcpClientConnection(env.host, broker.port)
@@ -605,13 +658,13 @@ def test_criterion_8_lifecycle(tmp_path):
         cli("til-remove", "--til", env.til_path, "--did", env.po_did)
         with pytest.raises(ConnectionRejected), TcpClientConnection(env.host, broker.port) as connection:
             run_handshake(env.publisher_client(), connection, env.broker_did)
-        assert broker.service.events[-1]["reason"] == "UntrustedIssuer"
+        assert broker.events()[-1]["reason"] == "UntrustedIssuer"
 
         # Revoking a credential locks out its holder on the next connect.
         cli("revoke", "--rr", env.rr_path, "--jti", env.subscriber.jti)
         with pytest.raises(ConnectionRejected), TcpClientConnection(env.host, broker.port) as connection:
             run_handshake(env.subscriber_client(), connection, env.broker_did)
-        assert broker.service.events[-1]["reason"] == "Revoked"
+        assert broker.events()[-1]["reason"] == "Revoked"
 
         # Adding a brand-new issuer enables its freshly issued device.
         new_owner_key = tmp_path / "new-owner.key"

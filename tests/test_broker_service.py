@@ -31,11 +31,13 @@ from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import MAX_FRAME, Packet, PacketKind, ReasonCode, encode_frame
 
+from conftest import LoggingBroker
+
 
 @pytest.fixture
 def tcp_env(tmp_path):
     env = build_scenario(tmp_path / "env")
-    broker = BrokerThread(env.config).start()
+    broker = LoggingBroker(env.config).start()
     yield env, broker
     broker.stop()
 
@@ -137,9 +139,10 @@ class TestConfigValidation:
         except OSError:
             pytest.skip("no IPv6 loopback on this host")
 
-        class Ipv6PlaintextBroker(BrokerThread):
+        class Ipv6PlaintextBroker(LoggingBroker):
             def __init__(self) -> None:
-                self.service = BrokerService("[::1]:0", lambda event_sink: PlaintextEngine())
+                self.event_log = io.StringIO()
+                self.service = BrokerService("[::1]:0", lambda event_sink: PlaintextEngine(), self.event_log)
 
         with Ipv6PlaintextBroker() as broker, TcpClientConnection("::1", broker.port) as connection:
             connection.send(Packet(kind=PacketKind.CONNECT))
@@ -147,7 +150,7 @@ class TestConfigValidation:
             clash = BrokerService(f"[::1]:{broker.port}", lambda event_sink: PlaintextEngine())
             with pytest.raises(BindError, match=re.escape(f"cannot bind [::1]:{broker.port}:")):
                 asyncio.run(clash.start())
-        assert broker.service.events[0]["reason"] == f"[::1]:{broker.port}"
+        assert broker.events()[0]["reason"] == f"[::1]:{broker.port}"
 
     def test_unreadable_registry(self, tmp_path):
         env = build_scenario(tmp_path / "env")
@@ -178,7 +181,7 @@ class TestHotReload:
             _connect(env, broker, second)
         assert any(
             e["event"] == "auth_rejected" and e["reason"] == "UntrustedIssuer"
-            for e in broker.service.events
+            for e in broker.events()
         )
 
         TrustedIssuerList.load(env.til_path).with_member(env.po_did).save(env.til_path)
@@ -197,7 +200,7 @@ class TestHotReload:
         RevocationRegistry.load(env.rr_path).revoke(env.subscriber.jti).save(env.rr_path)
         with pytest.raises(ConnectionRejected):
             _connect(env, broker, env.subscriber_client())
-        assert any(e.get("reason") == "Revoked" for e in broker.service.events)
+        assert any(e.get("reason") == "Revoked" for e in broker.events())
 
     def test_torn_issuer_list_fails_closed(self, tcp_env):
         env, broker = tcp_env
@@ -210,9 +213,9 @@ class TestHotReload:
             assert connection.recv().kind is PacketKind.DISCONNECT
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
-        assert [(e["event"], e["reason"]) for e in broker.service.events if e["session"] == client.ephemeral_did] == [
-            ("challenge_sent", None),
-            ("auth_rejected", "TrustFileError"),
+        assert [(e["event"], e["reason"], e.get("step")) for e in broker.events() if e["session"] == client.ephemeral_did] == [
+            ("challenge_sent", None, None),
+            ("auth_rejected", "TrustFileError", "H"),
         ]
 
 
@@ -248,9 +251,9 @@ class TestFaultIsolation:
             (PacketKind.CONNACK, ReasonCode.NOT_AUTHORIZED),
             (PacketKind.DISCONNECT, ReasonCode.NOT_AUTHORIZED),
         ]
-        assert [(e["event"], e["reason"]) for e in broker.service.events if e["session"] == client.ephemeral_did] == [
-            ("challenge_sent", None),
-            ("auth_rejected", "MalformedCredential"),
+        assert [(e["event"], e["reason"], e.get("step")) for e in broker.events() if e["session"] == client.ephemeral_did] == [
+            ("challenge_sent", None, None),
+            ("auth_rejected", "MalformedCredential", "H"),
         ]
         assert _asyncio_errors(caplog, broker) == []
 
@@ -288,7 +291,7 @@ class TestFaultIsolation:
                 subscriber_conn.recv()
             assert _wait_until(lambda: len(broker.service._connections) == 1)
             publisher_conn.send(publisher.disconnect())
-        events = [e["event"] for e in broker.service.events]
+        events = [e["event"] for e in broker.events()]
         assert events.count("session_exhausted") == 1
         assert "connection_error" not in events
 
@@ -318,7 +321,7 @@ class TestFraming:
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
         assert _wait_until(lambda: broker.service.router.connections == {})
-        events = [e["event"] for e in broker.service.events if e["session"] == session]
+        events = [e["event"] for e in broker.events() if e["session"] == session]
         assert events.count("disconnected") == 1 and "connection_error" not in events
         assert _asyncio_errors(caplog, broker) == []
 
@@ -343,7 +346,7 @@ class TestFraming:
             assert second.handle_puback(two.recv()) is ReasonCode.SUCCESS
             one.send(first.disconnect())
             two.send(second.disconnect())
-        assert "connection_error" not in [e["event"] for e in broker.service.events]
+        assert "connection_error" not in [e["event"] for e in broker.events()]
         assert _asyncio_errors(caplog, broker) == []
 
     def test_oversized_header_is_refused_before_its_body(self, tcp_env, caplog):
@@ -354,8 +357,8 @@ class TestFraming:
             assert (reply.kind, reply.reason_code) == (PacketKind.DISCONNECT, ReasonCode.PROTOCOL_ERROR)
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
-        errors = [(e["event"], e["reason"]) for e in broker.service.events if e["event"] == "connection_error"]
-        assert errors == [("connection_error", "FramingError")]
+        errors = [e for e in broker.events() if e["event"] == "connection_error"]
+        assert [(e["reason"], sorted(e)) for e in errors] == [("FramingError", ["event", "reason", "session", "ts"])]
         assert _asyncio_errors(caplog, broker) == []
 
     def test_half_a_frame_then_eof_is_a_framing_error(self, tcp_env, caplog):
@@ -366,7 +369,7 @@ class TestFraming:
             frame = encode_frame(client.publish(env.topic, b"torn"))
             connection.send_raw(frame[: len(frame) // 2])
         assert _wait_until(lambda: broker.service.router.connections == {} and broker.service.engine.sessions == {})
-        errors = [(e["session"], e["reason"]) for e in broker.service.events if e["event"] == "connection_error"]
+        errors = [(e["session"], e["reason"]) for e in broker.events() if e["event"] == "connection_error"]
         assert errors == [(client.ephemeral_did, "FramingError")]
         assert _asyncio_errors(caplog, broker) == []
 
@@ -383,37 +386,41 @@ class TestFraming:
 
 
 class _FullDisk(io.StringIO):
+    """An event log whose every write fails; it keeps what it was asked to write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.attempted: list[str] = []
+
     def write(self, text: str) -> int:
+        self.attempted.append(text)
         raise OSError(errno.ENOSPC, "No space left on device")
-
-
-class _LoggingBroker(BrokerThread):
-    def __init__(self, config: BrokerConfig, event_log) -> None:
-        self.service = BrokerService(config.listen_address, config.engine, event_log)
 
 
 def test_each_event_is_written_as_one_json_line(tmp_path):
     env = build_scenario(tmp_path / "env")
-    event_log = io.StringIO()
-    with _LoggingBroker(env.config, event_log) as broker:
+    with LoggingBroker(env.config) as broker:
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
             connection.send(client.disconnect())
         assert _wait_until(lambda: not broker.service._connections)
-    lines = [json.dumps(record, sort_keys=True) + "\n" for record in broker.service.events]
-    assert event_log.getvalue() == "".join(lines)
-    assert [json.loads(line)["event"] for line in lines] == ["listening", "challenge_sent", "authenticated", "disconnected"]
+    lines = broker.event_log.getvalue().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(record, sort_keys=True) + "\n" for record in records]
+    assert [sorted(record) for record in records] == [["event", "reason", "session", "ts"]] * 4
+    assert [record["event"] for record in records] == ["listening", "challenge_sent", "authenticated", "disconnected"]
 
 
 def test_a_failing_event_log_does_not_stop_the_broker(tmp_path, caplog):
     env = build_scenario(tmp_path / "env")
-    with _LoggingBroker(env.config, _FullDisk()) as broker:
+    with LoggingBroker(env.config, _FullDisk()) as broker:
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
             connection.send(client.publish(env.topic, b"still served"))
             assert client.handle_puback(connection.recv()) is ReasonCode.SUCCESS
+        assert _wait_until(lambda: not broker.service.engine.sessions)
         assert _asyncio_errors(caplog, broker) == []
-    events = [e["event"] for e in broker.service.events]
+    events = [json.loads(line)["event"] for line in broker.event_log.attempted]
     assert events[-3:] == ["authenticated", "publish_forwarded", "disconnected"]
 
 

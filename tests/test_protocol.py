@@ -354,7 +354,7 @@ class TestHandshake:
         assert connection.recv().kind is PacketKind.DISCONNECT
         assert connection.closed and loopback.engine.sessions == {}
         assert loopback.events[-1] == {
-            "event": "auth_rejected", "session": client.ephemeral_did, "reason": "TrustFileError"
+            "event": "auth_rejected", "session": client.ephemeral_did, "reason": "TrustFileError", "step": "H"
         }
 
     def test_subject_mismatch_rejected(self, env, loopback):
@@ -514,7 +514,9 @@ class TestReplayProtection:
             packet.auth_data = at_counter_one(packet.auth_data)
             session_id, reply = loopback.engine.handle_connect(packet)
             assert (session_id, loopback.engine.sessions, loopback.engine._seen_connect_nonces) == (None, {}, set())
-            assert loopback.events == [{"event": "connect_rejected", "session": None, "reason": "ProtocolOrderError"}]
+            assert loopback.events == [
+                {"event": "connect_rejected", "session": None, "reason": "ProtocolOrderError", "step": "C"}
+            ]
             assert [(p.kind, p.reason_code) for p in reply.packets] == [(DISCONNECT, PE)]
             assert reply.close and type(reply.error) is ProtocolOrderError
             return
@@ -847,6 +849,26 @@ def test_a_disconnect_in_place_of_the_challenge_is_a_rejection(env, loopback, re
     assert _client_state(client) == state
 
 
+@pytest.mark.parametrize("call", ["handle_publish", "handle_suback", "handle_puback"])
+def test_an_exhausted_subscriber_reads_its_disconnect_as_a_rejection(env, loopback, call):
+    # The broker ends a subscriber whose counter runs out during fan-out with
+    # a DISCONNECT, whichever reply the subscriber was waiting for.
+    publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, loopback)
+    loopback.engine.sessions[subscriber.ephemeral_did].b2c.counter = LAST_COUNTER - 1
+    publisher_conn.send(publisher.publish(env.topic, b"x"))
+    assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
+    disconnect = subscriber_conn.recv()
+    if call == "handle_suback":
+        subscriber.subscribe(env.topic)
+    elif call == "handle_puback":
+        subscriber.publish(env.topic, b"y")
+    state = _client_state(subscriber)
+    with pytest.raises(ConnectionRejected) as rejected:
+        getattr(subscriber, call)(disconnect)
+    assert rejected.value.reason_code is ReasonCode.PROTOCOL_ERROR
+    assert _client_state(subscriber) == state
+
+
 class _CountingX25519:
     """Stands in for daxiot.crypto.X25519PrivateKey and counts key loads and
     exchanges per side; work done inside the network's router is the broker's."""
@@ -918,7 +940,8 @@ class TestBrokerState:
         assert reply.close
         assert [p.kind for p in reply.packets] == [PacketKind.DISCONNECT]
         assert client.ephemeral_did not in loopback.engine.sessions
-        assert {"event": "session_exhausted", "session": client.ephemeral_did, "reason": None} in loopback.events
+        step = "J" if kind is PacketKind.PUBLISH else "I"
+        assert {"event": "session_exhausted", "session": client.ephemeral_did, "reason": None, "step": step} in loopback.events
 
     def test_exhausted_subscriber_is_evicted_alone(self, env, loopback):
         publisher, _, subscriber, _ = _subscribed_pair(env, loopback)
@@ -1064,7 +1087,7 @@ class TestBrokerState:
         assert middle.ephemeral_did not in loopback.engine.sessions
         assert list(loopback.engine.topics[env.topic]) == [first.ephemeral_did, last.ephemeral_did]
         assert loopback.events[-2:] == [
-            {"event": "session_exhausted", "session": middle.ephemeral_did, "reason": None},
+            {"event": "session_exhausted", "session": middle.ephemeral_did, "reason": None, "step": "J"},
             {"event": "publish_forwarded", "session": publisher.ephemeral_did, "reason": "2"},
         ]
 
@@ -1077,7 +1100,9 @@ class TestBrokerState:
         connection = loopback.open()
         connection.send(packet)
         assert connection.recv().kind is PacketKind.DISCONNECT
-        assert loopback.events[-1] == {"event": "connect_rejected", "session": None, "reason": "AuthenticationError"}
+        assert loopback.events[-1] == {
+            "event": "connect_rejected", "session": None, "reason": "AuthenticationError", "step": "C"
+        }
         assert counter.loads == {} and counter.exchanges == {"broker": 1}
 
     def test_building_a_client_or_broker_converts_no_public_key(self, env, monkeypatch):
@@ -1118,6 +1143,64 @@ class TestBrokerState:
             b"AuthorizationCredential",
         ):
             assert secret not in wire
+
+
+def test_a_wire_observer_links_connections_by_the_auth_response_length_alone(env):
+    # A passive observer of the captures, over a seeded fleet whose devices
+    # carry different claims and connect three times each in shuffled order.
+    # It splits the captures into connections at each CONNECT (they run one
+    # at a time) and reads each frame's length and kind byte, as the framing
+    # leaves them in the clear.
+    rng = random.Random(0x0B5E)
+    network = LoopbackNetwork(env.engine())
+    devices = []
+    for index in range(6):
+        keypair = daxiot.crypto.generate_signing_keypair(rng.randbytes(32))
+        topics = frozenset({f"site/{index}/" + "t" * (4 + 5 * index)})
+        publishes = rng.random() < 0.5
+        claims = [
+            AuthorizationClaim(
+                env.broker_did,
+                publish_topics=topics if publishes else frozenset(),
+                subscribe_topics=frozenset() if publishes else topics,
+            )
+        ]
+        if rng.random() < 0.5:  # a claim this broker never sees disclosed
+            claims.append(AuthorizationClaim(env.other_broker_did, subscribe_topics=frozenset({env.other_topic})))
+        static_did = str(daxiot.did.didkey_encode(keypair.public))
+        credential, disclosures = issue(env.po_keypair, env.po_did, static_did, claims, f"AC-observed-{index}")
+        devices.append(DaxiotClient(keypair, credential, disclosures, env.resolver()))
+    visits = [index for index in range(len(devices)) for _ in range(3)]
+    rng.shuffle(visits)
+    for index in visits:
+        connection = network.open()
+        run_handshake(devices[index], connection, env.broker_did)
+        connection.send(devices[index].disconnect())
+
+    connections: list[list[bytes]] = []
+    for _, frame in network.captures:
+        if frame[4] == PacketKind.CONNECT:
+            connections.append([])
+        connections[-1].append(frame)
+    assert len(connections) == len(visits)
+    lengths = [{frame[4]: len(frame) for frame in frames} for frames in connections]
+
+    # Nothing in these frames tells one device from another...
+    for kind in (PacketKind.CONNECT, PacketKind.AUTH_CHALLENGE, PacketKind.CONNACK):
+        assert len({seen[kind] for seen in lengths}) == 1, kind.name
+    client_ids = {decode_frame(frames[0]).client_id for frames in connections}
+    assert len(client_ids) == len(visits)
+
+    # ...but the AUTH_RESPONSE length is a function of the credential and the
+    # disclosures presented, so grouping connections by it recovers exactly
+    # which connections came from one device.
+    by_length: dict[int, set[int]] = {}
+    for position, seen in enumerate(lengths):
+        by_length.setdefault(seen[PacketKind.AUTH_RESPONSE], set()).add(position)
+    by_device: dict[int, set[int]] = {}
+    for position, index in enumerate(visits):
+        by_device.setdefault(index, set()).add(position)
+    assert sorted(map(sorted, by_length.values())) == sorted(map(sorted, by_device.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -1258,6 +1341,18 @@ def _non_utf8_presentation(env, loopback):
     return client.ephemeral_did, packet
 
 
+def _subscribe_outside_grant(env, loopback):
+    client = env.subscriber_client()
+    establish(loopback, client, env.broker_did)
+    return client.ephemeral_did, client.subscribe("not/granted")
+
+
+def _publish_outside_grant(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    return client.ephemeral_did, client.publish("not/granted", b"x")
+
+
 def _exhausted_c2b(env, loopback):
     client = env.subscriber_client()
     establish(loopback, client, env.broker_did)
@@ -1269,64 +1364,70 @@ def _exhausted_c2b(env, loopback):
     return client.ephemeral_did, packet
 
 
-# scenario, event, reason, reply packets, close, session alive afterwards
+# scenario, event, reason, step, reply packets, close, session alive afterwards
 REFUSALS = {
     "wrong first packet": (
-        _wrong_first_packet, "connect_rejected", "ProtocolOrderError", [(DISCONNECT, PE)], True, None
+        _wrong_first_packet, "connect_rejected", "ProtocolOrderError", "J", [(DISCONNECT, PE)], True, None
     ),
     "wrong auth method": (
-        _wrong_auth_method, "connect_rejected", "ProtocolMismatch", [(DISCONNECT, PE)], True, None
+        _wrong_auth_method, "connect_rejected", "ProtocolMismatch", "C", [(DISCONNECT, PE)], True, None
     ),
     "replayed connect": (
-        _replayed_connect, "connect_rejected", "ReplayError", [(DISCONNECT, PE)], True, None
+        _replayed_connect, "connect_rejected", "ReplayError", "C", [(DISCONNECT, PE)], True, None
     ),
     "duplicate client id": (
-        _duplicate_client_id, "connect_rejected", "ProtocolOrderError", [(DISCONNECT, PE)], True, None
+        _duplicate_client_id, "connect_rejected", "ProtocolOrderError", "C", [(DISCONNECT, PE)], True, None
     ),
     "connect on an open session": (
-        _connect_on_open_session, "protocol_error", "ProtocolOrderError", [(DISCONNECT, PE)], True, False
+        _connect_on_open_session, "protocol_error", "ProtocolOrderError", "C", [(DISCONNECT, PE)], True, False
     ),
     "broker-only kind from a client": (
-        _broker_only_kind, "protocol_error", "ProtocolOrderError", [(DISCONNECT, PE)], True, False
+        _broker_only_kind, "protocol_error", "ProtocolOrderError", None, [(DISCONNECT, PE)], True, False
     ),
     "subscribe before establishment": (
-        _subscribe_before_established, "protocol_error", "ProtocolOrderError",
+        _subscribe_before_established, "protocol_error", "ProtocolOrderError", "I",
         [(PacketKind.SUBACK, PE), (DISCONNECT, PE)], True, False,
     ),
     "bad subscribe when established": (
-        _bad_subscribe, "subscribe_rejected", "IntegrityError", [(PacketKind.SUBACK, PE)], False, True
+        _bad_subscribe, "subscribe_rejected", "IntegrityError", "I", [(PacketKind.SUBACK, PE)], False, True
     ),
     "bad publish when established": (
-        _bad_publish, "publish_rejected", "IntegrityError", [(PacketKind.PUBACK, PE)], False, True
+        _bad_publish, "publish_rejected", "IntegrityError", "J", [(PacketKind.PUBACK, PE)], False, True
     ),
     "subscribe without a topic": (
-        _subscribe_without_topic, "subscribe_rejected", "ProtocolError", [(PacketKind.SUBACK, PE)], False, True
+        _subscribe_without_topic, "subscribe_rejected", "ProtocolError", "I", [(PacketKind.SUBACK, PE)], False, True
     ),
     "subscribe with a 39-byte topic": (
-        _short_subscribe, "subscribe_rejected", "ProtocolError", [(PacketKind.SUBACK, PE)], False, True
+        _short_subscribe, "subscribe_rejected", "ProtocolError", "I", [(PacketKind.SUBACK, PE)], False, True
     ),
     "publish without a payload": (
-        _publish_without_payload, "publish_rejected", "ProtocolError", [(PacketKind.PUBACK, PE)], False, True
+        _publish_without_payload, "publish_rejected", "ProtocolError", "J", [(PacketKind.PUBACK, PE)], False, True
     ),
     "publish with a 39-byte topic": (
-        _short_publish, "publish_rejected", "ProtocolError", [(PacketKind.PUBACK, PE)], False, True
+        _short_publish, "publish_rejected", "ProtocolError", "J", [(PacketKind.PUBACK, PE)], False, True
     ),
     "auth response replayed when established": (
-        _auth_response_replayed_when_established, "auth_rejected", "ReplayError", [], False, True
+        _auth_response_replayed_when_established, "auth_rejected", "ReplayError", "G", [], False, True
     ),
     "tampered auth response": (
-        _tampered_auth_response, "auth_rejected", "AuthenticationError",
+        _tampered_auth_response, "auth_rejected", "AuthenticationError", "G",
         [(CONNACK, PE), (DISCONNECT, PE)], True, False,
     ),
     "revoked credential": (
-        _revoked_credential, "auth_rejected", "Revoked", [(CONNACK, NA), (DISCONNECT, NA)], True, False
+        _revoked_credential, "auth_rejected", "Revoked", "H", [(CONNACK, NA), (DISCONNECT, NA)], True, False
     ),
     "non-UTF-8 presentation": (
-        _non_utf8_presentation, "auth_rejected", "MalformedCredential",
+        _non_utf8_presentation, "auth_rejected", "MalformedCredential", "H",
         [(CONNACK, NA), (DISCONNECT, NA)], True, False,
     ),
+    "subscribe outside the grant": (
+        _subscribe_outside_grant, "subscribe_denied", None, "I", [(PacketKind.SUBACK, NA)], False, True
+    ),
+    "publish outside the grant": (
+        _publish_outside_grant, "publish_denied", None, "J", [(PacketKind.PUBACK, NA)], False, True
+    ),
     "exhausted c2b": (
-        _exhausted_c2b, "session_exhausted", None, [(DISCONNECT, PE)], True, False
+        _exhausted_c2b, "session_exhausted", None, "I", [(DISCONNECT, PE)], True, False
     ),
 }
 
@@ -1334,7 +1435,7 @@ REFUSALS = {
 class TestRefusalPolicy:
     @pytest.mark.parametrize("row", list(REFUSALS))
     def test_refusal(self, env, loopback, row):
-        scenario, event, reason, packets, close, alive = REFUSALS[row]
+        scenario, event, reason, step, packets, close, alive = REFUSALS[row]
         session_id, packet = scenario(env, loopback)
         engine, events_before = loopback.engine, len(loopback.events)
         sessions_before = set(engine.sessions)
@@ -1348,12 +1449,35 @@ class TestRefusalPolicy:
             assert (session_id in engine.sessions) is alive
             assert set(engine.sessions) | {session_id} == sessions_before
         assert loopback.events[events_before:] == [
-            {"event": event, "session": session_id, "reason": reason}
+            {"event": event, "session": session_id, "reason": reason, "step": step}
         ]
         assert [(p.kind, p.reason_code) for p in reply.packets] == packets
         assert reply.close is close
         assert reply.forwards == []
-        assert type(reply.error).__name__ == (reason or "NonceOverflowError")
+        error = None if event.endswith("_denied") else (reason or "NonceOverflowError")
+        assert (reply.error and type(reply.error).__name__) == error
+
+    def test_a_session_refused_at_g_walks_no_topic(self, env, loopback):
+        # Ending a session visits the topics it subscribed to, and a session
+        # refused at step G has none, however many the broker routes.
+        _subscribed_pair(env, loopback)
+        engine = loopback.engine
+
+        class _Unwalked(dict):
+            def _walk(self, *args):
+                raise AssertionError("the topic table was walked")
+
+            __iter__ = keys = values = items = _walk
+
+        engine.topics = _Unwalked(engine.topics)
+        for index in range(1000):
+            engine.topics[f"idle/{index}"] = {"did:key:elsewhere": None}
+        client, _, response = _challenged(env, loopback)
+        response.auth_data = _tamper_envelope(response.auth_data)
+        reply = engine.handle_packet(client.ephemeral_did, response)
+        assert isinstance(reply.error, AuthenticationError) and reply.close
+        assert client.ephemeral_did not in engine.sessions
+        assert len(engine.topics) == 1001
 
     def test_disconnect_from_unknown_session_is_silent(self, loopback):
         reply = loopback.engine.handle_packet("did:key:gone", Packet(kind=PacketKind.DISCONNECT))
@@ -1390,7 +1514,7 @@ class TestRefusalPolicy:
 
         assert session_id is None
         assert isinstance(reply.error, DidError)
-        assert loopback.events == [{"event": "connect_rejected", "session": None, "reason": "DidError"}]
+        assert loopback.events == [{"event": "connect_rejected", "session": None, "reason": "DidError", "step": "C"}]
         assert [(p.kind, p.reason_code) for p in reply.packets] == [(DISCONNECT, PE)]
 
 
