@@ -62,7 +62,7 @@ class PlaintextBroker(BrokerThread):
     """The baseline engine on the broker's own server, on an ephemeral loopback port."""
 
     def __init__(self) -> None:
-        self.service = BrokerService(f"{HOST}:0", lambda event_sink: PlaintextEngine())
+        super().__init__(BrokerService(f"{HOST}:0", PlaintextEngine()))
 
 
 class _PlaintextClient:
@@ -144,7 +144,7 @@ def run_bench(mode: str, iterations_connect: int, iterations_publish: int) -> di
     else:
         with tempfile.TemporaryDirectory(prefix="daxiot-bench-") as tmp:
             env = build_scenario(tmp, topic=_TOPIC)
-            with BrokerThread(env.config) as broker:
+            with BrokerThread(env.config.service()) as broker:
                 handshake = partial(run_handshake, broker_did=env.broker_did)
                 measured = _measure(broker.port, env.publisher_client, handshake, *iterations)
     return {"mode": mode, "iterations_connect": iterations_connect, "iterations_publish": iterations_publish, **measured}

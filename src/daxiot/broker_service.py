@@ -4,8 +4,8 @@ The same server carries the DAXiot engine and the benchmark's plaintext
 baseline; each connection is a small asyncio protocol with no task of its
 own, which stops reading a peer whose replies back up. Trust files are
 consulted on every verification and parsed again whenever they change, so
-edits need no restart. Events go to an optional stream, one JSON object per
-line.
+edits need no restart. Events go to an optional sink, a callable that takes
+each event as a dict; :func:`json_lines` makes one that writes a stream.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_CONFIG = 2
 EXIT_BIND = 3
 
 EventSink = Callable[[dict], None]
+LOG_LEVELS = ("debug", "info", "warning", "error")
 _RECEIVE_AREA = 64 * 1024  # bytes one socket read may return
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -55,6 +56,16 @@ def load_signing_key(path: Path | str) -> SigningKeyPair:
         raise ConfigError(f"cannot load signing key from {path}: {exc}") from exc
 
 
+def _split_address(listen_address: str) -> tuple[str, int]:
+    """The host and port of ``host:port`` or ``[IPv6]:port``; anything else raises :class:`ConfigError`."""
+    host, _, port = listen_address.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):  # an IPv6 address, as in [::1]:1883
+        host = host[1:-1]
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(f"listen_address must be host:port or [IPv6]:port, port 0-65535, got {listen_address!r}")
+    return host, int(port)
+
+
 @dataclass
 class BrokerConfig:
     listen_address: str
@@ -78,18 +89,15 @@ class BrokerConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ConfigError(f"broker config missing fields: {sorted(missing)}")
-        if data.get("log_level", cls.log_level) not in ("debug", "info", "warning", "error"):
+        if data.get("log_level", cls.log_level) not in LOG_LEVELS:
             raise ConfigError(f"broker config {path}: log_level must be debug, info, warning or error")
+        _split_address(data["listen_address"])  # refused before the key and trust files are read
         return cls(**data)
 
     def engine(self, event_sink: EventSink | None = None) -> DaxiotBroker:
-        """Check the key, the broker's document and the trust files, then build the engine.
-
-        Any inconsistency raises :class:`ConfigError`. Every verification
-        loads the trust files, which are parsed again whenever they change
-        (:class:`~daxiot.snapshot.FileSnapshot`), so edits take effect
-        without a restart.
-        """
+        """Check the key, the broker's document and the trust files, then build
+        the engine, which loads the trust files again on every verification.
+        Any inconsistency raises :class:`ConfigError`."""
         keypair = load_signing_key(self.signing_key_path)
         resolver = Resolver(DirectoryWebSource(self.did_web_dir))
         try:
@@ -101,21 +109,29 @@ class BrokerConfig:
         if document.agreement_key != to_agreement_keypair(keypair).public:
             raise ConfigError("broker document agreement key does not match the signing key")
 
-        til_path, rr_path = Path(self.til_path), Path(self.rr_path)
         try:
-            TrustedIssuerList.load(til_path)
-            RevocationRegistry.load(rr_path)
+            TrustedIssuerList.load(self.til_path)
+            RevocationRegistry.load(self.rr_path)
         except CredentialError as exc:
             raise ConfigError(f"issuer list or revocation registry unreadable: {exc}") from exc
+        return DaxiotBroker(keypair, self.broker_did, resolver, self.til_path, self.rr_path, event_sink)
 
-        return DaxiotBroker(
-            signing_keypair=keypair,
-            broker_did=self.broker_did,
-            resolver=resolver,
-            til_source=lambda: TrustedIssuerList.load(til_path),
-            rr_source=lambda: RevocationRegistry.load(rr_path),
-            event_sink=event_sink,
-        )
+    def service(self, event_sink: EventSink | None = None) -> "BrokerService":
+        """The engine served at ``listen_address``; engine and service send their events to one sink."""
+        return BrokerService(self.listen_address, self.engine(event_sink), event_sink)
+
+
+def json_lines(stream: TextIO) -> EventSink:
+    """A sink that writes each event to ``stream`` as one flushed JSON line, with ``ts`` and sorted keys."""
+
+    def write(record: dict) -> None:
+        try:
+            stream.write(_EVENT_ENCODER.encode({"ts": time.time(), **record}) + "\n")
+            stream.flush()
+        except OSError:  # a full disk or a closed pipe must not stop the broker
+            pass
+
+    return write
 
 
 class Router:
@@ -214,42 +230,29 @@ class _Connection(asyncio.BufferedProtocol):
         self.lost.set_result(None)
 
     def _error(self, reason: str) -> None:
-        self._service._record_event({"event": "connection_error", "session": self._session_id, "reason": reason})
+        self._service._emit("connection_error", self._session_id, reason)
 
 
 class BrokerService:
     """Serve one protocol engine over TCP.
 
-    ``make_engine`` is called once with the service's event sink and returns
-    the engine: anything whose ``handle_connect``, ``handle_packet`` and
-    ``handle_disconnect`` return a :class:`Reply`, such as the
-    :class:`DaxiotBroker` that :meth:`BrokerConfig.engine` builds. Each event
-    is written to ``event_log``, when given, as one JSON line and flushed.
+    The engine is anything whose ``handle_connect``, ``handle_packet`` and
+    ``handle_disconnect`` return a :class:`Reply`, such as a :class:`DaxiotBroker`.
+    The service sends its own events, ``listening`` and ``connection_error``, to ``event_sink``.
     """
 
-    def __init__(
-        self, listen_address: str, make_engine: Callable[[EventSink], object], event_log: TextIO | None = None
-    ) -> None:
-        host, _, port = listen_address.rpartition(":")
-        if host.startswith("[") and host.endswith("]"):  # an IPv6 address, as in [::1]:1883
-            host = host[1:-1]
-        if not host or not port.isdecimal() or int(port) > 65535:
-            raise ConfigError(f"listen_address must be host:port or [IPv6]:port, port 0-65535, got {listen_address!r}")
-        self._host, self._port = host, int(port)
-        self._event_log = event_log
-        self.engine = make_engine(self._record_event)
+    def __init__(self, listen_address: str, engine, event_sink: EventSink | None = None) -> None:
+        self._host, self._port = _split_address(listen_address)
+        self._event_sink = event_sink
+        self.engine = engine
         self.router = Router(self.engine)
         self._connections: set[_Connection] = set()
         self._receive_area = memoryview(bytearray(_RECEIVE_AREA))
         self._server: asyncio.Server | None = None
 
-    def _record_event(self, record: dict) -> None:
-        if self._event_log is not None:
-            try:
-                self._event_log.write(_EVENT_ENCODER.encode({"ts": time.time(), **record}) + "\n")
-                self._event_log.flush()
-            except OSError:  # a full disk or a closed pipe must not stop the broker
-                pass
+    def _emit(self, event: str, session: str | None, reason: str) -> None:
+        if self._event_sink is not None:
+            self._event_sink({"event": event, "session": session, "reason": reason})
 
     @property
     def port(self) -> int:
@@ -269,7 +272,7 @@ class BrokerService:
         except OSError as exc:
             raise BindError(f"cannot bind {self._address}: {exc}") from exc
         self._port = self._server.sockets[0].getsockname()[1]
-        self._record_event({"event": "listening", "session": None, "reason": self._address})
+        self._emit("listening", None, self._address)
 
     async def shutdown(self) -> None:
         """Stop accepting, abort every connection (dropping unsent bytes, so a
@@ -288,13 +291,12 @@ class BrokerService:
 class BrokerThread:
     """Serve a :class:`BrokerService` on a daemon event-loop thread until :meth:`stop`.
 
-    The engine is built, and the port bound, on the caller's thread, so a
-    configuration or bind error raises there; after :meth:`start` returns
-    the server is accepting.
+    The port is bound on the caller's thread, so a bind error raises there;
+    after :meth:`start` returns the server is accepting.
     """
 
-    def __init__(self, config: BrokerConfig) -> None:
-        self.service = BrokerService(config.listen_address, config.engine)
+    def __init__(self, service: BrokerService) -> None:
+        self.service = service
 
     @property
     def port(self) -> int:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import click
 
-from .broker_service import EXIT_BIND, EXIT_CONFIG, BrokerConfig, BrokerService, load_signing_key, save_signing_key
+from .broker_service import EXIT_BIND, EXIT_CONFIG, BrokerConfig, json_lines, load_signing_key, save_signing_key
 from .credential import (
     AuthorizationClaim,
     RevocationRegistry,
@@ -89,7 +89,7 @@ def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Pa
 
         keypair = load_signing_key(key_path)
         path = write_didweb_document(out_dir, keypair, str(did), endpoint)
-    except DaxiotError as exc:
+    except (OSError, DaxiotError) as exc:
         _fail(str(exc))
     click.echo(str(path))
 
@@ -174,8 +174,7 @@ def broker(config_path: Path) -> None:
     """Run the broker service until interrupted; at log level debug or info, events go to stderr."""
     try:
         config = BrokerConfig.from_file(config_path)
-        event_log = sys.stderr if config.log_level in ("debug", "info") else None
-        service = BrokerService(config.listen_address, config.engine, event_log)
+        service = config.service(json_lines(sys.stderr) if config.log_level in ("debug", "info") else None)
     except ConfigError as exc:
         _fail(str(exc), code=EXIT_CONFIG)
 

@@ -13,7 +13,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerService, BrokerThread
+from .broker_service import BrokerThread
 from .credential import RevocationRegistry
 from .errors import ConnectionRejected, DaxiotError
 from .scenario import ScenarioEnv, build_scenario
@@ -30,19 +30,6 @@ class DemoFailure(DaxiotError):
         return f"failed at step {self.step}: {self.cause}"
 
 
-class _DemoBroker(BrokerThread):
-    """The scenario's broker; it keeps the last refusal its engine reported,
-    the event that names a ``step``."""
-
-    def __init__(self, env: ScenarioEnv) -> None:
-        self.refusal: dict | None = None
-        self.service = BrokerService(env.config.listen_address, lambda event_sink: env.engine(self._keep))
-
-    def _keep(self, event: dict) -> None:
-        if "step" in event:
-            self.refusal = event
-
-
 def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
     """Run the scenario; returns 0 on success, 1 on failure (step is printed)."""
     workdir = Path(tempfile.mkdtemp(prefix="daxiot-demo-"))
@@ -53,10 +40,11 @@ def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
         RevocationRegistry.load(env.rr_path).revoke(env.publisher.jti).save(env.rr_path)
         echo(f"revoked publisher credential {env.publisher.jti} before connecting")
 
+    events: list[dict] = []
     try:
-        with _DemoBroker(env) as broker, ExitStack() as connections:
+        with BrokerThread(env.config.service(events.append)) as broker, ExitStack() as connections:
             echo(f"broker {env.broker_did} listening on {env.host}:{broker.port}")
-            _run_flow(env, broker, echo, connections)
+            _run_flow(env, broker.port, events, echo, connections)
     except DemoFailure as failure:
         echo(f"FAILED at step {failure.step}: {failure.cause}")
         return 1
@@ -64,11 +52,12 @@ def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
     return 0
 
 
-def _run_flow(env: ScenarioEnv, broker: _DemoBroker, echo, connections: ExitStack) -> None:
+def _run_flow(env: ScenarioEnv, port: int, events: list[dict], echo, connections: ExitStack) -> None:
     """Steps A-J; every connection opened here is closed by ``connections``.
 
     A failing client call is charged to ``step``, the first step not yet
-    printed, and a broker refusal to its event's step and reason.
+    printed, and a broker refusal to the last event in ``events`` that names
+    a step: its step and reason.
     """
     publisher = env.publisher_client()
     subscriber = env.subscriber_client()
@@ -78,7 +67,7 @@ def _run_flow(env: ScenarioEnv, broker: _DemoBroker, echo, connections: ExitStac
         connect_packet = publisher.begin_connect(env.broker_did)
         echo(f"step A: publisher created ephemeral identity {publisher.ephemeral_did}")
         step = "B"
-        publisher_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
+        publisher_conn = connections.enter_context(TcpClientConnection(env.host, port))
         publisher_conn.send(connect_packet)
         echo("step B: publisher sent an anonymous connection request")
         step = "C"
@@ -98,7 +87,7 @@ def _run_flow(env: ScenarioEnv, broker: _DemoBroker, echo, connections: ExitStac
 
         # --- subscriber connects and subscribes (step I) ---
         step = "I"
-        subscriber_conn = connections.enter_context(TcpClientConnection(env.host, broker.port))
+        subscriber_conn = connections.enter_context(TcpClientConnection(env.host, port))
         run_handshake(subscriber, subscriber_conn, env.broker_did)
         subscriber_conn.send(subscriber.subscribe(env.topic))
         if subscriber.handle_suback(subscriber_conn.recv()) is not ReasonCode.SUCCESS:
@@ -114,7 +103,7 @@ def _run_flow(env: ScenarioEnv, broker: _DemoBroker, echo, connections: ExitStac
     except DemoFailure:
         raise
     except ConnectionRejected as exc:
-        refusal = broker.refusal or {}
+        refusal = next((event for event in reversed(events) if "step" in event), {})
         raise DemoFailure(refusal.get("step") or step, refusal.get("reason") or str(exc)) from exc
     except (DaxiotError, OSError) as exc:
         raise DemoFailure(step, f"{type(exc).__name__}: {exc}") from exc

@@ -449,9 +449,9 @@ class DaxiotBroker:
 
     Transport-agnostic and single-threaded by contract: callers must
     serialize invocations (an asyncio event loop or one lock suffices).
-    ``til_source`` and ``rr_source`` are consulted on every verification so
-    issuer-list and revocation edits take effect without a restart; the
-    file-backed sources parse a file again only when it changed. A returning
+    The trusted-issuer list at ``til_path`` and the revocation registry at
+    ``rr_path`` are loaded on every verification, so edits take effect
+    without a restart; a file is parsed again only when it changed. A returning
     peer's issuer signature and static-key conversion are memoized in
     :mod:`daxiot.crypto`, while membership, revocation, the subject binding,
     the disclosure digests and the grant are checked on every connect.
@@ -462,16 +462,16 @@ class DaxiotBroker:
         signing_keypair: SigningKeyPair,
         broker_did: Did | str,
         resolver: Resolver,
-        til_source: Callable[[], TrustedIssuerList],
-        rr_source: Callable[[], RevocationRegistry],
+        til_path: str | os.PathLike,
+        rr_path: str | os.PathLike,
         event_sink: Callable[[dict], None] | None = None,
     ) -> None:
         self._agreement_secret = agreement_secret(signing_keypair)
         self._static_key: X25519PrivateKey | None = None  # loaded on the first connect
         self.broker_did = str(Did.parse(broker_did))
         self._resolver = resolver
-        self._til_source = til_source
-        self._rr_source = rr_source
+        self._til_path = til_path
+        self._rr_path = rr_path
         self._event_sink = event_sink
         self.sessions: dict[str, BrokerSession] = {}
         self.topics: dict[str, dict[str, BrokerSession]] = {}
@@ -627,8 +627,8 @@ class DaxiotBroker:
             Presentation.parse(decode_text(compact, MalformedCredential, "presentation")),
             expected_subject=session.static_did,
             verifier_did=self.broker_did,
-            til=self._til_source(),
-            rr=self._rr_source(),
+            til=TrustedIssuerList.load(self._til_path),
+            rr=RevocationRegistry.load(self._rr_path),
             resolver=self._resolver,
         )
         session.grant = grant

@@ -21,6 +21,7 @@ turns ``OSError`` into its own error class.
 from __future__ import annotations
 
 import os
+import random
 import time
 from pathlib import Path
 from typing import Callable, Generic, TypeVar
@@ -64,8 +65,14 @@ class FileSnapshot(Generic[T]):
 
 
 def replace_file(path: str | os.PathLike, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path`` and rename it over
-    ``path``, so a reader sees the old file or the new one, never a torn one."""
-    tmp = Path(f"{os.fspath(path)}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Write ``data`` to a temporary file of this call's own beside ``path`` and
+    rename it over ``path``: a reader sees the old file or the new one, never a
+    torn one, however writers race. The file gets the mode ``open`` gives
+    (0o666 less the umask), as the broker may run as another user."""
+    tmp = Path(f"{os.fspath(path)}.{random.SystemRandom().getrandbits(64):016x}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -25,6 +25,7 @@ from daxiot.cli import main as cli_main
 from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
 from daxiot.crypto import (
     aead_decrypt,
+    aead_encrypt,
     ecdh_1pu,
     ecdh_1pu_receiver,
     ecdh_es,
@@ -45,7 +46,6 @@ from daxiot.protocol import DaxiotBroker, DaxiotClient
 from daxiot.scenario import build_scenario, write_didweb_document
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, encode_frame
-from conftest import LoggingBroker
 from helpers import PermissionOracle, disclosure_digest_oracle
 
 import test_crypto_vectors as vectors
@@ -65,7 +65,7 @@ def test_criterion_1_end_to_end_scenario(tmp_path):
     # Two-claim credential: one claim for this broker, one for another.
     assert len(env.publisher.credential.payload["_sd"]) == 2
 
-    with BrokerThread(env.config) as broker:
+    with BrokerThread(env.config.service()) as broker:
         publisher, subscriber = env.publisher_client(), env.subscriber_client()
 
         publisher_conn = TcpClientConnection(env.host, broker.port)
@@ -201,10 +201,11 @@ def test_criterion_3_selective_disclosure_privacy(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 class _AdversarialHarness:
-    """Mounts one attack per call against fresh sessions on shared engines."""
+    """Mounts one attack per trial against fresh sessions on shared engines."""
 
     def __init__(self, tmp_path, rng: random.Random) -> None:
         self.rng = rng
+        self.opened: list = []  # the current trial's connections
         self.events: list[dict] = []
         self.env = build_scenario(tmp_path / "trusted")
         self.engine = self.env.engine(event_sink=self.events.append)
@@ -233,19 +234,36 @@ class _AdversarialHarness:
         second_config = dataclasses.replace(
             self.env.config, broker_did=second_did, signing_key_path=str(tmp_path / "second-broker.key")
         )
+        self.second_did = second_did
         self.second_broker = second_config.engine(event_sink=self.events_second.append)
+        self.net_second = LoopbackNetwork(self.second_broker)
+
+    def trial(self, attack) -> bool:
+        """Mount one attack, then close every connection it opened, so that
+        no session outlives its trial and later fan-outs stay small."""
+        try:
+            return attack()
+        finally:
+            for connection in self.opened:
+                connection.close()
+            self.opened.clear()
+
+    def _open(self, network=None):
+        connection = (network or self.network).open()
+        self.opened.append(connection)
+        return connection
 
     # Every attack returns True when the attack was rejected.
 
     def _established_publisher(self):
         client = self.env.publisher_client()
-        connection = self.network.open()
+        connection = self._open()
         run_handshake(client, connection, self.env.broker_did)
         return client, connection
 
     def _subscribed_subscriber(self):
         client = self.env.subscriber_client()
-        connection = self.network.open()
+        connection = self._open()
         run_handshake(client, connection, self.env.broker_did)
         connection.send(client.subscribe(self.env.topic))
         client.handle_suback(connection.recv())
@@ -259,17 +277,17 @@ class _AdversarialHarness:
 
     def replayed_connect(self) -> bool:
         client = self.env.publisher_client()
-        connection = self.network.open()
+        connection = self._open()
         connect_packet = client.begin_connect(self.env.broker_did)
         connection.send(connect_packet)
         connection.recv()
-        replay_conn = self.network.open()
+        replay_conn = self._open()
         replay_conn.send_raw(encode_frame(connect_packet))
         return replay_conn.recv().kind is PacketKind.DISCONNECT
 
     def replayed_auth_response(self) -> bool:
         client = self.env.publisher_client()
-        connection = self.network.open()
+        connection = self._open()
         connection.send(client.begin_connect(self.env.broker_did))
         response = client.handle_challenge(connection.recv())
         connection.send(response)
@@ -301,7 +319,7 @@ class _AdversarialHarness:
         return isinstance(reply.error, (ReplayError, IntegrityError)) and not reply.forwards
 
     def _expect_rejected(self, network, events, client, broker_did, reason) -> bool:
-        connection = network.open()
+        connection = self._open(network)
         connection.send(client.begin_connect(broker_did))
         connection.send(client.handle_challenge(connection.recv()))
         try:
@@ -361,7 +379,7 @@ class _AdversarialHarness:
 
     def tampered_challenge(self) -> bool:
         client = self.env.publisher_client()
-        connection = self.network.open()
+        connection = self._open()
         connection.send(client.begin_connect(self.env.broker_did))
         challenge = connection.recv()
         challenge.auth_data = self._tamper(challenge.auth_data)
@@ -373,7 +391,7 @@ class _AdversarialHarness:
 
     def tampered_auth_response(self) -> bool:
         client = self.env.publisher_client()
-        connection = self.network.open()
+        connection = self._open()
         connection.send(client.begin_connect(self.env.broker_did))
         response = client.handle_challenge(connection.recv())
         response.auth_data = self._tamper(response.auth_data)
@@ -386,7 +404,7 @@ class _AdversarialHarness:
 
     def tampered_connack(self) -> bool:
         client = self.env.publisher_client()
-        connection = self.network.open()
+        connection = self._open()
         connection.send(client.begin_connect(self.env.broker_did))
         connection.send(client.handle_challenge(connection.recv()))
         connack = connection.recv()
@@ -399,7 +417,7 @@ class _AdversarialHarness:
 
     def tampered_subscribe(self) -> bool:
         client = self.env.subscriber_client()
-        connection = self.network.open()
+        connection = self._open()
         run_handshake(client, connection, self.env.broker_did)
         packet = client.subscribe(self.env.topic)
         packet.topic = self._tamper(packet.topic)
@@ -451,7 +469,6 @@ class _AdversarialHarness:
         publisher_conn.send(publisher.publish(self.env.topic, b"payload"))
         publisher.handle_puback(publisher_conn.recv())
         reply = self.engine.handle_packet(subscriber.ephemeral_did, subscriber_conn.recv())
-        subscriber_conn.close()
         return isinstance(reply.error, (ReplayError, IntegrityError)) and not reply.forwards
 
     def cross_session_splice(self) -> bool:
@@ -461,11 +478,67 @@ class _AdversarialHarness:
         publisher_conn.send(publisher.publish(self.env.topic, b"payload"))
         publisher.handle_puback(publisher_conn.recv())
         moved = first_conn.recv()
-        first_conn.close()
-        second_conn.close()
         try:
             second.handle_publish(moved)
         except (IntegrityError, ReplayError):
+            return True
+        return False
+
+    def key_compromise_impersonation(self) -> bool:
+        # An attacker with the device's static key, but not the broker's,
+        # answers the device's CONNECT as the broker. It derives 1PU's Zs as
+        # the device does, but Ze needs the device's ephemeral key or the
+        # broker's static one, so the device refuses the challenge at step E.
+        client = self.env.publisher_client()
+        connect = client.begin_connect(self.env.broker_did)
+        broker_public = self.env.resolver().resolve(self.env.broker_did).agreement_key
+        guessed = to_agreement_keypair(generate_signing_keypair(self.rng.randbytes(32)))
+        key = ecdh_1pu(
+            load_agreement_key(to_agreement_keypair(self.env.publisher.keypair).secret),
+            load_agreement_key(guessed.secret),
+            broker_public,
+            b"DAXiot-1PU" + client.static_did.encode() + self.env.broker_did.encode(),
+        )
+        aad = bytes([PacketKind.AUTH_CHALLENGE]) + connect.client_id.encode()
+        forged = aead_encrypt(key, self.rng.randbytes(16) + bytes(8), self.rng.randbytes(24), aad)
+        try:
+            client.handle_challenge(Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=forged))
+        except AuthenticationError:
+            return True
+        return False
+
+    def auth_response_moved_to_second_broker(self) -> bool:
+        # A response recorded on a session at this broker, injected on a
+        # session at the second broker, which refuses it at step G.
+        recorded_client, recorded_conn = self.env.publisher_client(), self._open()
+        recorded_conn.send(recorded_client.begin_connect(self.env.broker_did))
+        recorded = recorded_client.handle_challenge(recorded_conn.recv())
+        recorded_conn.send(recorded)
+        recorded_client.handle_connack(recorded_conn.recv())
+
+        client, connection = self.env.publisher_client(), self._open(self.net_second)
+        connection.send(client.begin_connect(self.second_did))
+        connection.recv()
+        connection.send(recorded)
+        reply = connection.recv()
+        refusal = self.events_second[-1]
+        return (
+            (reply.kind, reply.reason_code) == (PacketKind.CONNACK, ReasonCode.PROTOCOL_ERROR)
+            and (refusal["event"], refusal["step"]) == ("auth_rejected", "G")
+            and client.ephemeral_did not in self.second_broker.sessions
+        )
+
+    def connack_moved_to_another_client(self) -> bool:
+        # One device's CONNACK handed to another device awaiting its own.
+        first, second = self.env.publisher_client(), self.env.subscriber_client()
+        first_conn, second_conn = self._open(), self._open()
+        for client, connection in ((first, first_conn), (second, second_conn)):
+            connection.send(client.begin_connect(self.env.broker_did))
+            connection.send(client.handle_challenge(connection.recv()))
+        moved = first_conn.recv()
+        try:
+            second.handle_connack(moved)
+        except AuthenticationError:
             return True
         return False
 
@@ -492,16 +565,22 @@ def test_criterion_4_adversarial_suite(tmp_path):
         harness.wrong_broker,
         harness.reflection,
         harness.cross_session_splice,
+        harness.key_compromise_impersonation,
+        harness.auth_response_moved_to_second_broker,
+        harness.connack_moved_to_another_client,
     ]
     false_accepts = 0
     counts: dict[str, int] = {}
     for _ in range(1000):
         attack = rng.choice(attacks)
         counts[attack.__name__] = counts.get(attack.__name__, 0) + 1
-        if not attack():
+        if not harness.trial(attack):
             false_accepts += 1
     assert false_accepts == 0, f"{false_accepts} adversarial trials were accepted"
     assert len(counts) == len(attacks), "every attack class must be exercised"
+    for network in (harness.network, harness.net_untrusted, harness.net_revoked, harness.net_second):
+        assert network.engine.sessions == {} and network.engine.topics == {}
+        assert network.router.connections == {}
     _report(4, "zero false accepts over 1000 randomized adversarial trials "
                f"across {len(attacks)} attack classes")
 
@@ -646,7 +725,8 @@ def test_criterion_8_lifecycle(tmp_path):
         assert result.exit_code == 0, result.output
         return result
 
-    with LoggingBroker(env.config) as broker:
+    events: list[dict] = []
+    with BrokerThread(env.config.service(events.append)) as broker:
         # Baseline: both devices connect.
         for client in (env.publisher_client(), env.subscriber_client()):
             connection = TcpClientConnection(env.host, broker.port)
@@ -658,13 +738,13 @@ def test_criterion_8_lifecycle(tmp_path):
         cli("til-remove", "--til", env.til_path, "--did", env.po_did)
         with pytest.raises(ConnectionRejected), TcpClientConnection(env.host, broker.port) as connection:
             run_handshake(env.publisher_client(), connection, env.broker_did)
-        assert broker.events()[-1]["reason"] == "UntrustedIssuer"
+        assert events[-1]["reason"] == "UntrustedIssuer"
 
         # Revoking a credential locks out its holder on the next connect.
         cli("revoke", "--rr", env.rr_path, "--jti", env.subscriber.jti)
         with pytest.raises(ConnectionRejected), TcpClientConnection(env.host, broker.port) as connection:
             run_handshake(env.subscriber_client(), connection, env.broker_did)
-        assert broker.events()[-1]["reason"] == "Revoked"
+        assert events[-1]["reason"] == "Revoked"
 
         # Adding a brand-new issuer enables its freshly issued device.
         new_owner_key = tmp_path / "new-owner.key"

@@ -23,7 +23,7 @@ import pytest
 import daxiot
 import daxiot.protocol
 from daxiot.bench import PlaintextBroker, PlaintextEngine
-from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread, _Connection
+from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread, _Connection, json_lines
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
@@ -31,13 +31,13 @@ from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import MAX_FRAME, Packet, PacketKind, ReasonCode, encode_frame
 
-from conftest import LoggingBroker
-
 
 @pytest.fixture
 def tcp_env(tmp_path):
     env = build_scenario(tmp_path / "env")
-    broker = LoggingBroker(env.config).start()
+    events: list[dict] = []
+    broker = BrokerThread(env.config.service(events.append)).start()
+    broker.events = events
     yield env, broker
     broker.stop()
 
@@ -112,13 +112,13 @@ class TestConfigValidation:
         key_path.write_text(rogue.secret.hex())
         config = dataclasses.replace(env.config, signing_key_path=str(key_path))
         with pytest.raises(ConfigError):
-            BrokerService(config.listen_address, config.engine)
+            config.service()
 
     def test_unresolvable_broker_did(self, tmp_path):
         env = build_scenario(tmp_path / "env")
         config = dataclasses.replace(env.config, broker_did="did:web:ghost.example")
         with pytest.raises(ConfigError):
-            BrokerService(config.listen_address, config.engine)
+            config.service()
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "config.json"
@@ -130,7 +130,7 @@ class TestConfigValidation:
         env = build_scenario(tmp_path / "env")
         config = dataclasses.replace(env.config, listen_address="nonsense")
         with pytest.raises(ConfigError):
-            BrokerService(config.listen_address, config.engine)
+            config.service()
 
     def test_a_bracketed_ipv6_address_is_served(self):
         try:
@@ -139,32 +139,29 @@ class TestConfigValidation:
         except OSError:
             pytest.skip("no IPv6 loopback on this host")
 
-        class Ipv6PlaintextBroker(LoggingBroker):
-            def __init__(self) -> None:
-                self.event_log = io.StringIO()
-                self.service = BrokerService("[::1]:0", lambda event_sink: PlaintextEngine(), self.event_log)
-
-        with Ipv6PlaintextBroker() as broker, TcpClientConnection("::1", broker.port) as connection:
+        events: list[dict] = []
+        service = BrokerService("[::1]:0", PlaintextEngine(), events.append)
+        with BrokerThread(service) as broker, TcpClientConnection("::1", broker.port) as connection:
             connection.send(Packet(kind=PacketKind.CONNECT))
             assert connection.recv().kind is PacketKind.CONNACK
-            clash = BrokerService(f"[::1]:{broker.port}", lambda event_sink: PlaintextEngine())
+            clash = BrokerService(f"[::1]:{broker.port}", PlaintextEngine())
             with pytest.raises(BindError, match=re.escape(f"cannot bind [::1]:{broker.port}:")):
                 asyncio.run(clash.start())
-        assert broker.events()[0]["reason"] == f"[::1]:{broker.port}"
+        assert events[0]["reason"] == f"[::1]:{broker.port}"
 
     def test_unreadable_registry(self, tmp_path):
         env = build_scenario(tmp_path / "env")
         env.rr_path.write_text("[]")  # wrong JSON shape
         with pytest.raises(ConfigError):
-            BrokerService(env.config.listen_address, env.config.engine)
+            env.config.service()
 
     def test_bind_conflict(self, tmp_path):
         env = build_scenario(tmp_path / "env")
-        with BrokerThread(env.config):
+        with BrokerThread(env.config.service()):
             clone = build_scenario(tmp_path / "env2").config
             clone = dataclasses.replace(clone, listen_address=env.config.listen_address)
             with pytest.raises(BindError):
-                BrokerThread(clone).start()
+                BrokerThread(clone.service()).start()
 
 
 class TestHotReload:
@@ -181,7 +178,7 @@ class TestHotReload:
             _connect(env, broker, second)
         assert any(
             e["event"] == "auth_rejected" and e["reason"] == "UntrustedIssuer"
-            for e in broker.events()
+            for e in broker.events
         )
 
         TrustedIssuerList.load(env.til_path).with_member(env.po_did).save(env.til_path)
@@ -200,7 +197,7 @@ class TestHotReload:
         RevocationRegistry.load(env.rr_path).revoke(env.subscriber.jti).save(env.rr_path)
         with pytest.raises(ConnectionRejected):
             _connect(env, broker, env.subscriber_client())
-        assert any(e.get("reason") == "Revoked" for e in broker.events())
+        assert any(e.get("reason") == "Revoked" for e in broker.events)
 
     def test_torn_issuer_list_fails_closed(self, tcp_env):
         env, broker = tcp_env
@@ -213,7 +210,7 @@ class TestHotReload:
             assert connection.recv().kind is PacketKind.DISCONNECT
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
-        assert [(e["event"], e["reason"], e.get("step")) for e in broker.events() if e["session"] == client.ephemeral_did] == [
+        assert [(e["event"], e["reason"], e.get("step")) for e in broker.events if e["session"] == client.ephemeral_did] == [
             ("challenge_sent", None, None),
             ("auth_rejected", "TrustFileError", "H"),
         ]
@@ -251,7 +248,7 @@ class TestFaultIsolation:
             (PacketKind.CONNACK, ReasonCode.NOT_AUTHORIZED),
             (PacketKind.DISCONNECT, ReasonCode.NOT_AUTHORIZED),
         ]
-        assert [(e["event"], e["reason"], e.get("step")) for e in broker.events() if e["session"] == client.ephemeral_did] == [
+        assert [(e["event"], e["reason"], e.get("step")) for e in broker.events if e["session"] == client.ephemeral_did] == [
             ("challenge_sent", None, None),
             ("auth_rejected", "MalformedCredential", "H"),
         ]
@@ -291,7 +288,7 @@ class TestFaultIsolation:
                 subscriber_conn.recv()
             assert _wait_until(lambda: len(broker.service._connections) == 1)
             publisher_conn.send(publisher.disconnect())
-        events = [e["event"] for e in broker.events()]
+        events = [e["event"] for e in broker.events]
         assert events.count("session_exhausted") == 1
         assert "connection_error" not in events
 
@@ -321,7 +318,7 @@ class TestFraming:
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
         assert _wait_until(lambda: broker.service.router.connections == {})
-        events = [e["event"] for e in broker.events() if e["session"] == session]
+        events = [e["event"] for e in broker.events if e["session"] == session]
         assert events.count("disconnected") == 1 and "connection_error" not in events
         assert _asyncio_errors(caplog, broker) == []
 
@@ -346,7 +343,7 @@ class TestFraming:
             assert second.handle_puback(two.recv()) is ReasonCode.SUCCESS
             one.send(first.disconnect())
             two.send(second.disconnect())
-        assert "connection_error" not in [e["event"] for e in broker.events()]
+        assert "connection_error" not in [e["event"] for e in broker.events]
         assert _asyncio_errors(caplog, broker) == []
 
     def test_oversized_header_is_refused_before_its_body(self, tcp_env, caplog):
@@ -357,8 +354,8 @@ class TestFraming:
             assert (reply.kind, reply.reason_code) == (PacketKind.DISCONNECT, ReasonCode.PROTOCOL_ERROR)
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
-        errors = [e for e in broker.events() if e["event"] == "connection_error"]
-        assert [(e["reason"], sorted(e)) for e in errors] == [("FramingError", ["event", "reason", "session", "ts"])]
+        errors = [e for e in broker.events if e["event"] == "connection_error"]
+        assert [(e["reason"], sorted(e)) for e in errors] == [("FramingError", ["event", "reason", "session"])]
         assert _asyncio_errors(caplog, broker) == []
 
     def test_half_a_frame_then_eof_is_a_framing_error(self, tcp_env, caplog):
@@ -369,7 +366,7 @@ class TestFraming:
             frame = encode_frame(client.publish(env.topic, b"torn"))
             connection.send_raw(frame[: len(frame) // 2])
         assert _wait_until(lambda: broker.service.router.connections == {} and broker.service.engine.sessions == {})
-        errors = [(e["session"], e["reason"]) for e in broker.events() if e["event"] == "connection_error"]
+        errors = [(e["session"], e["reason"]) for e in broker.events if e["event"] == "connection_error"]
         assert errors == [(client.ephemeral_did, "FramingError")]
         assert _asyncio_errors(caplog, broker) == []
 
@@ -399,12 +396,13 @@ class _FullDisk(io.StringIO):
 
 def test_each_event_is_written_as_one_json_line(tmp_path):
     env = build_scenario(tmp_path / "env")
-    with LoggingBroker(env.config) as broker:
+    log = io.StringIO()
+    with BrokerThread(env.config.service(json_lines(log))) as broker:
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
             connection.send(client.disconnect())
         assert _wait_until(lambda: not broker.service._connections)
-    lines = broker.event_log.getvalue().splitlines(keepends=True)
+    lines = log.getvalue().splitlines(keepends=True)
     records = [json.loads(line) for line in lines]
     assert lines == [json.dumps(record, sort_keys=True) + "\n" for record in records]
     assert [sorted(record) for record in records] == [["event", "reason", "session", "ts"]] * 4
@@ -413,14 +411,15 @@ def test_each_event_is_written_as_one_json_line(tmp_path):
 
 def test_a_failing_event_log_does_not_stop_the_broker(tmp_path, caplog):
     env = build_scenario(tmp_path / "env")
-    with LoggingBroker(env.config, _FullDisk()) as broker:
+    disk = _FullDisk()
+    with BrokerThread(env.config.service(json_lines(disk))) as broker:
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
             connection.send(client.publish(env.topic, b"still served"))
             assert client.handle_puback(connection.recv()) is ReasonCode.SUCCESS
         assert _wait_until(lambda: not broker.service.engine.sessions)
         assert _asyncio_errors(caplog, broker) == []
-    events = [json.loads(line)["event"] for line in broker.event_log.attempted]
+    events = [json.loads(line)["event"] for line in disk.attempted]
     assert events[-3:] == ["authenticated", "publish_forwarded", "disconnected"]
 
 
@@ -439,7 +438,7 @@ def routed(request, tmp_path):
         opened.append(TcpClientConnection(env.host, broker.port))
         return opened[-1]
 
-    with BrokerThread(env.config) as broker:
+    with BrokerThread(env.config.service()) as broker:
         try:
             yield env, broker.service.router, open_connection
         finally:
@@ -537,7 +536,7 @@ def test_shutdown_drops_connections_before_waiting_for_the_server(tmp_path):
     # connection has closed, so shutdown must drop them before it waits.
     env = build_scenario(tmp_path / "env")
     open_at_wait_closed = []
-    with BrokerThread(env.config) as broker:
+    with BrokerThread(env.config.service()) as broker:
         server = broker.service._server
         wait_closed = server.wait_closed
 
@@ -596,7 +595,7 @@ def test_stop_with_a_client_connected(tmp_path, caplog, server):
     with caplog.at_level(logging.WARNING, logger="asyncio"):
         if server == "broker":
             env = build_scenario(tmp_path / "env")
-            broker = BrokerThread(env.config).start()
+            broker = BrokerThread(env.config.service()).start()
             connection = _connect(env, broker, env.publisher_client())
         else:
             broker = PlaintextBroker().start()

@@ -93,6 +93,23 @@ class TestKeyCommands:
         document = Resolver(DirectoryWebSource(tmp_path / "docs")).resolve("did:web:owner.example")
         assert document.service_endpoint == "tcp://127.0.0.1:9"
 
+    def test_didweb_emit_into_an_unwritable_directory_is_an_error(self, runner, tmp_path):
+        key_path = tmp_path / "owner.key"
+        invoke(runner, "keygen", "--out", key_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        result = runner.invoke(
+            main,
+            [
+                "didweb-emit",
+                "--key", str(key_path),
+                "--did", "did:web:owner.example",
+                "--out-dir", str(blocker / "sub"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.output
+
     def test_didweb_emit_replaces_a_document_whole(self, runner, tmp_path):
         # The broker reads a did:web document on every handshake: a reader
         # that opened the old document reads all of it, because the new one
@@ -281,7 +298,7 @@ class TestClientCommands:
     def test_publish_command(self, runner, tmp_path):
         env = build_scenario(tmp_path / "env")
         save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
-        with BrokerThread(env.config):
+        with BrokerThread(env.config.service()):
             result = runner.invoke(
                 main,
                 [
@@ -302,7 +319,7 @@ class TestClientCommands:
         env = build_scenario(tmp_path / "env")
         save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
         RevocationRegistry.load(env.rr_path).revoke(env.publisher.jti).save(env.rr_path)
-        with BrokerThread(env.config):
+        with BrokerThread(env.config.service()):
             result = runner.invoke(
                 main,
                 [
@@ -348,7 +365,7 @@ class TestClientCommands:
         issue({"did:web:a.example": grant, "did:web:b.example": grant, env.broker_did: grant})
         issue({env.broker_did: grant})
         assert len(load_credential_files(tmp_path / "pub-cred")[1]) == 1
-        with BrokerThread(env.config):
+        with BrokerThread(env.config.service()):
             result = invoke(
                 runner,
                 "publish",
@@ -424,7 +441,7 @@ class TestClientCommands:
         env = build_scenario(tmp_path / "env")
         save_credential_files(tmp_path / "sub-cred", env.subscriber.credential, env.subscriber.disclosures)
 
-        with BrokerThread(env.config) as broker:
+        with BrokerThread(env.config.service()) as broker:
             received: list = []
 
             def run_subscriber():

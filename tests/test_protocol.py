@@ -1111,7 +1111,7 @@ class TestBrokerState:
         convert, calls = daxiot.crypto.convert_public_key, []
         monkeypatch.setattr(daxiot.crypto, "convert_public_key", lambda key: calls.append(key) or convert(key))
         env.publisher_client()
-        DaxiotBroker(keypair, env.broker_did, env.resolver(), lambda: None, lambda: None)
+        DaxiotBroker(keypair, env.broker_did, env.resolver(), env.til_path, env.rr_path)
         assert calls == []
 
     def test_disconnect_cleans_topic_table(self, env, loopback):
@@ -1201,6 +1201,37 @@ def test_a_wire_observer_links_connections_by_the_auth_response_length_alone(env
     for position, index in enumerate(visits):
         by_device.setdefault(index, set()).add(position)
     assert sorted(map(sorted, by_length.values())) == sorted(map(sorted, by_device.values()))
+
+
+def test_the_broker_static_key_opens_a_recorded_session(env):
+    # A known limit: no forward secrecy against the broker's static key. The
+    # session key is 1PU over Ze and Zs, and the broker's static key derives
+    # both from what the wire shows, so whoever later holds that key reads
+    # every recorded session. The reading here is recovered from the key file
+    # and the client's frames alone.
+    network = LoopbackNetwork(env.engine())
+    publisher = env.publisher_client()
+    connection = establish(network, publisher, env.broker_did)
+    connection.send(publisher.publish(env.topic, b"21.5 C"))
+    assert publisher.handle_puback(connection.recv()) is ReasonCode.SUCCESS
+    connection.send(publisher.disconnect())
+
+    connect, _, publish, _ = [decode_frame(frame) for direction, frame in network.captures if direction == "c2b"]
+    session = connect.client_id.encode()
+    broker = daxiot.crypto.to_agreement_keypair(load_signing_key(env.config.signing_key_path))
+    broker_key = daxiot.crypto.load_agreement_key(broker.secret)
+    ephemeral_public = env.resolver().resolve(connect.client_id).agreement_key
+    k_es = daxiot.crypto.ecdh_es(broker_key, ephemeral_public, b"DAXiot-ES" + session + env.broker_did.encode())
+    static_did = daxiot.crypto.aead_decrypt(k_es, connect.auth_data, bytes([PacketKind.CONNECT]) + session)
+    k_1pu = daxiot.crypto.ecdh_1pu_receiver(
+        broker_key,
+        ephemeral_public,
+        env.resolver().resolve(static_did.decode()).agreement_key,
+        b"DAXiot-1PU" + static_did + env.broker_did.encode(),
+    )
+    aad = bytes([PacketKind.PUBLISH]) + session
+    assert daxiot.crypto.aead_decrypt(k_1pu, publish.topic, aad) == env.topic.encode()
+    assert daxiot.crypto.aead_decrypt(k_1pu, publish.payload, aad) == b"21.5 C"
 
 
 # ---------------------------------------------------------------------------

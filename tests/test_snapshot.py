@@ -20,7 +20,7 @@ from daxiot.crypto import generate_signing_keypair
 from daxiot.did import DirectoryWebSource, Resolver
 from daxiot.errors import TrustFileError
 from daxiot.scenario import write_didweb_document
-from daxiot.snapshot import RACY_SLACK_NS, FileSnapshot
+from daxiot.snapshot import RACY_SLACK_NS, FileSnapshot, replace_file
 from helpers import source_nodes
 
 ISSUER = "did:web:issuer.example"
@@ -180,6 +180,40 @@ class TestChangesAreSeen:
         assert resolver.resolve(ISSUER).verification_key == old_key.public
         _backdate(write_didweb_document(tmp_path, new_key, ISSUER))
         assert resolver.resolve(ISSUER).verification_key == new_key.public
+
+
+class TestReplaceFile:
+    def test_a_writer_between_another_writers_write_and_rename(self, tmp_path, monkeypatch):
+        # The second writer runs whole while the first is about to rename;
+        # each must rename its own file, so neither write is lost or torn.
+        path = tmp_path / "til.json"
+        rename = os.replace
+
+        def second_writer_first(source, target):
+            monkeypatch.setattr(os, "replace", rename)
+            replace_file(path, b'["second"]')
+            rename(source, target)
+
+        monkeypatch.setattr(os, "replace", second_writer_first)
+        replace_file(path, b'["first"]')
+        assert path.read_bytes() == b'["first"]'
+        assert os.listdir(tmp_path) == ["til.json"]
+
+    def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "rr.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            replace_file(tmp_path / "rr.json", b"{}")
+        assert os.listdir(tmp_path) == ["rr.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_the_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        # Not mkstemp's 0600: a broker running as another user reads these files.
+        old = os.umask(umask)
+        try:
+            replace_file(tmp_path / "til.json", b"[]")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "til.json").st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_trust_files_and_documents_are_read_only_through_the_snapshot():
