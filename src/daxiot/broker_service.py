@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -24,6 +23,7 @@ from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypa
 from .did import DirectoryWebSource, Resolver
 from .errors import BindError, ConfigError, CredentialError, CryptoError, DaxiotError, FramingError, decode_json
 from .protocol import DaxiotBroker
+from .snapshot import replace_file
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
 
 EXIT_CONFIG = 2
@@ -38,13 +38,10 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
 def save_signing_key(path: Path | str, keypair: SigningKeyPair) -> None:
     """Write an identity as its hex seed on one line, the file :func:`load_signing_key` reads.
 
-    The file is left readable by its owner alone (mode 0600), also when it
-    already existed with a wider mode.
+    The file is replaced whole and readable by its owner alone (mode 0600),
+    also when it already existed with a wider mode.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with open(fd, "w", encoding="utf-8") as out:
-        os.fchmod(fd, 0o600)
-        out.write(keypair.secret.hex() + "\n")
+    replace_file(path, keypair.secret.hex().encode() + b"\n", 0o600)
 
 
 def load_signing_key(path: Path | str) -> SigningKeyPair:

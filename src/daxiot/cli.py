@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import fcntl
 import json
+import os
 import signal
 import sys
 import urllib.parse
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import click
 
@@ -125,17 +127,27 @@ def issue(key_path: Path, issuer_did: str, subject_did: str, claims_path: Path, 
         click.echo(str(path))
 
 
+def _edit_trust_file(path: Path, kind: type, edit: Callable, done: str) -> None:
+    """Load ``path`` (or start empty), apply ``edit`` and save it, holding a lock on
+    the file's directory throughout so that no concurrent edit is lost."""
+    try:
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            fcntl.flock(directory, fcntl.LOCK_EX)
+            edit(kind.load(path) if path.exists() else kind()).save(path)
+        finally:
+            os.close(directory)
+    except (OSError, DaxiotError, ValueError) as exc:
+        _fail(str(exc))
+    click.echo(done)
+
+
 @main.command()
 @click.option("--rr", "rr_path", required=True, type=click.Path(path_type=Path))
 @click.option("--jti", required=True)
 def revoke(rr_path: Path, jti: str) -> None:
     """Mark a credential id REVOKED in the registry file (idempotent)."""
-    try:
-        registry = RevocationRegistry.load(rr_path) if rr_path.exists() else RevocationRegistry()
-        registry.revoke(jti).save(rr_path)
-    except (OSError, DaxiotError, ValueError) as exc:
-        _fail(str(exc))
-    click.echo(f"{jti}: REVOKED")
+    _edit_trust_file(rr_path, RevocationRegistry, lambda registry: registry.revoke(jti), f"{jti}: REVOKED")
 
 
 @main.command("til-add")
@@ -143,12 +155,7 @@ def revoke(rr_path: Path, jti: str) -> None:
 @click.option("--did", "did_text", required=True)
 def til_add(til_path: Path, did_text: str) -> None:
     """Add an issuer DID to the trusted issuer list (idempotent)."""
-    try:
-        current = TrustedIssuerList.load(til_path) if til_path.exists() else TrustedIssuerList()
-        current.with_member(Did.parse(did_text)).save(til_path)
-    except (OSError, DaxiotError, ValueError) as exc:
-        _fail(str(exc))
-    click.echo(f"added {did_text}")
+    _edit_trust_file(til_path, TrustedIssuerList, lambda til: til.with_member(Did.parse(did_text)), f"added {did_text}")
 
 
 @main.command("til-remove")
@@ -156,12 +163,7 @@ def til_add(til_path: Path, did_text: str) -> None:
 @click.option("--did", "did_text", required=True)
 def til_remove(til_path: Path, did_text: str) -> None:
     """Remove an issuer DID from the trusted issuer list (idempotent)."""
-    try:
-        current = TrustedIssuerList.load(til_path) if til_path.exists() else TrustedIssuerList()
-        current.without_member(Did.parse(did_text)).save(til_path)
-    except (OSError, DaxiotError, ValueError) as exc:
-        _fail(str(exc))
-    click.echo(f"removed {did_text}")
+    _edit_trust_file(til_path, TrustedIssuerList, lambda til: til.without_member(Did.parse(did_text)), f"removed {did_text}")
 
 
 # ---------------------------------------------------------------------------

@@ -486,10 +486,10 @@ def save_credential_files(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = [directory / CREDENTIAL_FILENAME]
-    written[0].write_text(credential.compact() + "\n", "utf-8")
+    replace_file(written[0], credential.compact().encode() + b"\n")
     for index, disclosure in enumerate(disclosures):
         path = directory / f"disclosure-{index:03d}.json"
-        path.write_bytes(disclosure.serialize() + b"\n")
+        replace_file(path, disclosure.serialize() + b"\n")
         written.append(path)
     # A disclosure left from an earlier issuance would be presented and refused.
     for stale in set(directory.glob("disclosure-*.json")).difference(written):

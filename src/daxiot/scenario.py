@@ -177,7 +177,7 @@ def build_scenario(
         rr_path=str(rr_path),
         did_web_dir=str(docs_dir),
     )
-    (root / "broker-config.json").write_text(json.dumps(config.__dict__, indent=2) + "\n")
+    replace_file(root / "broker-config.json", json.dumps(config.__dict__, indent=2).encode() + b"\n")
 
     return ScenarioEnv(
         root=root,

@@ -16,6 +16,8 @@ parsed on every read until it has aged.
 Nothing is kept for a failure: a missing file raises ``OSError`` and a file
 that does not parse raises the parser's error, on every read. The caller
 turns ``OSError`` into its own error class.
+
+:func:`replace_file` writes every file daxiot writes, whole and then renamed.
 """
 
 from __future__ import annotations
@@ -64,14 +66,16 @@ class FileSnapshot(Generic[T]):
         return value
 
 
-def replace_file(path: str | os.PathLike, data: bytes) -> None:
+def replace_file(path: str | os.PathLike, data: bytes, mode: int = 0o666) -> None:
     """Write ``data`` to a temporary file of this call's own beside ``path`` and
     rename it over ``path``: a reader sees the old file or the new one, never a
-    torn one, however writers race. The file gets the mode ``open`` gives
-    (0o666 less the umask), as the broker may run as another user."""
+    torn one, however writers race or a write fails. The file is created with
+    ``mode`` less the umask; the default suits files a broker running as
+    another user reads."""
     tmp = Path(f"{os.fspath(path)}.{random.SystemRandom().getrandbits(64):016x}.tmp")
     try:
-        tmp.write_bytes(data)
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as file:
+            file.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

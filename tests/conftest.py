@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -9,6 +11,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from daxiot.scenario import ScenarioEnv, build_scenario
 from daxiot.transport import LoopbackNetwork, run_handshake
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_tempdir(tmp_path_factory) -> Iterator[Path]:
+    """The directory ``tempfile`` hands out for the session: one pytest
+    manages, so a directory the code under test keeps, as the demo does its
+    work directory, is pruned with pytest's own."""
+    kept, tempfile.tempdir = tempfile.tempdir, str(tmp_path_factory.mktemp("tempfile"))
+    yield Path(tempfile.tempdir)
+    tempfile.tempdir = kept
 
 
 @pytest.fixture

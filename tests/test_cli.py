@@ -293,6 +293,52 @@ class TestRegistryCommands:
         invoke(runner, "revoke", "--rr", rr_path, "--jti", "AC-9")
         assert json.loads(rr_path.read_text()) == {"AC-9": "REVOKED"}
 
+    def test_an_edit_between_anothers_load_and_save_is_kept(self, tmp_path, monkeypatch, capsys):
+        # A second revoke starts after the first has loaded the registry and
+        # is given time to finish before the first saves. The first holds the
+        # directory's lock, so the second waits and then sees the first's edit.
+        rr_path = tmp_path / "rr.json"
+        RevocationRegistry().save(rr_path)
+        load, second = RevocationRegistry.load, []
+
+        def revoke(jti):
+            main.main(["revoke", "--rr", str(rr_path), "--jti", jti], standalone_mode=False)
+
+        def load_then_start_a_second_editor(cls, path):
+            registry = load(path)
+            if not second:
+                second.append(threading.Thread(target=revoke, args=("J2",)))
+                second[0].start()
+                second[0].join(timeout=0.5)
+            return registry
+
+        monkeypatch.setattr(RevocationRegistry, "load", classmethod(load_then_start_a_second_editor))
+        revoke("J1")
+        second[0].join(timeout=30)
+        assert not second[0].is_alive()
+        assert json.loads(rr_path.read_text()) == {"J1": "REVOKED", "J2": "REVOKED"}
+        assert sorted(capsys.readouterr().out.splitlines()) == ["J1: REVOKED", "J2: REVOKED"]
+        assert os.listdir(tmp_path) == ["rr.json"]
+
+    def test_concurrent_edits_all_land(self, tmp_path, capsys):
+        rr_path, til_path = tmp_path / "rr.json", tmp_path / "til.json"
+        commands = [["revoke", "--rr", str(rr_path), "--jti", f"J{i}"] for i in range(6)]
+        commands += [["til-add", "--til", str(til_path), "--did", f"did:web:owner{i}.example"] for i in range(6)]
+        editors = [threading.Thread(target=main.main, args=(args,), kwargs={"standalone_mode": False}) for args in commands]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for editor in editors:
+                editor.start()
+            for editor in editors:
+                editor.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(editor.is_alive() for editor in editors)
+        assert json.loads(rr_path.read_text()) == {f"J{i}": "REVOKED" for i in range(6)}
+        assert json.loads(til_path.read_text()) == sorted(f"did:web:owner{i}.example" for i in range(6))
+        assert len(capsys.readouterr().out.splitlines()) == 12
+
 
 class TestClientCommands:
     def test_publish_command(self, runner, tmp_path):
@@ -489,6 +535,13 @@ class TestDemoCommand:
         assert result.exit_code == 0
         for letter in "ABCDEFGHIJ":
             assert f"step {letter}:" in result.output
+
+    def test_the_demo_works_in_the_test_sessions_temporary_directory(self, runner, session_tempdir):
+        # The demo keeps its directory for the operator to inspect; under
+        # the session's directory, pytest prunes it with the rest.
+        output = runner.invoke(main, ["demo"]).output
+        workdir = Path(re.search(r"^demo artifacts: (.*)$", output, flags=re.MULTILINE).group(1))
+        assert workdir.parent == session_tempdir and workdir.name.startswith("daxiot-demo-")
 
     def test_demo_revoke_first_fails_at_h(self, runner):
         result = runner.invoke(main, ["demo", "--revoke-first"])

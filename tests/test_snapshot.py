@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import ast
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 import daxiot.snapshot
-from daxiot.credential import CredentialStatus, RevocationRegistry, TrustedIssuerList
+from daxiot.broker_service import load_signing_key, save_signing_key
+from daxiot.credential import (
+    CredentialStatus,
+    RevocationRegistry,
+    TrustedIssuerList,
+    load_credential_files,
+    save_credential_files,
+)
 from daxiot.crypto import generate_signing_keypair
 from daxiot.did import DirectoryWebSource, Resolver
 from daxiot.errors import TrustFileError
@@ -215,8 +224,133 @@ class TestReplaceFile:
             os.umask(old)
         assert os.stat(tmp_path / "til.json").st_mode & 0o777 == 0o666 & ~umask
 
+    @pytest.mark.parametrize("umask", [0o022, 0o000])
+    def test_a_private_file_is_never_readable_by_others(self, tmp_path, monkeypatch, umask):
+        # The temporary file is created with the mode, so no other user can
+        # open it in the moment before the rename either.
+        rename = os.replace
+        modes = []
+
+        def noting_the_mode(source, target):
+            modes.append(os.stat(source).st_mode & 0o777)
+            rename(source, target)
+
+        monkeypatch.setattr(os, "replace", noting_the_mode)
+        old = os.umask(umask)
+        try:
+            replace_file(tmp_path / "device.key", b"00\n", 0o600)
+        finally:
+            os.umask(old)
+        assert modes == [0o600]
+        assert os.stat(tmp_path / "device.key").st_mode & 0o777 == 0o600
+
+    def test_a_symlink_is_replaced_and_its_target_left_alone(self, tmp_path):
+        target = tmp_path / "elsewhere.key"
+        target.write_bytes(b"old\n")
+        (tmp_path / "device.key").symlink_to(target)
+        replace_file(tmp_path / "device.key", b"new\n", 0o600)
+        assert not (tmp_path / "device.key").is_symlink()
+        assert (tmp_path / "device.key").read_bytes() == b"new\n"
+        assert target.read_bytes() == b"old\n"
+
+
+def _write_with_little_space(setup: str, write: str) -> str:
+    """Run ``setup``, then ``write`` in a child process whose writes may not
+    take a file past 16 bytes, as on a full disk. SIGXFSZ is ignored,
+    so a write past the limit fails with EFBIG instead of ending the child.
+    The limit acts on the child alone. Returns the error the write raised."""
+    probe = "\n".join([
+        "import errno, resource, signal",
+        setup,
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)",
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))",
+        "try:",
+        f"    {write}",
+        "except OSError as exc:",
+        "    print(errno.errorcode[exc.errno])",
+    ])
+    src = Path(daxiot.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True)
+    return result.stdout.strip()
+
+
+class TestFailedWrites:
+    """A write that runs out of space leaves the old file whole and no temporary file."""
+
+    def test_a_key_written_over_an_old_one(self, tmp_path):
+        path = tmp_path / "device.key"
+        old_key = generate_signing_keypair()
+        save_signing_key(path, old_key)
+        old = path.read_bytes()
+        assert len(old) > 16
+
+        error = _write_with_little_space(
+            "from daxiot.broker_service import save_signing_key\n"
+            "from daxiot.crypto import generate_signing_keypair\n"
+            "key = generate_signing_keypair()",
+            f"save_signing_key({str(path)!r}, key)",
+        )
+
+        assert error == "EFBIG"
+        assert path.read_bytes() == old
+        assert load_signing_key(path).public == old_key.public
+        assert os.listdir(tmp_path) == ["device.key"]
+
+    def test_a_credential_written_over_an_old_one(self, tmp_path, env):
+        old_dir, new_dir = tmp_path / "credential", tmp_path / "reissued"
+        save_credential_files(old_dir, env.publisher.credential, env.publisher.disclosures)
+        save_credential_files(new_dir, env.subscriber.credential, env.subscriber.disclosures)
+        old = {path.name: path.read_bytes() for path in old_dir.iterdir()}
+
+        error = _write_with_little_space(
+            "from daxiot.credential import load_credential_files, save_credential_files\n"
+            f"credential, disclosures = load_credential_files({str(new_dir)!r})",
+            f"save_credential_files({str(old_dir)!r}, credential, disclosures)",
+        )
+
+        assert error == "EFBIG"
+        assert {path.name: path.read_bytes() for path in old_dir.iterdir()} == old
+        credential, disclosures = load_credential_files(old_dir)
+        assert credential.compact() == env.publisher.credential.compact()
+        assert len(disclosures) == len(env.publisher.disclosures)
+
+
+def _os_open_flags(call: ast.Call) -> set[str] | None:
+    """The ``os.O_*`` names an ``os.open`` call passes, or None for any other call."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "open" and ast.unparse(func.value) == "os"):
+        return None
+    flags = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "flags"]
+    return {sub.attr for node in flags for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call creates or writes a file: ``write_text``, ``write_bytes``,
+    ``os.open`` with a writing flag, or an ``open``, ``Path.open`` or
+    ``os.fdopen`` whose mode writes."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    flags = _os_open_flags(call)
+    if flags is not None:
+        return bool(flags & {"O_WRONLY", "O_RDWR", "O_CREAT"})
+    if name not in ("open", "fdopen"):
+        return False
+    # A mode is open's and fdopen's second argument but Path.open's first.
+    modes = call.args[:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    return any(
+        isinstance(mode, ast.Constant)
+        and isinstance(mode.value, str)
+        and set(mode.value) <= set("rwxabt+")
+        and bool(set(mode.value) & set("wax+"))
+        for mode in modes
+    )
+
 
 def test_trust_files_and_documents_are_read_only_through_the_snapshot():
+    # An os.open that opens write-only cannot read; it is the write guard's.
     readers = {
         (path, function)
         for path, function, node in source_nodes()
@@ -226,6 +360,17 @@ def test_trust_files_and_documents_are_read_only_through_the_snapshot():
             (isinstance(node.func, ast.Name) and node.func.id == "open")
             or (isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "read_bytes", "read_text"))
         )
+        and "O_WRONLY" not in (_os_open_flags(node) or ())
     }
     # load_credential_files is the holder's own credential, not trust material.
     assert readers == {("snapshot.py", "read"), ("credential.py", "load_credential_files")}, readers
+
+
+def test_every_file_is_written_through_replace_file():
+    # Written whole, then renamed: a failed or racing write never leaves a torn file.
+    writers = {
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Call) and _opens_for_writing(node)
+    }
+    assert writers == {("snapshot.py", "replace_file")}, writers
