@@ -108,7 +108,7 @@ def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Pa
 @click.option("--jti", required=True, help="Credential id; uniqueness is the issuer's duty.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def issue(key_path: Path, issuer_did: str, subject_did: str, claims_path: Path, jti: str, out_dir: Path) -> None:
-    """Issue a credential from a claims file.
+    """Issue a credential from a claims file into OUT_DIR/credential.sdjwt; prints that path.
 
     The claims file maps broker DIDs to topic rights:
     {"did:web:broker1.com": {"sub": ["t1"], "pub": ["t2"]}, ...}
@@ -123,8 +123,7 @@ def issue(key_path: Path, issuer_did: str, subject_did: str, claims_path: Path, 
         written = save_credential_files(out_dir, credential, disclosures)
     except (OSError, DaxiotError) as exc:
         _fail(str(exc))
-    for path in written:
-        click.echo(str(path))
+    click.echo(str(written))
 
 
 def _edit_trust_file(path: Path, kind: type, edit: Callable, done: str) -> None:

@@ -16,7 +16,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -55,6 +54,11 @@ _SUBSCRIBE_KEY = "sub"
 # a payload up to the 1 MiB frame limit; without the cap, decoding a flat
 # JSON list that size cost the broker about 0.1 s before step 1 refused it.
 MAX_SEGMENT_LEN = 64 * 1024
+# A payload that long commits to at most this many digests: each takes 46
+# bytes of its JSON, a quoted 43-character digest and a comma. Presentation.parse
+# refuses a compact form with more '~' separators before it splits it, so a
+# peer cannot make the broker hold a million empty segments.
+MAX_DISCLOSURES = MAX_SEGMENT_LEN * 3 // (4 * 46)
 
 
 def _b64url(data: bytes) -> str:
@@ -236,6 +240,8 @@ class Presentation:
     def parse(cls, compact: str) -> "Presentation":
         if not compact.endswith("~"):
             raise MalformedCredential("compact presentation must end with '~'")
+        if compact.count("~") > MAX_DISCLOSURES + 1:
+            raise MalformedCredential(f"compact presentation holds more than {MAX_DISCLOSURES} disclosures")
         segments = compact[:-1].split("~")
         return cls(credential=SdJwtCredential.parse(segments[0]), segments=tuple(segments[1:]))
 
@@ -282,14 +288,13 @@ class TrustedIssuerList:
         replace_file(path, json.dumps(sorted(self.members), indent=2).encode() + b"\n")
 
 
-class CredentialStatus(Enum):
-    ACTIVE = "ACTIVE"
-    REVOKED = "REVOKED"
+# The registry file maps each revoked jti to this value; other values are ignored.
+_REVOKED = "REVOKED"
 
 
 @dataclass
 class RevocationRegistry:
-    """jti -> status map; absent ids are ACTIVE and revocation is permanent.
+    """The set of revoked jtis, asked with ``jti in registry``; revocation is permanent.
 
     The revoked ids are a frozenset that :meth:`revoke` replaces, so a
     registry :meth:`load` returns shares nothing mutable with the kept snapshot.
@@ -297,8 +302,8 @@ class RevocationRegistry:
 
     _revoked: frozenset[str] = frozenset()
 
-    def status(self, jti: str) -> CredentialStatus:
-        return CredentialStatus.REVOKED if jti in self._revoked else CredentialStatus.ACTIVE
+    def __contains__(self, jti: str) -> bool:
+        return jti in self._revoked
 
     def revoke(self, jti: str) -> "RevocationRegistry":
         self._revoked = self._revoked | {jti}
@@ -313,10 +318,10 @@ class RevocationRegistry:
         data = decode_json(raw, TrustFileError, f"trust file {path}")
         if not isinstance(data, dict):
             raise TrustFileError(f"{path}: revocation registry must be a JSON object")
-        return frozenset(jti for jti, status in data.items() if status == CredentialStatus.REVOKED.value)
+        return frozenset(jti for jti, status in data.items() if status == _REVOKED)
 
     def save(self, path: Path | str) -> None:
-        data = {jti: CredentialStatus.REVOKED.value for jti in sorted(self._revoked)}
+        data = {jti: _REVOKED for jti in sorted(self._revoked)}
         replace_file(path, json.dumps(data, indent=2).encode() + b"\n")
 
 
@@ -435,7 +440,7 @@ def verify_presentation(
     jti = payload.get("jti")
     if not isinstance(jti, str):
         raise MalformedCredential("credential jti missing")
-    if rr.status(jti) is CredentialStatus.REVOKED:
+    if jti in rr:
         raise Revoked(f"credential {jti} is revoked")
 
     # 5. Every presented disclosure must be committed to in _sd, once. The
@@ -474,7 +479,7 @@ def verify_presentation(
 
 
 # ---------------------------------------------------------------------------
-# Credential files (holder-side storage, also used by the issuer CLI)
+# The credential file (holder-side storage, also written by the issuer CLI)
 # ---------------------------------------------------------------------------
 
 CREDENTIAL_FILENAME = "credential.sdjwt"
@@ -482,32 +487,23 @@ CREDENTIAL_FILENAME = "credential.sdjwt"
 
 def save_credential_files(
     directory: Path | str, credential: SdJwtCredential, disclosures: Sequence[Disclosure]
-) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = [directory / CREDENTIAL_FILENAME]
-    replace_file(written[0], credential.compact().encode() + b"\n")
-    for index, disclosure in enumerate(disclosures):
-        path = directory / f"disclosure-{index:03d}.json"
-        replace_file(path, disclosure.serialize() + b"\n")
-        written.append(path)
-    # A disclosure left from an earlier issuance would be presented and refused.
-    for stale in set(directory.glob("disclosure-*.json")).difference(written):
-        stale.unlink()
-    return written
+) -> Path:
+    """Write the credential and all its disclosures as one SD-JWT, in the compact
+    form of a presentation, and replace the old set with it in one rename."""
+    path = Path(directory) / CREDENTIAL_FILENAME
+    path.parent.mkdir(parents=True, exist_ok=True)
+    compact = Presentation(credential, tuple(d.encoded() for d in disclosures)).compact()
+    replace_file(path, compact.encode() + b"\n")
+    return path
 
 
 def load_credential_files(directory: Path | str) -> tuple[SdJwtCredential, list[Disclosure]]:
-    directory = Path(directory)
-    credential_path = directory / CREDENTIAL_FILENAME
-    if not credential_path.exists():
+    path = Path(directory) / CREDENTIAL_FILENAME
+    if not path.exists():
         raise CredentialError(f"no {CREDENTIAL_FILENAME} under {directory}")
-    text = decode_text(credential_path.read_bytes(), MalformedCredential, str(credential_path))
-    credential = SdJwtCredential.parse(text.strip())
-    disclosures = []
-    for path in sorted(directory.glob("disclosure-*.json")):
-        try:
-            disclosures.append(Disclosure.decode(path.read_bytes()))
-        except MalformedCredential as exc:
-            raise MalformedCredential(f"{path}: {exc}") from exc
-    return credential, disclosures
+    text = decode_text(path.read_bytes(), MalformedCredential, str(path))
+    try:
+        presentation = Presentation.parse(text.strip())
+        return presentation.credential, list(presentation.disclosures)
+    except MalformedCredential as exc:
+        raise MalformedCredential(f"{path}: {exc}") from exc

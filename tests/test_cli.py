@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import daxiot
+import daxiot.credential
 from daxiot.broker_service import BrokerThread
 from daxiot.cli import main
 from daxiot.credential import (
@@ -25,6 +27,7 @@ from daxiot.credential import (
     present,
 )
 from daxiot.did import DirectoryWebSource, Resolver
+from daxiot.errors import MalformedCredential
 from daxiot.scenario import build_scenario
 
 
@@ -425,12 +428,49 @@ class TestClientCommands:
         assert result.exit_code == 0, result.output
         assert f"published to {env.topic}" in result.output
 
-    def test_torn_disclosure_file_is_an_error(self, runner, tmp_path):
+    def test_a_reissue_that_runs_out_of_space_leaves_a_credential_that_verifies(self, runner, tmp_path, monkeypatch):
+        # A disk that fills after one write must not leave the new credential
+        # beside the old disclosures, which the broker refuses as unknown.
         env = build_scenario(tmp_path / "env")
-        save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
-        torn = tmp_path / "pub-cred" / "disclosure-000.json"
-        torn.write_bytes(torn.read_bytes()[:10])
-        result = runner.invoke(
+        directory = tmp_path / "pub-cred"
+        save_credential_files(directory, env.publisher.credential, env.publisher.disclosures)
+        writes = []
+        replace_file = daxiot.credential.replace_file
+
+        def full_after_one_write(path, data, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            replace_file(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(daxiot.credential, "replace_file", full_after_one_write)
+        claims_path = tmp_path / "claims.json"
+        claims_path.write_text(json.dumps({env.broker_did: {"pub": [env.topic]}, "did:web:a.example": {"sub": ["x"]}}))
+        result = invoke(
+            runner,
+            "issue",
+            "--key", tmp_path / "env" / "keys" / "publisher-owner.key",
+            "--issuer-did", env.po_did,
+            "--subject-did", env.publisher.static_did,
+            "--claims", claims_path,
+            "--jti", "AC-publisher-0002",
+            "--out-dir", directory,
+        )
+
+        credential, disclosures = load_credential_files(directory)
+        grant = verify_presentation(
+            present(credential, disclosures, env.broker_did),
+            expected_subject=env.publisher.static_did,
+            verifier_did=env.broker_did,
+            til=TrustedIssuerList.load(env.til_path),
+            rr=RevocationRegistry.load(env.rr_path),
+            resolver=env.resolver(),
+        )
+        assert grant.publish_topics == frozenset({env.topic})
+        assert (result.exit_code, result.output) == (0, f"{directory / 'credential.sdjwt'}\n")
+
+    def _publish(self, runner, tmp_path, env):
+        return runner.invoke(
             main,
             [
                 "publish",
@@ -443,8 +483,28 @@ class TestClientCommands:
             ],
             catch_exceptions=False,
         )
+
+    def test_a_torn_credential_file_is_an_error(self, runner, tmp_path):
+        env = build_scenario(tmp_path / "env")
+        path = save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
+        path.write_text(path.read_text()[: len(env.publisher.credential.compact()) + 10])  # inside the first disclosure
+        result = self._publish(runner, tmp_path, env)
         assert result.exit_code == 1
-        assert result.output.startswith(f"error: MalformedCredential: {torn}: disclosure is not JSON")
+        assert result.output.startswith(f"error: MalformedCredential: {path}: compact presentation must end with '~'")
+
+    def test_a_credential_directory_in_the_old_layout_is_an_error(self, runner, tmp_path):
+        # A bare JWT in credential.sdjwt and one JSON file per disclosure: it
+        # must not load as a credential with no disclosures.
+        env = build_scenario(tmp_path / "env")
+        path = tmp_path / "pub-cred" / "credential.sdjwt"
+        path.parent.mkdir()
+        path.write_text(env.publisher.credential.compact() + "\n")
+        (path.parent / "disclosure-000.json").write_bytes(env.publisher.disclosures[0].serialize() + b"\n")
+        with pytest.raises(MalformedCredential, match=f"^{re.escape(str(path))}: "):
+            load_credential_files(path.parent)
+        result = self._publish(runner, tmp_path, env)
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: MalformedCredential: {path}: compact presentation must end with '~'")
 
     @pytest.mark.parametrize(
         "endpoint",

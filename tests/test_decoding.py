@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import base64
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +42,7 @@ from daxiot.errors import (
 from daxiot.protocol import Channel, DaxiotClient
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork
-from daxiot.wire import Packet, PacketKind, decode_frame
+from daxiot.wire import MAX_FRAME, Packet, PacketKind, decode_frame
 
 from conftest import establish
 from helpers import source_nodes
@@ -203,8 +204,9 @@ def test_a_disclosure_max_json_depth_levels_deep_decodes():
 # An AUTH_RESPONSE sealed by a fresh identity, whatever its plaintext
 # ---------------------------------------------------------------------------
 
-def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
-    """Seal ``body`` as (part of) the presentation of a fresh, trusted identity."""
+def _challenged_fresh_identity(env):
+    """A loopback broker that has challenged a fresh identity with a trusted credential:
+    the engine, the session id, the credential and the engine's event list."""
     events: list[dict] = []
     network = LoopbackNetwork(env.engine(event_sink=events.append))
     keypair = generate_signing_keypair()
@@ -214,12 +216,17 @@ def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
     connection = network.open()
     connection.send(client.begin_connect(env.broker_did))
     connection.recv()
+    return network.engine, client.ephemeral_did, credential, events
+
+
+def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
+    """Seal ``body`` as (part of) the presentation of a fresh, trusted identity."""
+    engine, session_id, credential, events = _challenged_fresh_identity(env)
     plaintext = {
         "presentation": body,
         "disclosure": f"{credential.compact()}~{_b64(body)}~".encode(),
         "payload": f"{credential.header_b64}.{_b64(body)}.{_b64(credential.signature)}~".encode(),
     }[where]
-    engine, session_id = network.engine, client.ephemeral_did
     reply = engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, plaintext))
     assert isinstance(reply.error, DaxiotError)
     return events[-1]["event"], events[-1]["reason"]
@@ -245,6 +252,22 @@ def test_disclosure_nested_up_to_the_parser_limit_is_refused(trusted_env):
     limit = sys.getrecursionlimit()
     for depth in range(limit - 300, limit):
         assert _auth_response_outcome(trusted_env, _nested(depth), "disclosure") == ("auth_rejected", "MalformedCredential")
+
+
+def test_a_presentation_stuffed_with_separators_costs_little_memory(trusted_env):
+    # A real credential and then a frame's worth of '~': splitting it held a
+    # million empty segments, twice, about 26 MiB, before step H refused them.
+    engine, session_id, credential, events = _challenged_fresh_identity(trusted_env)
+    plaintext = f"{credential.compact()}~".encode().ljust(MAX_FRAME - 1024, b"~")
+    packet = _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, plaintext)
+    tracemalloc.start()
+    try:
+        engine.handle_packet(session_id, packet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(plaintext), peak
+    assert (events[-1]["event"], events[-1]["reason"], events[-1]["step"]) == ("auth_rejected", "MalformedCredential", "H")
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,18 @@ def test_the_publish_layout_lives_in_one_codec():
     assert users == {("protocol.py", "_seal_publish"), ("protocol.py", "_open_publish")}, users
 
 
+def test_the_compact_sd_jwt_layout_lives_in_one_codec():
+    # The wire presentation and the holder's credential file are both written
+    # by Presentation.compact and read by Presentation.parse: no second
+    # serialisation spells out the '~' separator.
+    users = {
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Constant) and node.value == "~"
+    }
+    assert users == {("credential.py", "compact"), ("credential.py", "parse")}, users
+
+
 CHANNEL_KEY = SessionKey(key=b"\x42" * 32)
 CHANNEL_DID = "did:key:z6MkChannelTest"
 prefixes = st.binary(min_size=16, max_size=16)
