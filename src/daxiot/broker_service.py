@@ -19,38 +19,16 @@ from pathlib import Path
 from typing import Callable, TextIO
 
 from .credential import RevocationRegistry, TrustedIssuerList
-from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypair
+from .crypto import load_signing_key, to_agreement_keypair
 from .did import DirectoryWebSource, Resolver
-from .errors import BindError, ConfigError, CredentialError, CryptoError, DaxiotError, FramingError, decode_json
+from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError, decode_json
 from .protocol import DaxiotBroker
-from .snapshot import replace_file
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
-
-EXIT_CONFIG = 2
-EXIT_BIND = 3
 
 EventSink = Callable[[dict], None]
 LOG_LEVELS = ("debug", "info", "warning", "error")
 _RECEIVE_AREA = 64 * 1024  # bytes one socket read may return
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def save_signing_key(path: Path | str, keypair: SigningKeyPair) -> None:
-    """Write an identity as its hex seed on one line, the file :func:`load_signing_key` reads.
-
-    The file is replaced whole and readable by its owner alone (mode 0600),
-    also when it already existed with a wider mode.
-    """
-    replace_file(path, keypair.secret.hex().encode() + b"\n", 0o600)
-
-
-def load_signing_key(path: Path | str) -> SigningKeyPair:
-    """Load an identity from a hex seed file written by :func:`save_signing_key`."""
-    try:
-        text = Path(path).read_text("utf-8").strip()
-        return generate_signing_keypair(bytes.fromhex(text))
-    except (OSError, ValueError, CryptoError) as exc:
-        raise ConfigError(f"cannot load signing key from {path}: {exc}") from exc
 
 
 def _split_address(listen_address: str) -> tuple[str, int]:

@@ -6,7 +6,6 @@ through file paths.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import fcntl
 import json
@@ -19,7 +18,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import click
 
-from .broker_service import EXIT_BIND, EXIT_CONFIG, BrokerConfig, json_lines, load_signing_key, save_signing_key
 from .credential import (
     AuthorizationClaim,
     RevocationRegistry,
@@ -28,7 +26,7 @@ from .credential import (
     load_credential_files,
     save_credential_files,
 )
-from .crypto import generate_signing_keypair
+from .crypto import generate_signing_keypair, load_signing_key, save_signing_key
 from .did import Did, DirectoryWebSource, Resolver, didkey_encode
 from .errors import BindError, ConfigError, DaxiotError, decode_json
 from .protocol import DaxiotClient
@@ -36,6 +34,9 @@ from .wire import ReasonCode
 
 if TYPE_CHECKING:
     from .transport import TcpClientConnection
+
+EXIT_CONFIG = 2
+EXIT_BIND = 3
 
 
 @click.group()
@@ -173,26 +174,25 @@ def til_remove(til_path: Path, did_text: str) -> None:
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 def broker(config_path: Path) -> None:
     """Run the broker service until interrupted; at log level debug or info, events go to stderr."""
+    from .broker_service import BrokerConfig, BrokerThread, json_lines
+
     try:
         config = BrokerConfig.from_file(config_path)
         service = config.service(json_lines(sys.stderr) if config.log_level in ("debug", "info") else None)
     except ConfigError as exc:
         _fail(str(exc), code=EXIT_CONFIG)
-
-    async def _serve() -> None:
-        loop = asyncio.get_running_loop()
-        interrupted = asyncio.Event()
-        loop.add_signal_handler(signal.SIGINT, interrupted.set)
-        try:
-            await service.start()
-        except BindError as exc:
-            _fail(str(exc), code=EXIT_BIND)
-        await interrupted.wait()
+    # SIGINT is blocked before the loop thread starts, so the thread inherits the
+    # mask and the signal stays pending for sigwait, also when inherited ignored.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        running = BrokerThread(service).start()
+        signal.sigwait({signal.SIGINT})
+    except BindError as exc:
+        _fail(str(exc), code=EXIT_BIND)
+    finally:
         # A second Ctrl-C during shutdown raises KeyboardInterrupt again.
-        loop.remove_signal_handler(signal.SIGINT)
-        await service.shutdown()
-
-    asyncio.run(_serve())
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    running.stop()
     click.echo("broker stopped")
 
 
@@ -259,6 +259,7 @@ def subscribe(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir
             connection.send(client.subscribe(topic))
             if client.handle_suback(connection.recv()) is not ReasonCode.SUCCESS:
                 _fail("subscription rejected")
+            connection.settimeout(None)  # a reading may come at any interval
             for _ in range(count):
                 received_topic, payload = client.handle_publish(connection.recv())
                 click.echo(f"{received_topic}: {payload.decode('utf-8', errors='replace')}")

@@ -1,6 +1,6 @@
-"""Cryptographic core: Ed25519 identities, derived X25519 agreement keys,
-ECDH-ES / ECDH-1PU key agreement with HKDF, and XChaCha20-Poly1305
-authenticated encryption under prefix||counter nonces.
+"""Cryptographic core: Ed25519 identities and their key files, derived X25519
+agreement keys, ECDH-ES / ECDH-1PU key agreement with HKDF, and
+XChaCha20-Poly1305 authenticated encryption under prefix||counter nonces.
 
 One Ed25519 key pair serves both signing and key agreement: the agreement
 pair is derived deterministically (secret via SHA-512-then-clamp, public via
@@ -57,6 +57,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -73,7 +74,8 @@ from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .errors import CryptoError, IntegrityError
+from .errors import ConfigError, CryptoError, IntegrityError
+from .snapshot import replace_file
 
 KEY_LEN = 32
 SIGNATURE_LEN = 64
@@ -179,6 +181,24 @@ def generate_signing_keypair(seed: bytes | None = None) -> SigningKeyPair:
     private = Ed25519PrivateKey.from_private_bytes(seed)
     public = private.public_key().public_bytes_raw()
     return SigningKeyPair(secret=seed, public=public)
+
+
+def save_signing_key(path: Path | str, keypair: SigningKeyPair) -> None:
+    """Write an identity as its hex seed on one line, the file :func:`load_signing_key` reads.
+
+    The file is replaced whole and readable by its owner alone (mode 0600),
+    also when it already existed with a wider mode.
+    """
+    replace_file(path, keypair.secret.hex().encode() + b"\n", 0o600)
+
+
+def load_signing_key(path: Path | str) -> SigningKeyPair:
+    """Load an identity from a hex seed file written by :func:`save_signing_key`."""
+    try:
+        text = Path(path).read_text("utf-8").strip()
+        return generate_signing_keypair(bytes.fromhex(text))
+    except (OSError, ValueError, CryptoError) as exc:
+        raise ConfigError(f"cannot load signing key from {path}: {exc}") from exc
 
 
 def convert_public_key(ed25519_public: bytes) -> bytes:

@@ -14,7 +14,7 @@ import socket
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerConfig, EventSink, save_signing_key
+from .broker_service import BrokerConfig, EventSink
 from .credential import (
     AuthorizationClaim,
     Disclosure,
@@ -23,7 +23,7 @@ from .credential import (
     TrustedIssuerList,
     issue,
 )
-from .crypto import SigningKeyPair, generate_signing_keypair, to_agreement_keypair
+from .crypto import SigningKeyPair, generate_signing_keypair, save_signing_key, to_agreement_keypair
 from .did import (
     Did,
     DidDocument,

@@ -8,7 +8,6 @@ from __future__ import annotations
 import socket
 from collections import deque
 
-from .broker_service import Router
 from .errors import FramingError, ProtocolOrderError
 from .protocol import DaxiotBroker, DaxiotClient
 from .wire import Packet, decode_frame, encode_frame, frame_length
@@ -26,6 +25,10 @@ class TcpClientConnection:
 
     def send_raw(self, frame: bytes) -> None:
         self._sock.sendall(frame)
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Set the deadline of each later send and receive; ``None`` waits without one."""
+        self._sock.settimeout(timeout)
 
     def recv(self) -> Packet:
         header = self._reader.read(4)
@@ -101,6 +104,8 @@ class LoopbackNetwork:
     """
 
     def __init__(self, engine: DaxiotBroker) -> None:
+        from .broker_service import Router  # broker code, kept out of the TCP client's imports
+
         self.engine = engine
         self.captures: list[tuple[str, bytes]] = []
         self.router = Router(engine)

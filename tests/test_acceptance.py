@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 import daxiot.protocol
 from daxiot.bench import run_bench
-from daxiot.broker_service import BrokerThread, save_signing_key
+from daxiot.broker_service import BrokerThread
 from daxiot.cli import main as cli_main
 from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
 from daxiot.crypto import (
@@ -31,6 +31,7 @@ from daxiot.crypto import (
     ecdh_es,
     generate_signing_keypair,
     load_agreement_key,
+    save_signing_key,
     to_agreement_keypair,
 )
 from daxiot.errors import (
@@ -770,7 +771,7 @@ def test_criterion_8_lifecycle(tmp_path):
         )
         cli("til-add", "--til", env.til_path, "--did", "did:web:new-owner.example")
 
-        from daxiot.broker_service import load_signing_key
+        from daxiot.crypto import load_signing_key
         from daxiot.credential import load_credential_files
 
         credential, disclosures = load_credential_files(tmp_path / "new-cred")

@@ -589,6 +589,33 @@ def test_sigint_stops_the_broker_cleanly(tmp_path):
     assert out.strip() == b"broker stopped"
 
 
+def test_sigint_stops_a_broker_started_with_sigint_ignored(tmp_path):
+    # A `&` job of a non-interactive shell starts with SIGINT ignored.
+    env = build_scenario(tmp_path / "env")
+    config_path = tmp_path / "broker.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(env.config)))
+    src = str(Path(daxiot.__file__).resolve().parents[1])
+    broker = subprocess.Popen(
+        [sys.executable, "-m", "daxiot.cli", "broker", "--config", str(config_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        listening = broker.stderr.readline()
+        broker.send_signal(signal.SIGINT)
+        out, err = broker.communicate(timeout=30)
+    finally:
+        if broker.poll() is None:
+            broker.kill()
+            broker.communicate()
+    assert b'"event": "listening"' in listening
+    assert broker.returncode == 0
+    assert b"Traceback" not in err
+    assert out.strip() == b"broker stopped"
+
+
 @pytest.mark.parametrize("server", ["broker", "plaintext baseline"])
 def test_stop_with_a_client_connected(tmp_path, caplog, server):
     threads_before = threading.active_count()

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import gc
 import json
 import os
 import re
+import socket
 import stat
 import subprocess
 import sys
@@ -29,6 +31,7 @@ from daxiot.credential import (
 from daxiot.did import DirectoryWebSource, Resolver
 from daxiot.errors import MalformedCredential
 from daxiot.scenario import build_scenario
+from daxiot.wire import ReasonCode
 
 
 @pytest.fixture
@@ -39,6 +42,13 @@ def runner():
 def invoke(runner, *args):
     result = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
     return result
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package under test importable."""
+    src = Path(daxiot.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestKeyCommands:
@@ -278,6 +288,17 @@ def test_a_listen_port_that_is_not_0_to_65535_exits_2(runner, tmp_path, port):
     assert result.stderr.startswith("error: listen_address must be host:port")
 
 
+def test_a_listen_address_already_in_use_exits_3(tmp_path):
+    env = build_scenario(tmp_path / "env")
+    config_path = tmp_path / "broker.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(env.config)))
+    with socket.create_server((env.host, env.port)):
+        result = _python("-m", "daxiot.cli", "broker", "--config", str(config_path))
+    assert result.returncode == 3
+    assert result.stderr.startswith(f"error: cannot bind {env.host}:{env.port}: ")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 class TestRegistryCommands:
     def test_til_add_remove_roundtrip(self, runner, tmp_path):
         til_path = tmp_path / "til.json"
@@ -512,7 +533,7 @@ class TestClientCommands:
         ids=["port not a number", "port above 65535", "no port", "not tcp"],
     )
     def test_a_bad_service_endpoint_is_an_error(self, runner, tmp_path, endpoint):
-        from daxiot.broker_service import load_signing_key
+        from daxiot.crypto import load_signing_key
         from daxiot.scenario import write_didweb_document
 
         env = build_scenario(tmp_path / "env")
@@ -588,6 +609,48 @@ class TestClientCommands:
         assert received and received[0].exit_code == 0
         assert "hello from the cli" in received[0].output
 
+    def test_a_subscriber_waits_for_a_message_past_its_connection_timeout(self, runner, tmp_path, monkeypatch):
+        # The connect, the handshake and the SUBACK are held to the connection's
+        # timeout, shrunk here to 0.3 s; the message comes about a second later.
+        import time
+
+        import daxiot.transport
+        from daxiot.transport import TcpClientConnection, run_handshake
+
+        create_connection = daxiot.transport.socket.create_connection
+        monkeypatch.setattr(
+            daxiot.transport.socket, "create_connection", lambda address, timeout: create_connection(address, 0.3)
+        )
+        env = build_scenario(tmp_path / "env")
+        save_credential_files(tmp_path / "sub-cred", env.subscriber.credential, env.subscriber.disclosures)
+        args = [
+            "subscribe",
+            "--key", str(tmp_path / "env" / "keys" / "subscriber.key"),
+            "--credential-dir", str(tmp_path / "sub-cred"),
+            "--broker-did", env.broker_did,
+            "--did-web-dir", env.config.did_web_dir,
+            "--topic", env.topic,
+        ]
+        with BrokerThread(env.config.service()) as broker:
+            received: list = []
+            thread = threading.Thread(target=lambda: received.append(runner.invoke(main, args, catch_exceptions=False)))
+            thread.start()
+            deadline = time.monotonic() + 10
+            while not broker.service.engine.topics.get(env.topic):
+                assert time.monotonic() < deadline, "subscription never registered"
+                time.sleep(0.02)
+            time.sleep(1.0)
+            publisher = env.publisher_client()
+            with TcpClientConnection(env.host, broker.port) as connection:
+                run_handshake(publisher, connection, env.broker_did)
+                connection.send(publisher.publish(env.topic, b"a slow reading"))
+                assert publisher.handle_puback(connection.recv()) is ReasonCode.SUCCESS
+                thread.join(timeout=10)
+                connection.send(publisher.disconnect())
+
+        assert received and received[0].exit_code == 0, received and received[0].output
+        assert received[0].output == f"{env.topic}: a slow reading\n"
+
 
 class TestDemoCommand:
     def test_demo_succeeds_with_full_trace(self, runner):
@@ -652,17 +715,23 @@ class TestBenchCommand:
 
 
 def test_the_broker_command_imports_only_what_it_runs():
-    # The client, demo and benchmark modules, and the key-serialization
-    # module with its SSH formats, are imported by the commands that use them.
+    # The broker, client, demo and benchmark modules, asyncio, and the
+    # key-serialization module with its SSH formats, are imported by the
+    # commands that use them; a device's side, the CLI with its TCP
+    # transport, loads none of the rest.
     unused = (
+        "asyncio",
+        "daxiot.broker_service",
         "daxiot.bench",
         "daxiot.demo",
         "daxiot.scenario",
         "daxiot.transport",
         "cryptography.hazmat.primitives.serialization",
     )
-    probe = f"import sys, daxiot.cli; print([name for name in {unused!r} if name in sys.modules])"
-    src = Path(daxiot.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert result.stdout.strip() == "[]", result.stdout
+    probe = (
+        f"import sys, daxiot.cli; print([name for name in {unused!r} if name in sys.modules])\n"
+        f"import daxiot.transport; print([name for name in {unused!r} if name in sys.modules and name != 'daxiot.transport'])"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n") == ["[]", "[]", ""], result.stdout

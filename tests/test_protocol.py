@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import establish
-from daxiot.broker_service import load_signing_key
 from daxiot.credential import (
     AuthorizationClaim,
     Disclosure,
@@ -28,7 +27,7 @@ import daxiot.crypto
 import daxiot.did
 import daxiot.protocol
 import daxiot.snapshot
-from daxiot.crypto import SessionKey, aead_encrypt
+from daxiot.crypto import SessionKey, aead_encrypt, load_signing_key
 from daxiot.errors import (
     AuthenticationError,
     ConnectionRejected,

@@ -17,14 +17,13 @@ from pathlib import Path
 import pytest
 
 import daxiot.snapshot
-from daxiot.broker_service import load_signing_key, save_signing_key
 from daxiot.credential import (
     RevocationRegistry,
     TrustedIssuerList,
     load_credential_files,
     save_credential_files,
 )
-from daxiot.crypto import generate_signing_keypair
+from daxiot.crypto import generate_signing_keypair, load_signing_key, save_signing_key
 from daxiot.did import DirectoryWebSource, Resolver
 from daxiot.errors import TrustFileError
 from daxiot.scenario import write_didweb_document
@@ -285,8 +284,7 @@ class TestFailedWrites:
         assert len(old) > 16
 
         error = _write_with_little_space(
-            "from daxiot.broker_service import save_signing_key\n"
-            "from daxiot.crypto import generate_signing_keypair\n"
+            "from daxiot.crypto import generate_signing_keypair, save_signing_key\n"
             "key = generate_signing_keypair()",
             f"save_signing_key({str(path)!r}, key)",
         )
