@@ -21,7 +21,7 @@ import tempfile
 import time
 from functools import partial
 
-from .broker_service import BrokerService, BrokerThread
+from .broker_service import BrokerService
 from .errors import DaxiotError
 from .protocol import Reply
 from .scenario import HOST, build_scenario
@@ -58,11 +58,11 @@ class PlaintextEngine:
         return Reply(close=True)
 
 
-class PlaintextBroker(BrokerThread):
+class PlaintextBroker(BrokerService):
     """The baseline engine on the broker's own server, on an ephemeral loopback port."""
 
     def __init__(self) -> None:
-        super().__init__(BrokerService(f"{HOST}:0", PlaintextEngine()))
+        super().__init__(f"{HOST}:0", PlaintextEngine())
 
 
 class _PlaintextClient:
@@ -144,7 +144,7 @@ def run_bench(mode: str, iterations_connect: int, iterations_publish: int) -> di
     else:
         with tempfile.TemporaryDirectory(prefix="daxiot-bench-") as tmp:
             env = build_scenario(tmp, topic=_TOPIC)
-            with BrokerThread(env.config.service()) as broker:
+            with env.config.service() as broker:
                 handshake = partial(run_handshake, broker_did=env.broker_did)
                 measured = _measure(broker.port, env.publisher_client, handshake, *iterations)
     return {"mode": mode, "iterations_connect": iterations_connect, "iterations_publish": iterations_publish, **measured}

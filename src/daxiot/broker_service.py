@@ -1,6 +1,8 @@
 """Runnable broker: TCP listener, session registry, routing, and event log.
 
-The same server carries the DAXiot engine and the benchmark's plaintext
+One object is the broker: :class:`BrokerService` binds in ``start``, serves
+on its own event-loop thread and drops every connection in ``stop``. The
+same server carries the DAXiot engine and the benchmark's plaintext
 baseline; each connection is a small asyncio protocol with no task of its
 own, which stops reading a peer whose replies back up. Trust files are
 consulted on every verification and parsed again whenever they change, so
@@ -92,7 +94,8 @@ class BrokerConfig:
         return DaxiotBroker(keypair, self.broker_did, resolver, self.til_path, self.rr_path, event_sink)
 
     def service(self, event_sink: EventSink | None = None) -> "BrokerService":
-        """The engine served at ``listen_address``; engine and service send their events to one sink."""
+        """The engine, to be served at ``listen_address`` by ``start()`` or ``with``;
+        engine and service send their events to one sink."""
         return BrokerService(self.listen_address, self.engine(event_sink), event_sink)
 
 
@@ -209,7 +212,8 @@ class _Connection(asyncio.BufferedProtocol):
 
 
 class BrokerService:
-    """Serve one protocol engine over TCP.
+    """Serve one protocol engine over TCP on a daemon event-loop thread, from
+    :meth:`start` until :meth:`stop`.
 
     The engine is anything whose ``handle_connect``, ``handle_packet`` and
     ``handle_disconnect`` return a :class:`Reply`, such as a :class:`DaxiotBroker`.
@@ -223,7 +227,6 @@ class BrokerService:
         self.router = Router(self.engine)
         self._connections: set[_Connection] = set()
         self._receive_area = memoryview(bytearray(_RECEIVE_AREA))
-        self._server: asyncio.Server | None = None
 
     def _emit(self, event: str, session: str | None, reason: str) -> None:
         if self._event_sink is not None:
@@ -240,62 +243,46 @@ class BrokerService:
         host = f"[{self._host}]" if ":" in self._host else self._host
         return f"{host}:{self._port}"
 
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            self._server = await loop.create_server(lambda: _Connection(self), self._host, self._port)
-        except OSError as exc:
-            raise BindError(f"cannot bind {self._address}: {exc}") from exc
-        self._port = self._server.sockets[0].getsockname()[1]
-        self._emit("listening", None, self._address)
-
-    async def shutdown(self) -> None:
-        """Stop accepting, abort every connection (dropping unsent bytes, so a
-        stalled peer cannot hold shutdown up) and wait until each is lost;
-        ``wait_closed`` comes last, as since Python 3.12.1 it waits for them too."""
-        if self._server is not None:
-            self._server.close()
-        connections = list(self._connections)
-        for connection in connections:
-            connection.transport.abort()
-        await asyncio.gather(*(connection.lost for connection in connections))
-        if self._server is not None:
-            await self._server.wait_closed()
-
-
-class BrokerThread:
-    """Serve a :class:`BrokerService` on a daemon event-loop thread until :meth:`stop`.
-
-    The port is bound on the caller's thread, so a bind error raises there;
-    after :meth:`start` returns the server is accepting.
-    """
-
-    def __init__(self, service: BrokerService) -> None:
-        self.service = service
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def start(self) -> "BrokerThread":
+    def start(self) -> "BrokerService":
+        """Bind on the caller's thread, so a :class:`BindError` raises here and
+        leaves nothing running; then emit ``listening`` and serve on the
+        ``daxiot-broker`` thread. When it returns, the server is accepting."""
         self._loop = asyncio.new_event_loop()
         try:
-            self._loop.run_until_complete(self.service.start())
-        except BaseException:
+            self._server = self._loop.run_until_complete(
+                self._loop.create_server(lambda: _Connection(self), self._host, self._port)
+            )
+        except BaseException as exc:
             self._loop.close()
+            if isinstance(exc, OSError):
+                raise BindError(f"cannot bind {self._address}: {exc}") from exc
             raise
+        self._port = self._server.sockets[0].getsockname()[1]
+        self._emit("listening", None, self._address)
         self._thread = threading.Thread(target=self._loop.run_forever, name="daxiot-broker", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        asyncio.run_coroutine_threadsafe(self.service.shutdown(), self._loop).result(timeout=10)
+        """Stop serving, drop every connection, end the thread and close the loop."""
+        asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop).result(timeout=10)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
         self._loop.run_until_complete(self._loop.shutdown_default_executor())
         self._loop.close()
 
-    def __enter__(self) -> "BrokerThread":
+    async def _shutdown(self) -> None:
+        """Stop accepting, abort every connection (dropping unsent bytes, so a
+        stalled peer cannot hold shutdown up) and wait until each is lost;
+        ``wait_closed`` comes last, as since Python 3.12.1 it waits for them too."""
+        self._server.close()
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.abort()
+        await asyncio.gather(*(connection.lost for connection in connections))
+        await self._server.wait_closed()
+
+    def __enter__(self) -> "BrokerService":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:

@@ -27,7 +27,7 @@ from .credential import (
     save_credential_files,
 )
 from .crypto import generate_signing_keypair, load_signing_key, save_signing_key
-from .did import Did, DirectoryWebSource, Resolver, didkey_encode
+from .did import Did, DirectoryWebSource, Resolver, didkey_decode, didkey_encode
 from .errors import BindError, ConfigError, DaxiotError, decode_json
 from .protocol import DaxiotClient
 from .wire import ReasonCode
@@ -118,7 +118,9 @@ def issue(key_path: Path, issuer_did: str, subject_did: str, claims_path: Path, 
         raw = decode_json(claims_path.read_bytes(), DaxiotError, f"claims file {claims_path}")
         if not isinstance(raw, dict) or not raw:
             raise DaxiotError("claims file must be a non-empty JSON object keyed by broker DID")
-        claims = [AuthorizationClaim.from_value(broker, value) for broker, value in raw.items()]
+        # Brokers find their claim by DID, and step C takes only a did:key subject.
+        claims = [AuthorizationClaim.from_value(str(Did.parse(broker)), value) for broker, value in raw.items()]
+        didkey_decode(subject_did)
         keypair = load_signing_key(key_path)
         credential, disclosures = issue_credential(keypair, issuer_did, subject_did, claims, jti)
         written = save_credential_files(out_dir, credential, disclosures)
@@ -174,7 +176,7 @@ def til_remove(til_path: Path, did_text: str) -> None:
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 def broker(config_path: Path) -> None:
     """Run the broker service until interrupted; at log level debug or info, events go to stderr."""
-    from .broker_service import BrokerConfig, BrokerThread, json_lines
+    from .broker_service import BrokerConfig, json_lines
 
     try:
         config = BrokerConfig.from_file(config_path)
@@ -185,14 +187,14 @@ def broker(config_path: Path) -> None:
     # mask and the signal stays pending for sigwait, also when inherited ignored.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        running = BrokerThread(service).start()
+        service.start()
         signal.sigwait({signal.SIGINT})
     except BindError as exc:
         _fail(str(exc), code=EXIT_BIND)
     finally:
         # A second Ctrl-C during shutdown raises KeyboardInterrupt again.
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    running.stop()
+    service.stop()
     click.echo("broker stopped")
 
 
@@ -251,7 +253,7 @@ def publish(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: 
 @click.option("--broker-did", required=True)
 @click.option("--did-web-dir", required=True, type=click.Path(path_type=Path))
 @click.option("--topic", required=True)
-@click.option("--count", default=1, show_default=True, help="Messages to receive before exiting.")
+@click.option("--count", default=1, show_default=True, type=click.IntRange(min=1), help="Messages to receive before exiting.")
 def subscribe(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path, topic: str, count: int) -> None:
     """Connect, subscribe, and print received messages."""
     try:

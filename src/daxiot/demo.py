@@ -13,7 +13,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
-from .broker_service import BrokerThread
 from .credential import RevocationRegistry
 from .errors import ConnectionRejected, DaxiotError
 from .scenario import ScenarioEnv, build_scenario
@@ -42,7 +41,7 @@ def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
 
     events: list[dict] = []
     try:
-        with BrokerThread(env.config.service(events.append)) as broker, ExitStack() as connections:
+        with env.config.service(events.append) as broker, ExitStack() as connections:
             echo(f"broker {env.broker_did} listening on {env.host}:{broker.port}")
             _run_flow(env, broker.port, events, echo, connections)
     except DemoFailure as failure:

@@ -32,7 +32,7 @@ def env(tmp_path) -> ScenarioEnv:
 def loopback(env):
     """Engine plus loopback network with event capture, ready for handshakes."""
     events: list[dict] = []
-    network = LoopbackNetwork(env.engine(event_sink=events.append))
+    network = LoopbackNetwork(env.config.engine(event_sink=events.append))
     network.events = events
     return network
 

@@ -20,7 +20,6 @@ from click.testing import CliRunner
 
 import daxiot.protocol
 from daxiot.bench import run_bench
-from daxiot.broker_service import BrokerThread
 from daxiot.cli import main as cli_main
 from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
 from daxiot.crypto import (
@@ -66,7 +65,7 @@ def test_criterion_1_end_to_end_scenario(tmp_path):
     # Two-claim credential: one claim for this broker, one for another.
     assert len(env.publisher.credential.payload["_sd"]) == 2
 
-    with BrokerThread(env.config.service()) as broker:
+    with env.config.service() as broker:
         publisher, subscriber = env.publisher_client(), env.subscriber_client()
 
         publisher_conn = TcpClientConnection(env.host, broker.port)
@@ -155,7 +154,7 @@ def test_criterion_3_selective_disclosure_privacy(tmp_path, monkeypatch):
     env = build_scenario(tmp_path / "env")
     events: list[dict] = []
     decrypted = _record_broker_plaintexts(monkeypatch)
-    network = LoopbackNetwork(env.engine(event_sink=events.append))
+    network = LoopbackNetwork(env.config.engine(event_sink=events.append))
 
     publisher, subscriber = env.publisher_client(), env.subscriber_client()
     publisher_conn = network.open()
@@ -209,13 +208,13 @@ class _AdversarialHarness:
         self.opened: list = []  # the current trial's connections
         self.events: list[dict] = []
         self.env = build_scenario(tmp_path / "trusted")
-        self.engine = self.env.engine(event_sink=self.events.append)
+        self.engine = self.env.config.engine(event_sink=self.events.append)
         self.network = LoopbackNetwork(self.engine)
 
         self.events_untrusted: list[dict] = []
         self.env_untrusted = build_scenario(tmp_path / "untrusted", trust_publisher_owner=False)
         self.net_untrusted = LoopbackNetwork(
-            self.env_untrusted.engine(event_sink=self.events_untrusted.append)
+            self.env_untrusted.config.engine(event_sink=self.events_untrusted.append)
         )
 
         self.events_revoked: list[dict] = []
@@ -224,7 +223,7 @@ class _AdversarialHarness:
             self.env_revoked.publisher.jti
         ).save(self.env_revoked.rr_path)
         self.net_revoked = LoopbackNetwork(
-            self.env_revoked.engine(event_sink=self.events_revoked.append)
+            self.env_revoked.config.engine(event_sink=self.events_revoked.append)
         )
 
         # A second broker with its own key and DID over the same trust files.
@@ -593,7 +592,7 @@ def test_criterion_4_adversarial_suite(tmp_path):
 def test_criterion_5_authorization_soundness(tmp_path):
     rng = random.Random(0x50D4)
     env = build_scenario(tmp_path / "env")
-    engine = env.engine()
+    engine = env.config.engine()
     network = LoopbackNetwork(engine)
     topic_pool = [f"plant/{i}/stream-{i}" for i in range(8)]
 
@@ -727,7 +726,7 @@ def test_criterion_8_lifecycle(tmp_path):
         return result
 
     events: list[dict] = []
-    with BrokerThread(env.config.service(events.append)) as broker:
+    with env.config.service(events.append) as broker:
         # Baseline: both devices connect.
         for client in (env.publisher_client(), env.subscriber_client()):
             connection = TcpClientConnection(env.host, broker.port)

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-import asyncio
+import ast
 import base64
 import dataclasses
 import errno
+import gc
 import io
 import json
 import logging
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,20 +25,21 @@ import pytest
 import daxiot
 import daxiot.protocol
 from daxiot.bench import PlaintextBroker, PlaintextEngine
-from daxiot.broker_service import BrokerConfig, BrokerService, BrokerThread, _Connection, json_lines
+from daxiot.broker_service import BrokerConfig, BrokerService, _Connection, json_lines
 from daxiot.credential import RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import MAX_FRAME, Packet, PacketKind, ReasonCode, encode_frame
+from helpers import source_nodes
 
 
 @pytest.fixture
 def tcp_env(tmp_path):
     env = build_scenario(tmp_path / "env")
     events: list[dict] = []
-    broker = BrokerThread(env.config.service(events.append)).start()
+    broker = env.config.service(events.append).start()
     broker.events = events
     yield env, broker
     broker.stop()
@@ -73,7 +76,7 @@ class TestEndToEnd:
 
     def test_session_lifecycle_over_tcp(self, tcp_env):
         env, broker = tcp_env
-        sessions = broker.service.engine.sessions
+        sessions = broker.engine.sessions
         assert sessions == {}
 
         publisher = env.publisher_client()
@@ -90,7 +93,7 @@ class TestEndToEnd:
 def _asyncio_errors(caplog, broker) -> list[logging.LogRecord]:
     """Records at ERROR or above on the asyncio logger once the broker has no
     connection left; a protocol callback that raised is logged as "Fatal error"."""
-    assert _wait_until(lambda: not broker.service._connections)
+    assert _wait_until(lambda: not broker._connections)
     return [record for record in caplog.records if record.name == "asyncio" and record.levelno >= logging.ERROR]
 
 
@@ -141,12 +144,12 @@ class TestConfigValidation:
 
         events: list[dict] = []
         service = BrokerService("[::1]:0", PlaintextEngine(), events.append)
-        with BrokerThread(service) as broker, TcpClientConnection("::1", broker.port) as connection:
+        with service as broker, TcpClientConnection("::1", broker.port) as connection:
             connection.send(Packet(kind=PacketKind.CONNECT))
             assert connection.recv().kind is PacketKind.CONNACK
             clash = BrokerService(f"[::1]:{broker.port}", PlaintextEngine())
             with pytest.raises(BindError, match=re.escape(f"cannot bind [::1]:{broker.port}:")):
-                asyncio.run(clash.start())
+                clash.start()
         assert events[0]["reason"] == f"[::1]:{broker.port}"
 
     def test_unreadable_registry(self, tmp_path):
@@ -157,11 +160,11 @@ class TestConfigValidation:
 
     def test_bind_conflict(self, tmp_path):
         env = build_scenario(tmp_path / "env")
-        with BrokerThread(env.config.service()):
+        with env.config.service():
             clone = build_scenario(tmp_path / "env2").config
             clone = dataclasses.replace(clone, listen_address=env.config.listen_address)
             with pytest.raises(BindError):
-                BrokerThread(clone.service()).start()
+                clone.service().start()
 
 
 class TestHotReload:
@@ -259,7 +262,7 @@ class TestFaultIsolation:
         client = env.publisher_client()
         connection = _connect(env, broker, client)
         connection.close()  # abrupt close, no Disconnect packet
-        assert _wait_until(lambda: not broker.service.engine.sessions)
+        assert _wait_until(lambda: not broker.engine.sessions)
 
     def test_data_before_connect_is_refused(self, tcp_env):
         env, broker = tcp_env
@@ -278,7 +281,7 @@ class TestFaultIsolation:
         ):
             subscriber_conn.send(subscriber.subscribe(env.topic))
             assert subscriber.handle_suback(subscriber_conn.recv()) is ReasonCode.SUCCESS
-            b2c = broker.service.engine.sessions[subscriber.ephemeral_did].b2c
+            b2c = broker.engine.sessions[subscriber.ephemeral_did].b2c
             b2c.counter = 2**64 - 2
 
             publisher_conn.send(publisher.publish(env.topic, b"last"))
@@ -286,7 +289,7 @@ class TestFaultIsolation:
             assert subscriber_conn.recv().kind is PacketKind.DISCONNECT
             with pytest.raises(FramingError, match="closed by the broker"):
                 subscriber_conn.recv()
-            assert _wait_until(lambda: len(broker.service._connections) == 1)
+            assert _wait_until(lambda: len(broker._connections) == 1)
             publisher_conn.send(publisher.disconnect())
         events = [e["event"] for e in broker.events]
         assert events.count("session_exhausted") == 1
@@ -317,7 +320,7 @@ class TestFraming:
             assert (reply.kind, reply.reason_code) == (PacketKind.PUBACK, ReasonCode.SUCCESS)
             with pytest.raises(FramingError, match="closed by the broker"):
                 connection.recv()
-        assert _wait_until(lambda: broker.service.router.connections == {})
+        assert _wait_until(lambda: broker.router.connections == {})
         events = [e["event"] for e in broker.events if e["session"] == session]
         assert events.count("disconnected") == 1 and "connection_error" not in events
         assert _asyncio_errors(caplog, broker) == []
@@ -335,7 +338,7 @@ class TestFraming:
             ]
             for connection, frame in zip((one, two), frames):
                 connection.send_raw(frame[:60])
-            held = lambda: sorted(len(c._buffer) for c in broker.service._connections)
+            held = lambda: sorted(len(c._buffer) for c in broker._connections)
             assert _wait_until(lambda: held() == [60, 60])
             for connection, frame in zip((one, two), frames):
                 connection.send_raw(frame[60:])
@@ -362,10 +365,10 @@ class TestFraming:
         env, broker = tcp_env
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
-            assert client.ephemeral_did in broker.service.router.connections
+            assert client.ephemeral_did in broker.router.connections
             frame = encode_frame(client.publish(env.topic, b"torn"))
             connection.send_raw(frame[: len(frame) // 2])
-        assert _wait_until(lambda: broker.service.router.connections == {} and broker.service.engine.sessions == {})
+        assert _wait_until(lambda: broker.router.connections == {} and broker.engine.sessions == {})
         errors = [(e["session"], e["reason"]) for e in broker.events if e["event"] == "connection_error"]
         assert errors == [(client.ephemeral_did, "FramingError")]
         assert _asyncio_errors(caplog, broker) == []
@@ -397,11 +400,11 @@ class _FullDisk(io.StringIO):
 def test_each_event_is_written_as_one_json_line(tmp_path):
     env = build_scenario(tmp_path / "env")
     log = io.StringIO()
-    with BrokerThread(env.config.service(json_lines(log))) as broker:
+    with env.config.service(json_lines(log)) as broker:
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
             connection.send(client.disconnect())
-        assert _wait_until(lambda: not broker.service._connections)
+        assert _wait_until(lambda: not broker._connections)
     lines = log.getvalue().splitlines(keepends=True)
     records = [json.loads(line) for line in lines]
     assert lines == [json.dumps(record, sort_keys=True) + "\n" for record in records]
@@ -412,12 +415,12 @@ def test_each_event_is_written_as_one_json_line(tmp_path):
 def test_a_failing_event_log_does_not_stop_the_broker(tmp_path, caplog):
     env = build_scenario(tmp_path / "env")
     disk = _FullDisk()
-    with BrokerThread(env.config.service(json_lines(disk))) as broker:
+    with env.config.service(json_lines(disk)) as broker:
         client = env.publisher_client()
         with _connect(env, broker, client) as connection:
             connection.send(client.publish(env.topic, b"still served"))
             assert client.handle_puback(connection.recv()) is ReasonCode.SUCCESS
-        assert _wait_until(lambda: not broker.service.engine.sessions)
+        assert _wait_until(lambda: not broker.engine.sessions)
         assert _asyncio_errors(caplog, broker) == []
     events = [json.loads(line)["event"] for line in disk.attempted]
     assert events[-3:] == ["authenticated", "publish_forwarded", "disconnected"]
@@ -429,7 +432,7 @@ def routed(request, tmp_path):
     connection: on the in-process loopback or on a TCP broker thread."""
     env = build_scenario(tmp_path / "env")
     if request.param == "loopback":
-        network = LoopbackNetwork(env.engine())
+        network = LoopbackNetwork(env.config.engine())
         yield env, network.router, network.open
         return
     opened: list[TcpClientConnection] = []
@@ -438,9 +441,9 @@ def routed(request, tmp_path):
         opened.append(TcpClientConnection(env.host, broker.port))
         return opened[-1]
 
-    with BrokerThread(env.config.service()) as broker:
+    with env.config.service() as broker:
         try:
-            yield env, broker.service.router, open_connection
+            yield env, broker.router, open_connection
         finally:
             for connection in opened:
                 connection.close()
@@ -518,7 +521,7 @@ def test_traced_codec_names_cover_the_router(env, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spans
 
-    client, network = env.publisher_client(), LoopbackNetwork(env.engine())
+    client, network = env.publisher_client(), LoopbackNetwork(env.config.engine())
     recorder = spans.Recorder()
     recorder.install()
     try:
@@ -536,12 +539,12 @@ def test_shutdown_drops_connections_before_waiting_for_the_server(tmp_path):
     # connection has closed, so shutdown must drop them before it waits.
     env = build_scenario(tmp_path / "env")
     open_at_wait_closed = []
-    with BrokerThread(env.config.service()) as broker:
-        server = broker.service._server
+    with env.config.service() as broker:
+        server = broker._server
         wait_closed = server.wait_closed
 
         async def recording_wait_closed():
-            open_at_wait_closed.append(len(broker.service._connections))
+            open_at_wait_closed.append(len(broker._connections))
             await wait_closed()
 
         server.wait_closed = recording_wait_closed
@@ -622,7 +625,7 @@ def test_stop_with_a_client_connected(tmp_path, caplog, server):
     with caplog.at_level(logging.WARNING, logger="asyncio"):
         if server == "broker":
             env = build_scenario(tmp_path / "env")
-            broker = BrokerThread(env.config.service()).start()
+            broker = env.config.service().start()
             connection = _connect(env, broker, env.publisher_client())
         else:
             broker = PlaintextBroker().start()
@@ -635,3 +638,38 @@ def test_stop_with_a_client_connected(tmp_path, caplog, server):
                 connection.recv()
     assert [record for record in caplog.records if record.name.startswith("asyncio")] == []
     assert threading.active_count() == threads_before
+
+
+def test_a_failed_bind_leaves_no_thread_and_no_open_loop():
+    with PlaintextBroker() as broker:
+        threads = threading.enumerate()
+        clash = BrokerService(f"127.0.0.1:{broker.port}", PlaintextEngine())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BindError):
+                clash.start()
+            del clash
+            gc.collect()
+        assert threading.enumerate() == threads
+    assert [warning for warning in caught if issubclass(warning.category, ResourceWarning)] == []
+
+
+def test_a_stopped_broker_frees_its_port():
+    broker = PlaintextBroker().start()
+    with TcpClientConnection("127.0.0.1", broker.port) as connection:
+        connection.send(Packet(kind=PacketKind.CONNECT, client_id="plain", auth_method="plain"))
+        assert connection.recv().kind is PacketKind.CONNACK
+        broker.stop()
+    with BrokerService(f"127.0.0.1:{broker.port}", PlaintextEngine()) as again:
+        assert again.port == broker.port
+
+
+def test_only_broker_service_start_runs_an_event_loop_or_a_thread():
+    # One runner: no second loop-thread scaffold beside BrokerService.
+    runners = {
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("asyncio.new_event_loop", "asyncio.run", "threading.Thread")
+    }
+    assert runners == {("broker_service.py", "start")}, runners

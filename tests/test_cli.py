@@ -18,7 +18,6 @@ from click.testing import CliRunner
 
 import daxiot
 import daxiot.credential
-from daxiot.broker_service import BrokerThread
 from daxiot.cli import main
 from daxiot.credential import (
     RevocationRegistry,
@@ -153,10 +152,11 @@ class TestKeyCommands:
 
 
 class TestIssuance:
-    def _issue(self, runner, tmp_path, claims: dict | bytes):
+    def _issue(self, runner, tmp_path, claims: dict | bytes, subject_did: str | None = None):
         issuer_key = tmp_path / "issuer.key"
         invoke(runner, "keygen", "--out", issuer_key)
-        subject_did = invoke(runner, "keygen", "--out", tmp_path / "subject.key").output.strip()
+        if subject_did is None:
+            subject_did = invoke(runner, "keygen", "--out", tmp_path / "subject.key").output.strip()
         claims_path = tmp_path / "claims.json"
         claims_path.write_bytes(claims if isinstance(claims, bytes) else json.dumps(claims).encode())
         return runner.invoke(
@@ -228,11 +228,19 @@ class TestIssuance:
             b'{"did:web:broker1.com": {"pub": [' + b"7" * 5000 + b"]}}",
             b'{"did:web:broker1.com": {"pub": [["x"]]}}',
             b'{"did:web:broker1.com": {"pub": [7]}}',
+            b'{"broker1.com": {"pub": ["t2"]}}',
         ],
-        ids=["not UTF-8", "too deep", "5000-digit integer", "list topic", "integer topic"],
+        ids=["not UTF-8", "too deep", "5000-digit integer", "list topic", "integer topic", "key not a DID"],
     )
     def test_bad_claims_file_is_an_error(self, runner, tmp_path, claims):
         result = self._issue(runner, tmp_path, claims)
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert not (tmp_path / "cred").exists()
+
+    @pytest.mark.parametrize("subject_did", ["did:key:anything", "did:web:subject.example"])
+    def test_a_subject_that_is_not_a_did_key_is_an_error(self, runner, tmp_path, subject_did):
+        result = self._issue(runner, tmp_path, {"did:web:broker1.com": {"pub": ["t2"]}}, subject_did)
         assert result.exit_code == 1
         assert result.output.startswith("error: ")
         assert not (tmp_path / "cred").exists()
@@ -368,7 +376,7 @@ class TestClientCommands:
     def test_publish_command(self, runner, tmp_path):
         env = build_scenario(tmp_path / "env")
         save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
-        with BrokerThread(env.config.service()):
+        with env.config.service():
             result = runner.invoke(
                 main,
                 [
@@ -389,7 +397,7 @@ class TestClientCommands:
         env = build_scenario(tmp_path / "env")
         save_credential_files(tmp_path / "pub-cred", env.publisher.credential, env.publisher.disclosures)
         RevocationRegistry.load(env.rr_path).revoke(env.publisher.jti).save(env.rr_path)
-        with BrokerThread(env.config.service()):
+        with env.config.service():
             result = runner.invoke(
                 main,
                 [
@@ -435,7 +443,7 @@ class TestClientCommands:
         issue({"did:web:a.example": grant, "did:web:b.example": grant, env.broker_did: grant})
         issue({env.broker_did: grant})
         assert len(load_credential_files(tmp_path / "pub-cred")[1]) == 1
-        with BrokerThread(env.config.service()):
+        with env.config.service():
             result = invoke(
                 runner,
                 "publish",
@@ -558,6 +566,34 @@ class TestClientCommands:
             f"error: DaxiotError: {env.broker_did} service endpoint {endpoint!r} is not tcp://host:port\n"
         )
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_subscribe_refuses_a_count_below_one_before_connecting(self, runner, tmp_path, monkeypatch, count):
+        import daxiot.transport
+
+        def create_connection(*args, **kwargs):
+            attempts.append(args)
+            raise OSError("no connection expected")
+
+        attempts: list = []
+        monkeypatch.setattr(daxiot.transport.socket, "create_connection", create_connection)
+        env = build_scenario(tmp_path / "env")
+        save_credential_files(tmp_path / "sub-cred", env.subscriber.credential, env.subscriber.disclosures)
+        result = runner.invoke(
+            main,
+            [
+                "subscribe",
+                "--key", str(tmp_path / "env" / "keys" / "subscriber.key"),
+                "--credential-dir", str(tmp_path / "sub-cred"),
+                "--broker-did", env.broker_did,
+                "--did-web-dir", env.config.did_web_dir,
+                "--topic", env.topic,
+                "--count", count,
+            ],
+        )
+        assert result.exit_code == 2
+        assert "'--count'" in result.output
+        assert attempts == []
+
     def test_subscribe_command_receives_message(self, runner, tmp_path):
         # CliRunner patches global stdout, so only the subscriber runs through
         # it; the concurrent publish goes through the library directly.
@@ -568,7 +604,7 @@ class TestClientCommands:
         env = build_scenario(tmp_path / "env")
         save_credential_files(tmp_path / "sub-cred", env.subscriber.credential, env.subscriber.disclosures)
 
-        with BrokerThread(env.config.service()) as broker:
+        with env.config.service() as broker:
             received: list = []
 
             def run_subscriber():
@@ -591,7 +627,7 @@ class TestClientCommands:
             thread = threading.Thread(target=run_subscriber)
             thread.start()
             for _ in range(200):
-                if broker.service.engine.topics.get(env.topic):
+                if broker.engine.topics.get(env.topic):
                     break
                 time.sleep(0.02)
             else:
@@ -631,12 +667,12 @@ class TestClientCommands:
             "--did-web-dir", env.config.did_web_dir,
             "--topic", env.topic,
         ]
-        with BrokerThread(env.config.service()) as broker:
+        with env.config.service() as broker:
             received: list = []
             thread = threading.Thread(target=lambda: received.append(runner.invoke(main, args, catch_exceptions=False)))
             thread.start()
             deadline = time.monotonic() + 10
-            while not broker.service.engine.topics.get(env.topic):
+            while not broker.engine.topics.get(env.topic):
                 assert time.monotonic() < deadline, "subscription never registered"
                 time.sleep(0.02)
             time.sleep(1.0)

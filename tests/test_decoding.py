@@ -76,7 +76,7 @@ def _raise_refusal(reply) -> None:
 
 def _challenged_session(env):
     """A loopback broker holding the challenged session of a fresh identity."""
-    network = LoopbackNetwork(env.engine())
+    network = LoopbackNetwork(env.config.engine())
     client = DaxiotClient(generate_signing_keypair(), env.publisher.credential, env.publisher.disclosures, env.resolver())
     connection = network.open()
     connection.send(client.begin_connect(env.broker_did))
@@ -105,7 +105,7 @@ def _static_did_site(env, tmp_path):
     packet = Packet(
         kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope
     )
-    _raise_refusal(env.engine().handle_connect(packet)[1])
+    _raise_refusal(env.config.engine().handle_connect(packet)[1])
 
 
 def _presentation_site(env, tmp_path):
@@ -114,7 +114,7 @@ def _presentation_site(env, tmp_path):
 
 
 def _subscribe_topic_site(env, tmp_path):
-    network = LoopbackNetwork(env.engine())
+    network = LoopbackNetwork(env.config.engine())
     client = env.subscriber_client()
     establish(network, client, env.broker_did)
     engine, session_id = network.engine, client.ephemeral_did
@@ -122,7 +122,7 @@ def _subscribe_topic_site(env, tmp_path):
 
 
 def _client_publish_topic_site(env, tmp_path):
-    network = LoopbackNetwork(env.engine())
+    network = LoopbackNetwork(env.config.engine())
     client = env.subscriber_client()
     establish(network, client, env.broker_did)
     session = network.engine.sessions[client.ephemeral_did]
@@ -208,7 +208,7 @@ def _challenged_fresh_identity(env):
     """A loopback broker that has challenged a fresh identity with a trusted credential:
     the engine, the session id, the credential and the engine's event list."""
     events: list[dict] = []
-    network = LoopbackNetwork(env.engine(event_sink=events.append))
+    network = LoopbackNetwork(env.config.engine(event_sink=events.append))
     keypair = generate_signing_keypair()
     claim = AuthorizationClaim(env.broker_did, publish_topics=frozenset({env.topic}))
     credential, disclosures = issue(env.po_keypair, env.po_did, str(didkey_encode(keypair.public)), [claim], "AC-fresh")

@@ -233,7 +233,7 @@ def test_a_seeded_session_puts_the_same_bytes_on_the_wire(tmp_path, monkeypatch)
     # no change to how envelopes are sealed or opened may move a wire byte.
     monkeypatch.setattr(os, "urandom", random.Random(16).randbytes)
     env = build_scenario(tmp_path / "env")
-    network = LoopbackNetwork(env.engine())
+    network = LoopbackNetwork(env.config.engine())
     publisher, publisher_conn, subscriber, subscriber_conn = _subscribed_pair(env, network)
     publisher_conn.send(publisher.publish(env.topic, b"21.5 C"))
     assert publisher.handle_puback(publisher_conn.recv()) is ReasonCode.SUCCESS
@@ -387,7 +387,7 @@ class TestHandshake:
         # (step 5): an untrusted issuer's presentation decodes none.
         env = build_scenario(tmp_path / "env", trust_publisher_owner=trusted)
         events: list[dict] = []
-        network = LoopbackNetwork(env.engine(event_sink=events.append))
+        network = LoopbackNetwork(env.config.engine(event_sink=events.append))
         decode, decoded = Disclosure.decode, []
         monkeypatch.setattr(Disclosure, "decode", staticmethod(lambda raw: decoded.append(raw) or decode(raw)))
         client = env.publisher_client()
@@ -1163,7 +1163,7 @@ def test_a_wire_observer_links_connections_by_the_auth_response_length_alone(env
     # at a time) and reads each frame's length and kind byte, as the framing
     # leaves them in the clear.
     rng = random.Random(0x0B5E)
-    network = LoopbackNetwork(env.engine())
+    network = LoopbackNetwork(env.config.engine())
     devices = []
     for index in range(6):
         keypair = daxiot.crypto.generate_signing_keypair(rng.randbytes(32))
@@ -1220,7 +1220,7 @@ def test_the_broker_static_key_opens_a_recorded_session(env):
     # both from what the wire shows, so whoever later holds that key reads
     # every recorded session. The reading here is recovered from the key file
     # and the client's frames alone.
-    network = LoopbackNetwork(env.engine())
+    network = LoopbackNetwork(env.config.engine())
     publisher = env.publisher_client()
     connection = establish(network, publisher, env.broker_did)
     connection.send(publisher.publish(env.topic, b"21.5 C"))
