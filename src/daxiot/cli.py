@@ -88,6 +88,8 @@ def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Pa
         did = Did.parse(did_text)
         if did.method != "web":
             raise DaxiotError(f"{did} is not a did:web")
+        if endpoint is not None:
+            _tcp_address(str(did), endpoint)  # clients dial only tcp://host:port
         from .scenario import write_didweb_document
 
         keypair = load_signing_key(key_path)
@@ -95,6 +97,15 @@ def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Pa
     except (OSError, DaxiotError) as exc:
         _fail(str(exc))
     click.echo(str(path))
+
+
+def _tcp_address(did: str, uri: str) -> tuple[str, int]:
+    """The host and port of ``did``'s service endpoint ``uri``, which must be tcp://host:port."""
+    endpoint = urllib.parse.urlparse(uri)
+    with contextlib.suppress(ValueError):  # a port not a number, or above 65535
+        if endpoint.scheme == "tcp" and endpoint.hostname and endpoint.port:
+            return endpoint.hostname, endpoint.port
+    raise DaxiotError(f"{did} service endpoint {uri!r} is not tcp://host:port")
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +222,9 @@ def _connect_client(
     document = resolver.resolve(broker_did)
     if document.service_endpoint is None:
         raise DaxiotError(f"{broker_did} document carries no service endpoint")
-    endpoint = urllib.parse.urlparse(document.service_endpoint)
-    try:
-        port = endpoint.port
-    except ValueError:  # not a number, or above 65535
-        port = None
-    if endpoint.scheme != "tcp" or not endpoint.hostname or not port:
-        raise DaxiotError(
-            f"{broker_did} service endpoint {document.service_endpoint!r} is not tcp://host:port"
-        )
+    address = _tcp_address(broker_did, document.service_endpoint)
     client = DaxiotClient(keypair, credential, disclosures, resolver)
-    with TcpClientConnection(endpoint.hostname, port) as connection:
+    with TcpClientConnection(*address) as connection:
         run_handshake(client, connection, broker_did)
         yield client, connection
         connection.send(client.disconnect())
@@ -285,8 +288,8 @@ def demo(revoke_first: bool, untrusted_issuer: bool) -> None:
 
 @main.command("bench")
 @click.option("--mode", type=click.Choice(["plaintext", "daxiot", "both"]), default="both", show_default=True)
-@click.option("--iterations-connect", default=1000, show_default=True)
-@click.option("--iterations-publish", default=10000, show_default=True)
+@click.option("--iterations-connect", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--iterations-publish", default=10000, show_default=True, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True, help="Emit the machine-readable report.")
 def bench(mode: str, iterations_connect: int, iterations_publish: int, as_json: bool) -> None:
     """Measure connect and publish round-trip latency per scenario."""
@@ -294,9 +297,7 @@ def bench(mode: str, iterations_connect: int, iterations_publish: int, as_json: 
 
     modes = list(bench_mod.MODES) if mode == "both" else [mode]
     try:
-        reports = [
-            bench_mod.run_bench(m, iterations_connect, iterations_publish) for m in modes
-        ]
+        reports = [bench_mod.run_bench(m, iterations_connect, iterations_publish) for m in modes]
     except DaxiotError as exc:
         _fail(str(exc))
     if as_json:

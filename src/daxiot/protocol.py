@@ -41,8 +41,10 @@ proves both fields belong to the same message. :func:`_seal_publish` and
 message to the topic's sessions in subscription order.
 
 Refusals: the broker's handlers only raise; :meth:`DaxiotBroker._refuse` alone
-turns the error into an event naming its step (A-J), a reply and, where the
-README's refusal table says so, the end of the session.
+turns the error into a reply, the end of the session where the README's refusal
+table says so, and one event, the refusal's only record: its ``reason`` is the
+error's exact class name (None for ``session_exhausted``), its ``step`` the step
+(A-J). A library caller who wants the cause passes an ``event_sink``.
 """
 
 from __future__ import annotations
@@ -408,18 +410,15 @@ class BrokerSession:
 
 @dataclass(slots=True)
 class Reply:
-    """Broker reaction to one inbound packet.
-
-    ``packets`` go back to the sender and ``forwards`` to other sessions, as
-    (session id, packet). A forwarded DISCONNECT ends that session's
-    connection, as ``close`` ends the sender's. One place applies a reply to
-    connections, on TCP and on the loopback: ``broker_service.Router``.
-    """
+    """Broker reaction to one inbound packet: only what ``broker_service.Router``
+    applies, on TCP and on the loopback. ``packets`` go back to the sender and
+    ``forwards`` to other sessions, as (session id, packet); a forwarded
+    DISCONNECT ends that session's connection, as ``close`` ends the sender's.
+    A refusal's cause is not here: its event is the only record."""
 
     packets: list[Packet] = field(default_factory=list)
     forwards: list[tuple[str, Packet]] = field(default_factory=list)
     close: bool = False
-    error: DaxiotError | None = None
 
 
 # The acknowledgement a refused packet gets, for the kinds that have one.
@@ -521,11 +520,11 @@ class DaxiotBroker:
             event, packets, ends = "protocol_error", ack, True
         self._emit(event, session_id, reason, step=step)
         if not ends:
-            return Reply(packets=packets, error=error)
+            return Reply(packets=packets)
         if session_id is not None:
             self._evict(session_id)
         packets.append(Packet(kind=PacketKind.DISCONNECT, reason_code=code))
-        return Reply(packets=packets, close=True, error=error)
+        return Reply(packets=packets, close=True)
 
     # -- dispatch --------------------------------------------------------------
 

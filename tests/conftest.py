@@ -37,6 +37,11 @@ def loopback(env):
     return network
 
 
+def refusal(events: list[dict]) -> tuple:
+    """The last event as (event, reason, step): a refusal's only record."""
+    return events[-1]["event"], events[-1]["reason"], events[-1]["step"]
+
+
 def establish(network: LoopbackNetwork, client, broker_did: str):
     connection = network.open()
     run_handshake(client, connection, broker_did)

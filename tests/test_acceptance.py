@@ -36,8 +36,6 @@ from daxiot.crypto import (
 from daxiot.errors import (
     AuthenticationError,
     ConnectionRejected,
-    CredentialError,
-    DaxiotError,
     IntegrityError,
     ProtocolError,
     ReplayError,
@@ -269,6 +267,11 @@ class _AdversarialHarness:
         client.handle_suback(connection.recv())
         return client, connection
 
+    def _refused(self, session, event, reason, step, events=None) -> bool:
+        """Whether the last event is exactly this refusal, whose only record it is."""
+        last = (self.events if events is None else events)[-1]
+        return last == {"event": event, "session": session, "reason": reason, "step": step}
+
     def _tamper(self, envelope_bytes: bytes) -> bytes:
         mutated = bytearray(envelope_bytes)
         position = self.rng.randrange(24, len(mutated))
@@ -297,7 +300,7 @@ class _AdversarialHarness:
             p.kind is PacketKind.CONNACK and p.reason_code is ReasonCode.SUCCESS
             for p in reply.packets
         )
-        return isinstance(reply.error, ReplayError) and not accepted
+        return self._refused(client.ephemeral_did, "auth_rejected", "ReplayError", "G") and not accepted
 
     def replayed_publish(self) -> bool:
         client, connection = self._established_publisher()
@@ -305,7 +308,7 @@ class _AdversarialHarness:
         connection.send(packet)
         client.handle_puback(connection.recv())
         reply = self.engine.handle_packet(client.ephemeral_did, packet)
-        return isinstance(reply.error, ReplayError) and not reply.forwards
+        return self._refused(client.ephemeral_did, "publish_rejected", "ReplayError", "J") and not reply.forwards
 
     def spliced_envelopes(self) -> bool:
         client, connection = self._established_publisher()
@@ -316,7 +319,7 @@ class _AdversarialHarness:
         else:
             spliced = Packet(kind=PacketKind.PUBLISH, topic=second.topic, payload=first.payload)
         reply = self.engine.handle_packet(client.ephemeral_did, spliced)
-        return isinstance(reply.error, (ReplayError, IntegrityError)) and not reply.forwards
+        return self._refused(client.ephemeral_did, "publish_rejected", "ReplayError", "J") and not reply.forwards
 
     def _expect_rejected(self, network, events, client, broker_did, reason) -> bool:
         connection = self._open(network)
@@ -325,9 +328,8 @@ class _AdversarialHarness:
         try:
             client.handle_connack(connection.recv())
         except ConnectionRejected:
-            rejections = [e for e in events if e.get("event") == "auth_rejected"]
             session_gone = client.ephemeral_did not in network.engine.sessions
-            return session_gone and bool(rejections) and rejections[-1]["reason"] == reason
+            return session_gone and self._refused(client.ephemeral_did, "auth_rejected", reason, "H", events)
         return False
 
     def subject_mismatch(self) -> bool:
@@ -375,7 +377,7 @@ class _AdversarialHarness:
         packet = client.begin_connect(self.env.broker_did)
         packet.auth_data = self._tamper(packet.auth_data)
         session_id, reply = self.engine.handle_connect(packet)
-        return session_id is None and isinstance(reply.error, (AuthenticationError, ProtocolError, DaxiotError))
+        return session_id is None and self._refused(None, "connect_rejected", "AuthenticationError", "C")
 
     def tampered_challenge(self) -> bool:
         client = self.env.publisher_client()
@@ -400,7 +402,7 @@ class _AdversarialHarness:
             p.kind is PacketKind.CONNACK and p.reason_code is ReasonCode.SUCCESS
             for p in reply.packets
         )
-        return not accepted and reply.error is not None
+        return not accepted and self._refused(client.ephemeral_did, "auth_rejected", "AuthenticationError", "G")
 
     def tampered_connack(self) -> bool:
         client = self.env.publisher_client()
@@ -426,7 +428,7 @@ class _AdversarialHarness:
             p.kind is PacketKind.SUBACK and p.reason_code is ReasonCode.SUCCESS
             for p in reply.packets
         )
-        return not granted and reply.error is not None
+        return not granted and self._refused(client.ephemeral_did, "subscribe_rejected", "IntegrityError", "I")
 
     def tampered_publish(self) -> bool:
         client, _ = self._established_publisher()
@@ -436,7 +438,7 @@ class _AdversarialHarness:
         else:
             packet.payload = self._tamper(packet.payload)
         reply = self.engine.handle_packet(client.ephemeral_did, packet)
-        return reply.error is not None and not reply.forwards
+        return self._refused(client.ephemeral_did, "publish_rejected", "IntegrityError", "J") and not reply.forwards
 
     def tampered_forwarded_publish(self) -> bool:
         publisher, publisher_conn = self._established_publisher()
@@ -459,8 +461,8 @@ class _AdversarialHarness:
         # the broker's static key and DID, so the second cannot open it.
         client = self.env.publisher_client()
         session_id, reply = self.second_broker.handle_connect(client.begin_connect(self.env.broker_did))
-        refusal = self.events_second[-1]
-        return session_id is None and reply.close and (refusal["event"], refusal["step"]) == ("connect_rejected", "C")
+        refused = self._refused(None, "connect_rejected", "AuthenticationError", "C", self.events_second)
+        return session_id is None and reply.close and refused
 
     def reflection(self) -> bool:
         # A forwarded broker-to-client PUBLISH sent back client-to-broker.
@@ -469,7 +471,7 @@ class _AdversarialHarness:
         publisher_conn.send(publisher.publish(self.env.topic, b"payload"))
         publisher.handle_puback(publisher_conn.recv())
         reply = self.engine.handle_packet(subscriber.ephemeral_did, subscriber_conn.recv())
-        return isinstance(reply.error, (ReplayError, IntegrityError)) and not reply.forwards
+        return self._refused(subscriber.ephemeral_did, "publish_rejected", "ReplayError", "J") and not reply.forwards
 
     def cross_session_splice(self) -> bool:
         # One subscriber's copy of a message, in place of another's.
@@ -521,10 +523,9 @@ class _AdversarialHarness:
         connection.recv()
         connection.send(recorded)
         reply = connection.recv()
-        refusal = self.events_second[-1]
         return (
             (reply.kind, reply.reason_code) == (PacketKind.CONNACK, ReasonCode.PROTOCOL_ERROR)
-            and (refusal["event"], refusal["step"]) == ("auth_rejected", "G")
+            and self._refused(client.ephemeral_did, "auth_rejected", "ReplayError", "G", self.events_second)
             and client.ephemeral_did not in self.second_broker.sessions
         )
 

@@ -664,6 +664,19 @@ def test_a_stopped_broker_frees_its_port():
         assert again.port == broker.port
 
 
+def test_every_reply_field_is_applied_by_the_router():
+    # A Reply holds only what Router.receive applies, so a field that only
+    # tests would read cannot come back: a refusal's cause is in its event.
+    read = {
+        node.attr
+        for path, function, node in source_nodes()
+        if (path, function) == ("broker_service.py", "receive")
+        and isinstance(node, ast.Attribute)
+        and ast.unparse(node.value) == "reply"
+    }
+    assert read == {field.name for field in dataclasses.fields(daxiot.protocol.Reply)}, read
+
+
 def test_only_broker_service_start_runs_an_event_loop_or_a_thread():
     # One runner: no second loop-thread scaffold beside BrokerService.
     runners = {

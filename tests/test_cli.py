@@ -50,6 +50,14 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
+# Service endpoints a client cannot dial: it dials only tcp://host:port.
+BAD_ENDPOINTS = pytest.mark.parametrize(
+    "endpoint",
+    ["tcp://127.0.0.1:abc", "tcp://127.0.0.1:70000", "tcp://127.0.0.1", "udp://127.0.0.1:1883"],
+    ids=["port not a number", "port above 65535", "no port", "not tcp"],
+)
+
+
 class TestKeyCommands:
     def test_keygen_and_did_show(self, runner, tmp_path):
         key_path = tmp_path / "device.key"
@@ -104,6 +112,24 @@ class TestKeyCommands:
         assert result.exit_code == 0
         document = Resolver(DirectoryWebSource(tmp_path / "docs")).resolve("did:web:owner.example")
         assert document.service_endpoint == "tcp://127.0.0.1:9"
+
+    @BAD_ENDPOINTS
+    def test_didweb_emit_refuses_an_endpoint_no_client_can_dial(self, runner, tmp_path, endpoint):
+        # Emit refuses what a client would refuse at its first connect. A valid
+        # endpoint (test_didweb_emit) and none (test_issued_credential_verifies) are written.
+        key_path = tmp_path / "owner.key"
+        invoke(runner, "keygen", "--out", key_path)
+        result = invoke(
+            runner,
+            "didweb-emit",
+            "--key", key_path,
+            "--did", "did:web:owner.example",
+            "--endpoint", endpoint,
+            "--out-dir", tmp_path / "docs",
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: did:web:owner.example service endpoint {endpoint!r} is not tcp://host:port\n"
+        assert not (tmp_path / "docs").exists()
 
     def test_didweb_emit_into_an_unwritable_directory_is_an_error(self, runner, tmp_path):
         key_path = tmp_path / "owner.key"
@@ -535,11 +561,7 @@ class TestClientCommands:
         assert result.exit_code == 1
         assert result.output.startswith(f"error: MalformedCredential: {path}: compact presentation must end with '~'")
 
-    @pytest.mark.parametrize(
-        "endpoint",
-        ["tcp://127.0.0.1:abc", "tcp://127.0.0.1:70000", "tcp://127.0.0.1", "udp://127.0.0.1:1883"],
-        ids=["port not a number", "port above 65535", "no port", "not tcp"],
-    )
+    @BAD_ENDPOINTS
     def test_a_bad_service_endpoint_is_an_error(self, runner, tmp_path, endpoint):
         from daxiot.crypto import load_signing_key
         from daxiot.scenario import write_didweb_document
@@ -746,8 +768,18 @@ class TestBenchCommand:
     def test_help_shows_the_iteration_defaults(self, runner):
         result = invoke(runner, "bench", "--help")
         assert result.exit_code == 0
-        assert re.search(r"--iterations-connect INTEGER\s+\[default: 1000\]", result.output)
-        assert re.search(r"--iterations-publish INTEGER\s+\[default: 10000\]", result.output)
+        assert re.search(r"--iterations-connect INTEGER RANGE\s+\[default: 1000;\s+x>=1\]", result.output)
+        assert re.search(r"--iterations-publish INTEGER RANGE\s+\[default: 10000;\s+x>=1\]", result.output)
+
+    @pytest.mark.parametrize("option", ["--iterations-connect", "--iterations-publish"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_an_iteration_count_below_one_is_a_usage_error(self, runner, monkeypatch, option, count):
+        import daxiot.bench
+
+        monkeypatch.setattr(daxiot.bench, "run_bench", lambda *args: pytest.fail("a benchmark ran"))
+        result = invoke(runner, "bench", option, count)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}': {count} is not in the range x>=1." in result.stderr
 
 
 def test_the_broker_command_imports_only_what_it_runs():

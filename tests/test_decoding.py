@@ -1,8 +1,9 @@
 """Bytes from outside the package are decoded in one place and fail closed.
 
 Every decode site routes through ``daxiot.errors.decode_text`` or
-``decode_json``; a malformed input ends in the site's ``DaxiotError`` and
-never in a ``RecursionError``, ``ValueError`` or ``TypeError``.
+``decode_json``; a malformed input ends in the site's ``DaxiotError`` (at
+the broker, in a refusal whose event names that error's class) and never in
+a ``RecursionError``, ``ValueError`` or ``TypeError``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from daxiot.did import document_from_json, didkey_encode
 from daxiot.errors import (
     MAX_JSON_DEPTH,
     ConfigError,
-    DaxiotError,
     DidError,
     FramingError,
     MalformedCredential,
@@ -44,7 +44,7 @@ from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork
 from daxiot.wire import MAX_FRAME, Packet, PacketKind, decode_frame
 
-from conftest import establish
+from conftest import establish, refusal
 from helpers import source_nodes
 
 DEEP = b"[" * 100_000
@@ -70,20 +70,6 @@ def trusted_env(tmp_path_factory):
 # Each decode site, one malformed input each
 # ---------------------------------------------------------------------------
 
-def _raise_refusal(reply) -> None:
-    raise reply.error
-
-
-def _challenged_session(env):
-    """A loopback broker holding the challenged session of a fresh identity."""
-    network = LoopbackNetwork(env.config.engine())
-    client = DaxiotClient(generate_signing_keypair(), env.publisher.credential, env.publisher.disclosures, env.resolver())
-    connection = network.open()
-    connection.send(client.begin_connect(env.broker_did))
-    connection.recv()
-    return network.engine, client.ephemeral_did
-
-
 def _seal_to_broker(engine, session_id: str, kind: PacketKind, plaintext: bytes) -> Packet:
     c2b = engine.sessions[session_id].c2b
     (envelope,) = Channel(c2b.key, session_id, c2b.nonce).seal(kind, plaintext)
@@ -105,20 +91,25 @@ def _static_did_site(env, tmp_path):
     packet = Packet(
         kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope
     )
-    _raise_refusal(env.config.engine().handle_connect(packet)[1])
+    events: list[dict] = []
+    env.config.engine(event_sink=events.append).handle_connect(packet)
+    return refusal(events)
 
 
 def _presentation_site(env, tmp_path):
-    engine, session_id = _challenged_session(env)
-    _raise_refusal(engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, NOT_UTF8)))
+    engine, session_id, _, events = _challenged_fresh_identity(env)
+    engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, NOT_UTF8))
+    return refusal(events)
 
 
 def _subscribe_topic_site(env, tmp_path):
-    network = LoopbackNetwork(env.config.engine())
+    events: list[dict] = []
+    network = LoopbackNetwork(env.config.engine(event_sink=events.append))
     client = env.subscriber_client()
     establish(network, client, env.broker_did)
     engine, session_id = network.engine, client.ephemeral_did
-    _raise_refusal(engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.SUBSCRIBE, NOT_UTF8)))
+    engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.SUBSCRIBE, NOT_UTF8))
+    return refusal(events)
 
 
 def _client_publish_topic_site(env, tmp_path):
@@ -181,17 +172,21 @@ SITES = {
     "document_from_json": (lambda env, tmp_path: document_from_json(HUGE_INT), DidError),
     "BrokerConfig.from_file": (_broker_config_site, ConfigError),
     "wire client_id": (lambda env, tmp_path: decode_frame(_frame_with_client_id(NOT_UTF8)), FramingError),
-    "broker static DID": (_static_did_site, ProtocolError),
-    "broker presentation": (_presentation_site, MalformedCredential),
-    "broker subscribe topic": (_subscribe_topic_site, ProtocolError),
+    # The broker refuses what it cannot decode, and the refusal's event records it.
+    "broker static DID": (_static_did_site, ("connect_rejected", "ProtocolError", "C")),
+    "broker presentation": (_presentation_site, ("auth_rejected", "MalformedCredential", "H")),
+    "broker subscribe topic": (_subscribe_topic_site, ("subscribe_rejected", "ProtocolError", "I")),
     "client publish topic": (_client_publish_topic_site, ProtocolError),
 }
 
 
 @pytest.mark.parametrize("site", SITES)
 def test_each_decode_site_fails_closed(site, trusted_env, tmp_path):
-    probe, error = SITES[site]
-    with pytest.raises(error):
+    probe, expected = SITES[site]
+    if isinstance(expected, tuple):
+        assert probe(trusted_env, tmp_path) == expected
+        return
+    with pytest.raises(expected):
         probe(trusted_env, tmp_path)
 
 
@@ -219,7 +214,7 @@ def _challenged_fresh_identity(env):
     return network.engine, client.ephemeral_did, credential, events
 
 
-def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
+def _auth_response_outcome(env, body: bytes, where: str) -> tuple:
     """Seal ``body`` as (part of) the presentation of a fresh, trusted identity."""
     engine, session_id, credential, events = _challenged_fresh_identity(env)
     plaintext = {
@@ -227,9 +222,8 @@ def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
         "disclosure": f"{credential.compact()}~{_b64(body)}~".encode(),
         "payload": f"{credential.header_b64}.{_b64(body)}.{_b64(credential.signature)}~".encode(),
     }[where]
-    reply = engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, plaintext))
-    assert isinstance(reply.error, DaxiotError)
-    return events[-1]["event"], events[-1]["reason"]
+    engine.handle_packet(session_id, _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, plaintext))
+    return refusal(events)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,7 +236,7 @@ def _auth_response_outcome(env, body: bytes, where: str) -> tuple[str, str]:
 @example(body=_nested(MAX_JSON_DEPTH - 1), where="disclosure")
 @example(body=b'["salt","did:web:broker.example",{"pub":["\\ud800"]}]', where="disclosure")
 def test_any_sealed_auth_response_is_refused(trusted_env, body, where):
-    assert _auth_response_outcome(trusted_env, body, where)[0] == "auth_rejected"
+    assert _auth_response_outcome(trusted_env, body, where) == ("auth_rejected", "MalformedCredential", "H")
 
 
 def test_disclosure_nested_up_to_the_parser_limit_is_refused(trusted_env):
@@ -251,7 +245,7 @@ def test_disclosure_nested_up_to_the_parser_limit_is_refused(trusted_env):
     # limit used to decode and then overflow the re-serialization in digest().
     limit = sys.getrecursionlimit()
     for depth in range(limit - 300, limit):
-        assert _auth_response_outcome(trusted_env, _nested(depth), "disclosure") == ("auth_rejected", "MalformedCredential")
+        assert _auth_response_outcome(trusted_env, _nested(depth), "disclosure") == ("auth_rejected", "MalformedCredential", "H")
 
 
 def test_a_presentation_stuffed_with_separators_costs_little_memory(trusted_env):
@@ -267,7 +261,7 @@ def test_a_presentation_stuffed_with_separators_costs_little_memory(trusted_env)
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(plaintext), peak
-    assert (events[-1]["event"], events[-1]["reason"], events[-1]["step"]) == ("auth_rejected", "MalformedCredential", "H")
+    assert refusal(events) == ("auth_rejected", "MalformedCredential", "H")
 
 
 # ---------------------------------------------------------------------------
