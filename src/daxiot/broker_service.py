@@ -106,7 +106,7 @@ def json_lines(stream: TextIO) -> EventSink:
         try:
             stream.write(_EVENT_ENCODER.encode({"ts": time.time(), **record}) + "\n")
             stream.flush()
-        except OSError:  # a full disk or a closed pipe must not stop the broker
+        except (OSError, ValueError):  # a full disk, a broken pipe or a closed stream must not stop the broker
             pass
 
     return write
@@ -244,23 +244,30 @@ class BrokerService:
         return f"{host}:{self._port}"
 
     def start(self) -> "BrokerService":
-        """Bind on the caller's thread, so a :class:`BindError` raises here and
-        leaves nothing running; then emit ``listening`` and serve on the
-        ``daxiot-broker`` thread. When it returns, the server is accepting."""
+        """Bind on the caller's thread, so a :class:`BindError` raises here;
+        then emit ``listening`` and serve on the ``daxiot-broker`` thread.
+        Whatever raises before the thread starts, a failing event sink
+        included, leaves nothing running: the socket and the loop are closed.
+        When it returns, the server is accepting."""
         self._loop = asyncio.new_event_loop()
+        self._server = None
         try:
-            self._server = self._loop.run_until_complete(
-                self._loop.create_server(lambda: _Connection(self), self._host, self._port)
-            )
-        except BaseException as exc:
-            self._loop.close()
-            if isinstance(exc, OSError):
+            try:
+                self._server = self._loop.run_until_complete(
+                    self._loop.create_server(lambda: _Connection(self), self._host, self._port)
+                )
+            except OSError as exc:
                 raise BindError(f"cannot bind {self._address}: {exc}") from exc
+            self._port = self._server.sockets[0].getsockname()[1]
+            self._emit("listening", None, self._address)
+            self._thread = threading.Thread(target=self._loop.run_forever, name="daxiot-broker", daemon=True)
+            self._thread.start()
+        except BaseException:
+            if self._server is not None:
+                self._server.close()
+                self._loop.run_until_complete(self._server.wait_closed())
+            self._loop.close()
             raise
-        self._port = self._server.sockets[0].getsockname()[1]
-        self._emit("listening", None, self._address)
-        self._thread = threading.Thread(target=self._loop.run_forever, name="daxiot-broker", daemon=True)
-        self._thread.start()
         return self
 
     def stop(self) -> None:

@@ -186,12 +186,14 @@ def til_remove(til_path: Path, did_text: str) -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 def broker(config_path: Path) -> None:
-    """Run the broker service until interrupted; at log level debug or info, events go to stderr."""
+    """Run the broker service until interrupted; at log level debug or info,
+    events go to stderr, unless it is closed."""
     from .broker_service import BrokerConfig, json_lines
 
     try:
         config = BrokerConfig.from_file(config_path)
-        service = config.service(json_lines(sys.stderr) if config.log_level in ("debug", "info") else None)
+        to_stderr = config.log_level in ("debug", "info") and sys.stderr is not None
+        service = config.service(json_lines(sys.stderr) if to_stderr else None)
     except ConfigError as exc:
         _fail(str(exc), code=EXIT_CONFIG)
     # SIGINT is blocked before the loop thread starts, so the thread inherits the

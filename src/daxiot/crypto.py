@@ -44,10 +44,12 @@ inside the function that computes it. :func:`verify` keeps the SHA-256 of
 that verified; a hit stands for the same check on the same bytes, and a
 signature that fails is checked again every time, because nothing about a
 failure is kept. :func:`convert_public_key` keeps its last
-:data:`_CONVERSIONS` results, twice as many, since every handshake also
-converts an ephemeral key that never repeats. Neither table holds a secret;
-together they stay under 0.7 MiB. Two threads racing on one entry at worst
-compute it twice.
+:data:`_VERDICTS` results too: the static keys of peers resolved from their
+did:key. A connection's ephemeral key never returns, and a holder converts
+its own keys once, so both are converted with ``remember=False`` and take no
+entry; a device's reconnections then never push its static key out. Neither
+table holds a secret; together they stay under 0.4 MiB. Two threads racing
+on one entry at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -93,13 +95,10 @@ _CHACHA_NONCE_PAD = bytes(4)
 # The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
 _CIPHERS_PER_KEY = 3
 # Verified signatures and did:key conversions kept for returning peers: a
-# broker's working set is one credential and one static key per device. Each
-# handshake also converts the connection's ephemeral key, which never comes
-# back, so conversions get twice the entries: static keys then stay as long
-# as verdicts do. A verdict costs about 150 bytes and a conversion about 210,
-# so both tables together stay under 0.7 MiB.
+# broker's working set is one credential and one static key per device. A
+# verdict costs about 150 bytes and a conversion about 240, so both tables
+# together stay under 0.4 MiB.
 _VERDICTS = 1024
-_CONVERSIONS = 2 * _VERDICTS
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +200,21 @@ def load_signing_key(path: Path | str) -> SigningKeyPair:
         raise ConfigError(f"cannot load signing key from {path}: {exc}") from exc
 
 
-def convert_public_key(ed25519_public: bytes) -> bytes:
+def convert_public_key(ed25519_public: bytes, *, remember: bool = True) -> bytes:
     """Map an Ed25519 public key to its X25519 counterpart.
 
     Uses the birational map u = (1 + y) / (1 - y) over GF(2^255 - 19), where
-    y is the Edwards y-coordinate carried by the Ed25519 encoding.
+    y is the Edwards y-coordinate carried by the Ed25519 encoding. With
+    ``remember=False`` the result is not memoized, for a key that is not
+    converted again; the refusals are the same.
     """
     if len(ed25519_public) != KEY_LEN:
         raise CryptoError("Ed25519 public key must be 32 bytes")
-    return _montgomery_u(bytes(ed25519_public))
+    convert = _montgomery_u if remember else _montgomery_u.__wrapped__
+    return convert(bytes(ed25519_public))
 
 
-@lru_cache(maxsize=_CONVERSIONS)  # an exception is not cached, so a bad key is refused every time
+@lru_cache(maxsize=_VERDICTS)  # an exception is not cached, so a bad key is refused every time
 def _montgomery_u(ed25519_public: bytes) -> bytes:
     y = int.from_bytes(ed25519_public, "little") & ((1 << 255) - 1)
     if y >= _CURVE25519_P:
@@ -239,9 +241,12 @@ def to_agreement_keypair(keypair: SigningKeyPair) -> AgreementKeyPair:
 
     The converted public key equals the X25519 public key of
     :func:`agreement_secret`, so any two converted pairs agree under
-    Diffie-Hellman.
+    Diffie-Hellman. The pair is a holder's own, so its conversion is not
+    memoized: the memo is for peers' keys.
     """
-    return AgreementKeyPair(secret=agreement_secret(keypair), public=convert_public_key(keypair.public))
+    return AgreementKeyPair(
+        secret=agreement_secret(keypair), public=convert_public_key(keypair.public, remember=False)
+    )
 
 
 def sign(keypair: SigningKeyPair, message: bytes) -> bytes:

@@ -204,14 +204,17 @@ class Resolver:
     def __init__(self, web_source: DirectoryWebSource) -> None:
         self.web_source = web_source
 
-    def resolve(self, did: Did | str) -> DidDocument:
+    def resolve(self, did: Did | str, *, remember: bool = True) -> DidDocument:
+        """The document of ``did``. ``remember=False`` keeps a did:key's
+        conversion out of the memo, for a key that never returns, such as a
+        connection's ephemeral."""
         did = Did.parse(did)
         if did.method == "key":
             verification = didkey_decode(did)
             return DidDocument(
                 id=did,
                 verification_key=verification,
-                agreement_key=convert_public_key(verification),
+                agreement_key=convert_public_key(verification, remember=remember),
             )
         document = self.web_source.document(did.identifier)
         if document.id != did:

@@ -575,7 +575,7 @@ class DaxiotBroker:
 
         if self._static_key is None:
             self._static_key = load_agreement_key(self._agreement_secret)
-        ephemeral_document = self._resolver.resolve(ephemeral_did)
+        ephemeral_document = self._resolver.resolve(ephemeral_did, remember=False)
         k_es = ecdh_es(
             self._static_key,
             ephemeral_document.agreement_key,

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from types import SimpleNamespace
 import pytest
 
 import daxiot
+import daxiot.crypto
 import daxiot.protocol
 from daxiot.bench import PlaintextBroker, PlaintextEngine
 from daxiot.broker_service import BrokerConfig, BrokerService, _Connection, json_lines
@@ -426,6 +428,33 @@ def test_a_failing_event_log_does_not_stop_the_broker(tmp_path, caplog):
     assert events[-3:] == ["authenticated", "publish_forwarded", "disconnected"]
 
 
+def test_a_sink_over_a_closed_stream_raises_nothing(env):
+    log = io.StringIO()
+    log.close()
+    network = LoopbackNetwork(env.config.engine(json_lines(log)))
+    client = env.publisher_client()
+    run_handshake(client, network.open(), env.broker_did)
+    assert client.ephemeral_did in network.engine.sessions
+
+
+def test_a_sink_failing_at_start_leaves_the_port_free():
+    def failing_sink(record: dict) -> None:
+        raise RuntimeError(f"cannot log {record['event']}")
+
+    threads = threading.enumerate()
+    broker = BrokerService("127.0.0.1:0", PlaintextEngine(), failing_sink)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(RuntimeError, match="cannot log listening"):
+            broker.start()
+        assert threading.enumerate() == threads
+        with BrokerService(f"127.0.0.1:{broker.port}", PlaintextEngine()) as again:
+            assert again.port == broker.port
+        del broker
+        gc.collect()
+    assert [warning for warning in caught if issubclass(warning.category, ResourceWarning)] == []
+
+
 @pytest.fixture(params=["loopback", "tcp"])
 def routed(request, tmp_path):
     """A scenario, the router that serves it, and a way to open a client
@@ -514,6 +543,42 @@ def test_router_forgets_every_session_however_it_ends(routed, ending):
     assert _wait_until(lambda: router.connections == {} and router.engine.sessions == {})
 
 
+def test_reconnecting_devices_leave_only_their_replay_entries(env):
+    # Each connection's ephemeral key never returns, so neither side keeps
+    # its conversion: the conversion memo holds the two devices' static keys
+    # and nothing else, and a finished connection leaves only its entry in
+    # the replay set, about 130 B. The bound sits below what one more memo
+    # entry per handshake would add, about 270 B.
+    daxiot.crypto._montgomery_u.cache_clear()
+    network = LoopbackNetwork(env.config.engine())
+    publisher, subscriber = env.publisher_client(), env.subscriber_client()
+
+    def reconnect(rounds: int) -> None:
+        for _ in range(rounds):
+            for client in (publisher, subscriber):
+                connection = network.open()
+                run_handshake(client, connection, env.broker_did)
+                if client is subscriber:
+                    connection.send(client.subscribe(env.topic))
+                    assert client.handle_suback(connection.recv()) is ReasonCode.SUCCESS
+                connection.send(client.disconnect())
+            network.captures.clear()
+
+    reconnect(10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reconnect(250)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (network.engine.sessions, network.engine.topics, network.router.connections) == ({}, {}, {})
+    assert daxiot.crypto._montgomery_u.cache_info().currsize == 2
+    assert growth / 500 < 250, f"{growth / 500:.0f} B per handshake"
+
+
 def test_traced_codec_names_cover_the_router(env, monkeypatch):
     # perfbench's traced broker rebinds encode_frame and decode_frame in
     # daxiot.broker_service for its wire.* spans; the router must call them
@@ -555,27 +620,33 @@ def test_shutdown_drops_connections_before_waiting_for_the_server(tmp_path):
     assert open_at_wait_closed == [0]
 
 
-def test_sigint_stops_the_broker_cleanly(tmp_path):
-    env = build_scenario(tmp_path / "env")
+def _cli_broker(tmp_path, env, **popen) -> subprocess.Popen:
+    """``daxiot broker`` in a child process, serving ``env``'s config."""
     config_path = tmp_path / "broker.json"
     config_path.write_text(json.dumps(dataclasses.asdict(env.config)))
     src = str(Path(daxiot.__file__).resolve().parents[1])
-    broker = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "daxiot.cli", "broker", "--config", str(config_path)],
         stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
+        **popen,
     )
+
+
+def _connect_when_listening(env) -> TcpClientConnection:
+    for _ in range(200):
+        try:
+            return TcpClientConnection(env.host, env.port)
+        except OSError:
+            time.sleep(0.05)
+    raise AssertionError("broker did not start listening")
+
+
+def test_sigint_stops_the_broker_cleanly(tmp_path):
+    env = build_scenario(tmp_path / "env")
+    broker = _cli_broker(tmp_path, env, stderr=subprocess.PIPE)
     try:
-        connection = None
-        for _ in range(200):
-            try:
-                connection = TcpClientConnection(env.host, env.port)
-                break
-            except OSError:
-                time.sleep(0.05)
-        assert connection is not None, "broker did not start listening"
-        with connection:
+        with _connect_when_listening(env) as connection:
             client = env.publisher_client()
             run_handshake(client, connection, env.broker_did)
             broker.send_signal(signal.SIGINT)
@@ -595,15 +666,8 @@ def test_sigint_stops_the_broker_cleanly(tmp_path):
 def test_sigint_stops_a_broker_started_with_sigint_ignored(tmp_path):
     # A `&` job of a non-interactive shell starts with SIGINT ignored.
     env = build_scenario(tmp_path / "env")
-    config_path = tmp_path / "broker.json"
-    config_path.write_text(json.dumps(dataclasses.asdict(env.config)))
-    src = str(Path(daxiot.__file__).resolve().parents[1])
-    broker = subprocess.Popen(
-        [sys.executable, "-m", "daxiot.cli", "broker", "--config", str(config_path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    broker = _cli_broker(
+        tmp_path, env, stderr=subprocess.PIPE, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
     )
     try:
         listening = broker.stderr.readline()
@@ -616,6 +680,26 @@ def test_sigint_stops_a_broker_started_with_sigint_ignored(tmp_path):
     assert b'"event": "listening"' in listening
     assert broker.returncode == 0
     assert b"Traceback" not in err
+    assert out.strip() == b"broker stopped"
+
+
+def test_a_broker_started_with_stderr_closed_serves_and_stops(tmp_path):
+    # As `daxiot broker 2>&-` starts it: Python then has no sys.stderr at all.
+    env = build_scenario(tmp_path / "env")
+    broker = _cli_broker(tmp_path, env, preexec_fn=lambda: os.close(2))
+    try:
+        with _connect_when_listening(env) as connection:
+            client = env.publisher_client()
+            run_handshake(client, connection, env.broker_did)
+            connection.send(client.publish(env.topic, b"no log"))
+            assert client.handle_puback(connection.recv()) is ReasonCode.SUCCESS
+            broker.send_signal(signal.SIGINT)
+            out, _ = broker.communicate(timeout=30)
+    finally:
+        if broker.poll() is None:
+            broker.kill()
+            broker.communicate()
+    assert broker.returncode == 0
     assert out.strip() == b"broker stopped"
 
 

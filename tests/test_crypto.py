@@ -223,20 +223,32 @@ class TestConversion:
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     def test_static_keys_outlast_one_ephemeral_per_handshake(self):
-        # A broker converts one fresh ephemeral key and one static key per
-        # handshake: with as many devices as there are verdicts, reconnecting
-        # in turn, every static key must still be in the memo on its return.
+        # A broker converts one fresh ephemeral key, outside the memo, and one
+        # static key per handshake: with as many devices as there are
+        # verdicts, reconnecting in turn, every static key must still be in
+        # the memo on its return.
         statics = [os.urandom(32) for _ in range(_VERDICTS)]
         for static in statics:
-            convert_public_key(os.urandom(32))
+            convert_public_key(os.urandom(32), remember=False)
             convert_public_key(static)
         hits = 0
         for static in statics:
-            convert_public_key(os.urandom(32))
+            convert_public_key(os.urandom(32), remember=False)
             before = daxiot.crypto._montgomery_u.cache_info().hits
             convert_public_key(static)
             hits += daxiot.crypto._montgomery_u.cache_info().hits - before
         assert hits == _VERDICTS
+
+    def test_an_unremembered_conversion_takes_no_entry(self):
+        public = generate_signing_keypair().public
+        before = daxiot.crypto._montgomery_u.cache_info()
+        assert convert_public_key(public, remember=False) == montgomery_u_oracle(
+            int.from_bytes(public, "little") & ((1 << 255) - 1)
+        )
+        for _ in range(2):
+            with pytest.raises(CryptoError):
+                convert_public_key((1).to_bytes(32, "little"), remember=False)
+        assert daxiot.crypto._montgomery_u.cache_info() == before
 
     @settings(max_examples=200, deadline=None)
     @given(y=st.integers(min_value=0, max_value=P - 1).filter(lambda y: y != 1))
