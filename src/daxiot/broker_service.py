@@ -16,31 +16,22 @@ import asyncio
 import json
 import threading
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, TextIO
 
 from .credential import RevocationRegistry, TrustedIssuerList
 from .crypto import load_signing_key, to_agreement_keypair
 from .did import DirectoryWebSource, Resolver
-from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError, decode_json
+from .errors import BindError, ConfigError, CredentialError, DaxiotError, FramingError, decode_address, decode_json
 from .protocol import DaxiotBroker
+from .snapshot import replace_file
 from .wire import Packet, PacketKind, ReasonCode, decode_frame, encode_frame, frame_length
 
 EventSink = Callable[[dict], None]
 LOG_LEVELS = ("debug", "info", "warning", "error")
 _RECEIVE_AREA = 64 * 1024  # bytes one socket read may return
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _split_address(listen_address: str) -> tuple[str, int]:
-    """The host and port of ``host:port`` or ``[IPv6]:port``; anything else raises :class:`ConfigError`."""
-    host, _, port = listen_address.rpartition(":")
-    if host.startswith("[") and host.endswith("]"):  # an IPv6 address, as in [::1]:1883
-        host = host[1:-1]
-    if not host or not port.isdecimal() or int(port) > 65535:
-        raise ConfigError(f"listen_address must be host:port or [IPv6]:port, port 0-65535, got {listen_address!r}")
-    return host, int(port)
 
 
 @dataclass
@@ -68,8 +59,13 @@ class BrokerConfig:
             raise ConfigError(f"broker config missing fields: {sorted(missing)}")
         if data.get("log_level", cls.log_level) not in LOG_LEVELS:
             raise ConfigError(f"broker config {path}: log_level must be debug, info, warning or error")
-        _split_address(data["listen_address"])  # refused before the key and trust files are read
+        # Refused before the key and trust files are read.
+        decode_address(data["listen_address"], ConfigError, "listen_address")
         return cls(**data)
+
+    def save(self, path: Path | str) -> None:
+        """Write the config as :meth:`from_file` reads it: every field, as an indented JSON object."""
+        replace_file(path, json.dumps(asdict(self), indent=2).encode() + b"\n")
 
     def engine(self, event_sink: EventSink | None = None) -> DaxiotBroker:
         """Check the key, the broker's document and the trust files, then build
@@ -221,7 +217,7 @@ class BrokerService:
     """
 
     def __init__(self, listen_address: str, engine, event_sink: EventSink | None = None) -> None:
-        self._host, self._port = _split_address(listen_address)
+        self._host, self._port = decode_address(listen_address, ConfigError, "listen_address")
         self._event_sink = event_sink
         self.engine = engine
         self.router = Router(self.engine)

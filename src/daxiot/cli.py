@@ -12,7 +12,6 @@ import json
 import os
 import signal
 import sys
-import urllib.parse
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -27,8 +26,8 @@ from .credential import (
     save_credential_files,
 )
 from .crypto import generate_signing_keypair, load_signing_key, save_signing_key
-from .did import Did, DirectoryWebSource, Resolver, didkey_decode, didkey_encode
-from .errors import BindError, ConfigError, DaxiotError, decode_json
+from .did import Did, DirectoryWebSource, Resolver, didkey_decode, didkey_encode, write_didweb_document
+from .errors import BindError, ConfigError, DaxiotError, decode_address, decode_json
 from .protocol import DaxiotClient
 from .wire import ReasonCode
 
@@ -90,21 +89,21 @@ def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Pa
             raise DaxiotError(f"{did} is not a did:web")
         if endpoint is not None:
             _tcp_address(str(did), endpoint)  # clients dial only tcp://host:port
-        from .scenario import write_didweb_document
-
         keypair = load_signing_key(key_path)
-        path = write_didweb_document(out_dir, keypair, str(did), endpoint)
+        path = write_didweb_document(out_dir, keypair, did, endpoint)
     except (OSError, DaxiotError) as exc:
         _fail(str(exc))
     click.echo(str(path))
 
 
 def _tcp_address(did: str, uri: str) -> tuple[str, int]:
-    """The host and port of ``did``'s service endpoint ``uri``, which must be tcp://host:port."""
-    endpoint = urllib.parse.urlparse(uri)
-    with contextlib.suppress(ValueError):  # a port not a number, or above 65535
-        if endpoint.scheme == "tcp" and endpoint.hostname and endpoint.port:
-            return endpoint.hostname, endpoint.port
+    """The host and port of ``did``'s service endpoint ``uri``: ``tcp://``, then an
+    address written as a listen address is, but with a port a client can dial, not 0."""
+    scheme, _, address = uri.partition("://")
+    with contextlib.suppress(DaxiotError):
+        host, port = decode_address(address, DaxiotError, "service endpoint")
+        if scheme == "tcp" and port:
+            return host, port
     raise DaxiotError(f"{did} service endpoint {uri!r} is not tcp://host:port")
 
 

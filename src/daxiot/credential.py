@@ -186,20 +186,12 @@ class SdJwtCredential:
     signature: bytes
 
     @property
-    def header(self) -> dict:
-        return self._segment(self.header_b64, "header")
-
-    @property
     def payload(self) -> dict:
-        return self._segment(self.payload_b64, "payload")
-
-    @staticmethod
-    def _segment(b64: str, name: str) -> dict:
-        if len(b64) > MAX_SEGMENT_LEN:
-            raise MalformedCredential(f"credential {name} is longer than {MAX_SEGMENT_LEN} characters")
-        data = decode_json(_b64url_decode(b64), MalformedCredential, f"credential {name}")
+        if len(self.payload_b64) > MAX_SEGMENT_LEN:
+            raise MalformedCredential(f"credential payload is longer than {MAX_SEGMENT_LEN} characters")
+        data = decode_json(_b64url_decode(self.payload_b64), MalformedCredential, "credential payload")
         if not isinstance(data, dict):
-            raise MalformedCredential(f"credential {name} must be a JSON object")
+            raise MalformedCredential("credential payload must be a JSON object")
         return data
 
     def signing_input(self) -> bytes:
@@ -210,10 +202,9 @@ class SdJwtCredential:
 
     @classmethod
     def parse(cls, compact: str) -> "SdJwtCredential":
-        parts = compact.split(".")
-        if len(parts) != 3:
+        if compact.count(".") != 2:
             raise MalformedCredential("compact credential must have three dot-separated parts")
-        header_b64, payload_b64, signature_b64 = parts
+        header_b64, payload_b64, signature_b64 = compact.split(".")
         return cls(
             header_b64=header_b64,
             payload_b64=payload_b64,

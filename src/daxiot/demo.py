@@ -21,12 +21,9 @@ from .wire import ReasonCode
 
 
 @dataclass
-class DemoFailure(DaxiotError):
+class DemoFailure(Exception):
     step: str
     cause: str
-
-    def __str__(self) -> str:
-        return f"failed at step {self.step}: {self.cause}"
 
 
 def run_demo(revoke_first: bool, untrusted_issuer: bool, echo) -> int:
@@ -99,8 +96,6 @@ def _run_flow(env: ScenarioEnv, port: int, events: list[dict], echo, connections
         if publisher.handle_puback(publisher_conn.recv()) is not ReasonCode.SUCCESS:
             raise DemoFailure(step, "publish was not authorized")
         topic, payload = subscriber.handle_publish(subscriber_conn.recv())
-    except DemoFailure:
-        raise
     except ConnectionRejected as exc:
         refusal = next((event for event in reversed(events) if "step" in event), {})
         raise DemoFailure(refusal.get("step") or step, refusal.get("reason") or str(exc)) from exc

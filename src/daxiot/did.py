@@ -3,7 +3,7 @@
 did:key identifiers are resolved locally by decoding the multibase-encoded
 public key they carry. did:web identifiers are resolved through a pluggable
 document source, a directory of JSON files, so nothing here ever needs a
-network.
+network; :func:`write_didweb_document` writes the files that source reads.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto import KEY_LEN, convert_public_key
+from .crypto import KEY_LEN, SigningKeyPair, convert_public_key, to_agreement_keypair
 from .errors import DidError, DidResolutionError, decode_json
-from .snapshot import FileSnapshot
+from .snapshot import FileSnapshot, replace_file
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {ch: i for i, ch in enumerate(_B58_ALPHABET)}
@@ -170,6 +170,24 @@ def document_from_json(raw: bytes) -> DidDocument:
 def didweb_filename(identifier: str) -> str:
     """One file per did:web identity: percent-encoded identifier + .json."""
     return urllib.parse.quote(identifier, safe="") + ".json"
+
+
+def write_didweb_document(
+    docs_dir: Path, keypair: SigningKeyPair, did: Did | str, service_endpoint: str | None = None
+) -> Path:
+    """Write the document of did:web ``did``, with both public keys of ``keypair``,
+    into ``docs_dir`` where :class:`DirectoryWebSource` reads it; return its path."""
+    did = Did.parse(did)
+    document = DidDocument(
+        id=did,
+        verification_key=keypair.public,
+        agreement_key=to_agreement_keypair(keypair).public,
+        service_endpoint=service_endpoint,
+    )
+    docs_dir.mkdir(parents=True, exist_ok=True)
+    path = docs_dir / didweb_filename(did.identifier)
+    replace_file(path, document_to_json(document))  # the broker reads it on every handshake
+    return path
 
 
 # ---------------------------------------------------------------------------

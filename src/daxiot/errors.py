@@ -2,9 +2,9 @@
 
 Every error raised by this package derives from :class:`DaxiotError` so
 callers can catch protocol-stack failures with a single handler while tests
-and logs still distinguish the precise failure class. :func:`decode_text` and
-:func:`decode_json` raise the caller's error class on every input they refuse,
-so malformed outside bytes fail closed.
+and logs still distinguish the precise failure class. :func:`decode_text`,
+:func:`decode_json` and :func:`decode_address` raise the caller's error class
+on every input they refuse, so malformed outside bytes fail closed.
 """
 
 from __future__ import annotations
@@ -156,3 +156,20 @@ def decode_json(raw: bytes, error: type[DaxiotError], what: str) -> object:
         if not level:
             return value
     raise error(f"{what} is not JSON: nested deeper than {MAX_JSON_DEPTH} levels")
+
+
+def decode_address(text: str, error: type[DaxiotError], what: str) -> tuple[str, int]:
+    """The host and port of ``host:port`` or ``[IPv6]:port``, port 0-65535 in at most
+    five ASCII digits, or ``error`` naming ``what``. Brackets mark an IPv6 host and
+    only that, so the port is what follows the last colon. The host is returned as
+    written; whether it resolves is for the bind or the dial to find out."""
+    host, _, port = text.rpartition(":")
+    ipv6 = host.startswith("[") and host.endswith("]")
+    if ipv6:
+        host = host[1:-1]
+    if (
+        not host or (":" in host) is not ipv6 or "[" in host or "]" in host
+        or not (port.isascii() and port.isdecimal() and len(port) <= 5 and int(port) <= 65535)
+    ):
+        raise error(f"{what} must be host:port or [IPv6]:port, port 0-65535, got {text!r}")
+    return host, int(port)

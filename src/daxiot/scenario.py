@@ -9,7 +9,6 @@ the shape needed to exercise selective disclosure.
 
 from __future__ import annotations
 
-import json
 import socket
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,36 +22,12 @@ from .credential import (
     TrustedIssuerList,
     issue,
 )
-from .crypto import SigningKeyPair, generate_signing_keypair, save_signing_key, to_agreement_keypair
-from .did import (
-    Did,
-    DidDocument,
-    DirectoryWebSource,
-    Resolver,
-    didkey_encode,
-    didweb_filename,
-    document_to_json,
-)
+from .crypto import SigningKeyPair, generate_signing_keypair, save_signing_key
+from .did import DirectoryWebSource, Resolver, didkey_encode, write_didweb_document
 from .protocol import DaxiotBroker, DaxiotClient
-from .snapshot import replace_file
 
 
 HOST = "127.0.0.1"
-
-
-def write_didweb_document(
-    docs_dir: Path, keypair: SigningKeyPair, did: str, service_endpoint: str | None = None
-) -> Path:
-    document = DidDocument(
-        id=Did.parse(did),
-        verification_key=keypair.public,
-        agreement_key=to_agreement_keypair(keypair).public,
-        service_endpoint=service_endpoint,
-    )
-    docs_dir.mkdir(parents=True, exist_ok=True)
-    path = docs_dir / didweb_filename(Did.parse(did).identifier)
-    replace_file(path, document_to_json(document))  # the broker reads it on every handshake
-    return path
 
 
 @dataclass
@@ -177,7 +152,7 @@ def build_scenario(
         rr_path=str(rr_path),
         did_web_dir=str(docs_dir),
     )
-    replace_file(root / "broker-config.json", json.dumps(config.__dict__, indent=2).encode() + b"\n")
+    config.save(root / "broker-config.json")
 
     return ScenarioEnv(
         root=root,

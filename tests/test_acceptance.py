@@ -33,6 +33,7 @@ from daxiot.crypto import (
     save_signing_key,
     to_agreement_keypair,
 )
+from daxiot.did import write_didweb_document
 from daxiot.errors import (
     AuthenticationError,
     ConnectionRejected,
@@ -41,7 +42,7 @@ from daxiot.errors import (
     ReplayError,
 )
 from daxiot.protocol import DaxiotBroker, DaxiotClient
-from daxiot.scenario import build_scenario, write_didweb_document
+from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
 from daxiot.wire import Packet, PacketKind, ReasonCode, encode_frame
 from helpers import PermissionOracle, disclosure_digest_oracle

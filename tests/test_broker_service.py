@@ -110,6 +110,19 @@ def _wait_until(predicate, attempts: int = 100, interval: float = 0.02) -> bool:
 
 
 class TestConfigValidation:
+    def test_a_saved_config_reads_back_equal(self, tmp_path):
+        env = build_scenario(tmp_path / "env")
+        assert BrokerConfig.from_file(env.root / "broker-config.json") == env.config
+        config = BrokerConfig("[::1]:1883", "did:web:b.example", "b.key", "til.json", "rr.json", "docs", "debug")
+        config.save(tmp_path / "saved.json")
+        # The bytes build_scenario wrote before BrokerConfig wrote them itself.
+        assert (tmp_path / "saved.json").read_bytes() == (
+            b'{\n  "listen_address": "[::1]:1883",\n  "broker_did": "did:web:b.example",\n'
+            b'  "signing_key_path": "b.key",\n  "til_path": "til.json",\n  "rr_path": "rr.json",\n'
+            b'  "did_web_dir": "docs",\n  "log_level": "debug"\n}\n'
+        )
+        assert BrokerConfig.from_file(tmp_path / "saved.json") == config
+
     def test_mismatched_key_refused(self, tmp_path):
         env = build_scenario(tmp_path / "env")
         rogue = generate_signing_keypair()

@@ -27,7 +27,8 @@ from daxiot.credential import (
     verify_presentation,
     present,
 )
-from daxiot.did import DirectoryWebSource, Resolver
+from daxiot.crypto import generate_signing_keypair, load_signing_key, save_signing_key
+from daxiot.did import DirectoryWebSource, Resolver, write_didweb_document
 from daxiot.errors import MalformedCredential
 from daxiot.scenario import build_scenario
 from daxiot.wire import ReasonCode
@@ -50,11 +51,19 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
-# Service endpoints a client cannot dial: it dials only tcp://host:port.
+# Service endpoints a client cannot dial: it dials only tcp://host:port, and not
+# port 0. A path and a scheme in capitals were accepted, and an unclosed bracket
+# raised ValueError, before the listen address's parser read endpoints too.
 BAD_ENDPOINTS = pytest.mark.parametrize(
     "endpoint",
-    ["tcp://127.0.0.1:abc", "tcp://127.0.0.1:70000", "tcp://127.0.0.1", "udp://127.0.0.1:1883"],
-    ids=["port not a number", "port above 65535", "no port", "not tcp"],
+    [
+        "tcp://127.0.0.1:abc", "tcp://127.0.0.1:70000", "tcp://127.0.0.1", "udp://127.0.0.1:1883",
+        "tcp://127.0.0.1:0", "tcp://127.0.0.1:1883/path", "TCP://127.0.0.1:1883", "tcp://[::1:1883",
+    ],
+    ids=[
+        "port not a number", "port above 65535", "no port", "not tcp",
+        "port 0", "a path", "scheme in capitals", "unclosed bracket",
+    ],
 )
 
 
@@ -322,6 +331,18 @@ def test_a_listen_port_that_is_not_0_to_65535_exits_2(runner, tmp_path, port):
     assert result.stderr.startswith("error: listen_address must be host:port")
 
 
+@pytest.mark.parametrize(
+    "address", ["::1:1883", "127.0.0.1:" + "9" * 5000], ids=["IPv6 without brackets", "5000-digit port"]
+)
+def test_a_listen_address_off_the_rule_exits_2(runner, tmp_path, address):
+    # The first bound ::1 port 1883; the second raised ValueError past int()'s digit limit.
+    path = tmp_path / "broker.json"
+    path.write_text(json.dumps({**_CONFIG, "listen_address": address}))
+    result = runner.invoke(main, ["broker", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: listen_address must be host:port or [IPv6]:port")
+
+
 def test_a_listen_address_already_in_use_exits_3(tmp_path):
     env = build_scenario(tmp_path / "env")
     config_path = tmp_path / "broker.json"
@@ -563,9 +584,6 @@ class TestClientCommands:
 
     @BAD_ENDPOINTS
     def test_a_bad_service_endpoint_is_an_error(self, runner, tmp_path, endpoint):
-        from daxiot.crypto import load_signing_key
-        from daxiot.scenario import write_didweb_document
-
         env = build_scenario(tmp_path / "env")
         broker_key = load_signing_key(env.config.signing_key_path)
         write_didweb_document(Path(env.config.did_web_dir), broker_key, env.broker_did, endpoint)
@@ -780,6 +798,26 @@ class TestBenchCommand:
         result = invoke(runner, "bench", option, count)
         assert result.exit_code == 2
         assert f"Invalid value for '{option}': {count} is not in the range x>=1." in result.stderr
+
+
+def test_didweb_emit_loads_no_broker_code(tmp_path):
+    # An operator writing a document needs the did module, not the broker or
+    # the scenario builder, nor asyncio, which the broker brings.
+    key_path = tmp_path / "owner.key"
+    save_signing_key(key_path, generate_signing_keypair())
+    arguments = [
+        "didweb-emit", "--key", str(key_path), "--did", "did:web:owner.example",
+        "--endpoint", "tcp://127.0.0.1:1883", "--out-dir", str(tmp_path / "docs"),
+    ]
+    unused = ("asyncio", "daxiot.broker_service", "daxiot.scenario")
+    probe = (
+        f"import sys; from daxiot.cli import main; main({arguments!r}, standalone_mode=False)\n"
+        f"print([name for name in {unused!r} if name in sys.modules])"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[1:] == ["[]", ""], result.stdout
+    assert Resolver(DirectoryWebSource(tmp_path / "docs")).resolve("did:web:owner.example").service_endpoint
 
 
 def test_the_broker_command_imports_only_what_it_runs():

@@ -23,7 +23,7 @@ from daxiot.credential import (
     verify_presentation,
 )
 from daxiot.crypto import generate_signing_keypair
-from daxiot.did import DirectoryWebSource, Resolver, didkey_encode
+from daxiot.did import DirectoryWebSource, Resolver, didkey_encode, write_didweb_document
 from daxiot.errors import (
     BadSignature,
     CredentialError,
@@ -34,7 +34,6 @@ from daxiot.errors import (
     UnknownDisclosure,
     UntrustedIssuer,
 )
-from daxiot.scenario import write_didweb_document
 from helpers import disclosure_digest_oracle
 
 BROKER_1 = "did:web:broker1.com"
@@ -85,7 +84,7 @@ class TestIssue:
         assert set(payload) == {"iss", "sub", "type", "jti", "_sd"}
         assert payload["sub"] == subject_did
         assert payload["_sd"] == [d.digest() for d in disclosures]
-        scanned = json.dumps(credential.header) + json.dumps(
+        scanned = daxiot.credential._b64url_decode(credential.header_b64).decode() + json.dumps(
             [sorted(payload), payload["iss"], payload["type"], payload["jti"]]
         )
         for secret in ("t1", "t2", "t3", "t4", BROKER_1, BROKER_2):
@@ -276,6 +275,35 @@ class TestVerifyPresentation:
         forged = SdJwtCredential(credential.header_b64, credential.payload_b64, b"\x00" * 64)
         with pytest.raises(BadSignature):
             self._verify(issuer_setup, present(forged, disclosures, BROKER_1), subject_did)
+
+    def test_a_trusted_issuer_without_a_document(self, issuer_setup):
+        _, _, subject_did, _, _ = issuer_setup
+        ghost = "did:web:ghost-issuer.com"  # trusted, but no document under the resolver's directory
+        credential, disclosures = issue(generate_signing_keypair(), ghost, subject_did, LISTING_CLAIMS, "jti-g")
+        til = TrustedIssuerList(frozenset({ghost}))
+        with pytest.raises(BadSignature, match="^issuer document unavailable"):
+            self._verify(issuer_setup, present(credential, disclosures, BROKER_1), subject_did, til=til)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"jti": None}, "jti missing"),
+            ({"jti": 7}, "jti missing"),
+            ({"_sd": None}, "_sd missing"),
+            ({"_sd": "digest"}, "_sd missing"),
+        ],
+        ids=["no jti", "integer jti", "no _sd", "string _sd"],
+    )
+    def test_a_signed_payload_without_a_string_jti_or_an_sd_list(self, issuer_setup, changes, message):
+        # Signed by the trusted issuer, so only the fields' shapes are wrong; None drops a field.
+        issuer_keypair, issuer_did, subject_did, _, _ = issuer_setup
+        credential, disclosures = issue(issuer_keypair, issuer_did, subject_did, LISTING_CLAIMS, "jti-p")
+        payload = {key: value for key, value in {**credential.payload, **changes}.items() if value is not None}
+        payload_b64 = daxiot.credential._b64url(daxiot.credential._canonical_json(payload))
+        signature = daxiot.credential.sign(issuer_keypair, daxiot.credential._signing_input(credential.header_b64, payload_b64))
+        signed = SdJwtCredential(credential.header_b64, payload_b64, signature)
+        with pytest.raises(MalformedCredential, match=f"^credential {message}$"):
+            self._verify(issuer_setup, present(signed, disclosures, BROKER_1), subject_did)
 
     def test_an_oversized_payload_is_refused_before_decoding(self, issuer_setup, monkeypatch):
         # A flat JSON list past the cap, as any peer holding a did:key can send.

@@ -1,9 +1,10 @@
 """Bytes from outside the package are decoded in one place and fail closed.
 
 Every decode site routes through ``daxiot.errors.decode_text`` or
-``decode_json``; a malformed input ends in the site's ``DaxiotError`` (at
-the broker, in a refusal whose event names that error's class) and never in
-a ``RecursionError``, ``ValueError`` or ``TypeError``.
+``decode_json``, and every host:port through ``decode_address``; a malformed
+input ends in the site's ``DaxiotError`` (at the broker, in a refusal whose
+event names that error's class) and never in a ``RecursionError``,
+``ValueError`` or ``TypeError``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import daxiot.protocol as protocol
-from daxiot.broker_service import BrokerConfig
+from daxiot.broker_service import BrokerConfig, BrokerService
+from daxiot.cli import _tcp_address
 from daxiot.credential import (
     AuthorizationClaim,
     Disclosure,
@@ -33,11 +35,13 @@ from daxiot.did import document_from_json, didkey_encode
 from daxiot.errors import (
     MAX_JSON_DEPTH,
     ConfigError,
+    DaxiotError,
     DidError,
     FramingError,
     MalformedCredential,
     ProtocolError,
     TrustFileError,
+    decode_address,
 )
 from daxiot.protocol import Channel, DaxiotClient
 from daxiot.scenario import build_scenario
@@ -248,11 +252,16 @@ def test_disclosure_nested_up_to_the_parser_limit_is_refused(trusted_env):
         assert _auth_response_outcome(trusted_env, _nested(depth), "disclosure") == ("auth_rejected", "MalformedCredential", "H")
 
 
-def test_a_presentation_stuffed_with_separators_costs_little_memory(trusted_env):
-    # A real credential and then a frame's worth of '~': splitting it held a
-    # million empty segments, twice, about 26 MiB, before step H refused them.
+@pytest.mark.parametrize("separator", ["~", "."])
+def test_a_presentation_stuffed_with_separators_costs_little_memory(trusted_env, separator):
+    # A frame's worth of a separator before step H refuses it. A real credential
+    # and then '~': splitting it held a million empty segments, twice, about
+    # 26 MiB. A credential of '.' held them once more, 11 times the frame.
     engine, session_id, credential, events = _challenged_fresh_identity(trusted_env)
-    plaintext = f"{credential.compact()}~".encode().ljust(MAX_FRAME - 1024, b"~")
+    if separator == "~":
+        plaintext = f"{credential.compact()}~".encode().ljust(MAX_FRAME - 1024, b"~")
+    else:
+        plaintext = b"." * (MAX_FRAME - 1025) + b"~"
     packet = _seal_to_broker(engine, session_id, PacketKind.AUTH_RESPONSE, plaintext)
     tracemalloc.start()
     try:
@@ -282,3 +291,67 @@ def _is_strict_decode(node: ast.AST) -> bool:
 def test_outside_bytes_are_decoded_only_by_the_two_decoders():
     found = {(path, function) for path, function, node in source_nodes() if _is_strict_decode(node)}
     assert found == {("errors.py", "decode_json"), ("errors.py", "decode_text")}
+
+
+# ---------------------------------------------------------------------------
+# host:port, for a listen address and after a service endpoint's tcp://
+# ---------------------------------------------------------------------------
+
+# Each text, and its host and port or None for a refusal. A comment names the
+# side, listen address or endpoint, where the two former parsers differed from it.
+ADDRESSES = {
+    "IPv4": ("127.0.0.1:1883", ("127.0.0.1", 1883)),
+    "IPv6 in brackets": ("[::1]:1883", ("::1", 1883)),
+    "port 0": ("broker.example:0", ("broker.example", 0)),
+    "highest port": ("broker.example:65535", ("broker.example", 65535)),
+    "host in capitals": ("Broker.Example:1883", ("Broker.Example", 1883)),  # an endpoint lowercased it
+    "IPv6 without brackets": ("::1:1883", None),  # a listen address bound it
+    "IPv4 in brackets": ("[127.0.0.1]:1883", None),  # a listen address bound it; ValueError escaped an endpoint
+    "unclosed bracket": ("[::1:1883", None),  # ValueError escaped an endpoint
+    "a path": ("127.0.0.1:1883/path", None),  # an endpoint ignored it
+    # An endpoint dropped the user part; the host user@127.0.0.1 does not resolve.
+    "a user": ("user@127.0.0.1:1883", ("user@127.0.0.1", 1883)),
+    "six digits": ("127.0.0.1:001883", None),  # both accepted it
+    "5000 digits": ("127.0.0.1:" + "9" * 5000, None),  # ValueError escaped a listen address
+    "port above 65535": ("127.0.0.1:65536", None),
+    "superscript two": ("127.0.0.1:\u00b2", None),
+    "no port": ("127.0.0.1", None),
+    "no host": (":1883", None),
+    "empty brackets": ("[]:1883", None),
+    "nested brackets": ("[[::1]]:1883", None),
+}
+
+
+@pytest.mark.parametrize("case", list(ADDRESSES))
+def test_a_listen_address_and_an_endpoint_follow_one_rule(case):
+    text, expected = ADDRESSES[case]
+    if expected is None:
+        with pytest.raises(ConfigError, match=r"^listen_address must be host:port or \[IPv6\]:port, port 0-65535"):
+            BrokerService(text, None)
+    else:
+        assert decode_address(text, ConfigError, "listen_address") == expected
+        assert BrokerService(text, None).port == expected[1]
+    if expected is None or expected[1] == 0:  # a client cannot dial port 0
+        with pytest.raises(DaxiotError, match="is not tcp://host:port$"):
+            _tcp_address("did:web:broker.example", f"tcp://{text}")
+    else:
+        assert _tcp_address("did:web:broker.example", f"tcp://{text}") == expected
+
+
+def test_addresses_are_split_only_by_decode_address():
+    # No URL parser splits an address; urllib.parse only names did:web files.
+    splits = {
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("rpartition", "rsplit")
+        and [getattr(arg, "value", None) for arg in node.args[:1]] == [":"]
+    }
+    assert splits == {("errors.py", "decode_address")}, splits
+    urllib_parse = {
+        (path, function, getattr(node, "attr", None))
+        for path, function, node in source_nodes()
+        if (isinstance(node, ast.Attribute) and ast.unparse(node.value) == "urllib.parse")
+        or (isinstance(node, ast.ImportFrom) and node.module == "urllib.parse")
+    }
+    assert urllib_parse == {("did.py", "didweb_filename", "quote")}, urllib_parse

@@ -18,10 +18,10 @@ from daxiot.did import (
     didweb_filename,
     document_from_json,
     multibase_encode,
+    write_didweb_document,
     X25519_MULTICODEC,
 )
 from daxiot.errors import DidError, DidResolutionError
-from daxiot.scenario import write_didweb_document
 from helpers import base58_oracle
 
 keys = st.binary(min_size=32, max_size=32)

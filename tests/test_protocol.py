@@ -604,6 +604,15 @@ class TestTampering:
         with pytest.raises(AuthenticationError):
             client.handle_connack(connack)
 
+    def test_a_success_connack_sealing_another_status(self, env, loopback):
+        client, _, _ = _challenged(env, loopback)
+        (envelope,) = Channel(client._session_key, client.ephemeral_did, daxiot.protocol._fresh_nonce()).seal(
+            PacketKind.CONNACK, bytes([ReasonCode.NOT_AUTHORIZED])
+        )
+        connack = Packet(kind=PacketKind.CONNACK, reason_code=ReasonCode.SUCCESS, auth_data=envelope)
+        with pytest.raises(AuthenticationError, match="contradicts its reason code"):
+            client.handle_connack(connack)
+
     def test_tampered_subscribe(self, env, loopback):
         subscriber = env.subscriber_client()
         establish(loopback, subscriber, env.broker_did)
@@ -1293,6 +1302,33 @@ def _duplicate_client_id(env, loopback):
     return None, packet
 
 
+def _connect_without_client_id(env, loopback):
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    packet.client_id = None
+    return None, packet
+
+
+def _did_web_client_id(env, loopback):
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    packet.client_id = env.po_did
+    return None, packet
+
+
+def _connect_without_auth_data(env, loopback):
+    packet = env.publisher_client().begin_connect(env.broker_did)
+    packet.auth_data = None
+    return None, packet
+
+
+def _sealed_static_did(did):
+    def scenario(env, loopback):
+        client = env.publisher_client()
+        client.static_did = did  # sealed inside the ES envelope
+        return None, client.begin_connect(env.broker_did)
+
+    return scenario
+
+
 def _connect_on_open_session(env, loopback):
     client = env.publisher_client()
     establish(loopback, client, env.broker_did)
@@ -1366,6 +1402,13 @@ def _auth_response_replayed_when_established(env, loopback):
     return client.ephemeral_did, response
 
 
+def _auth_response_at_the_next_nonce_when_established(env, loopback):
+    client = env.publisher_client()
+    establish(loopback, client, env.broker_did)
+    (envelope,) = client._send.seal(PacketKind.AUTH_RESPONSE, b"")  # the nonce the broker expects next
+    return client.ephemeral_did, Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=envelope)
+
+
 def _tampered_auth_response(env, loopback):
     client, _, response = _challenged(env, loopback)
     response.auth_data = _tamper_envelope(response.auth_data)
@@ -1424,6 +1467,22 @@ REFUSALS = {
     "duplicate client id": (
         _duplicate_client_id, "connect_rejected", "ProtocolOrderError", "C", [(DISCONNECT, PE)], True, None
     ),
+    "connect without a client id": (
+        _connect_without_client_id, "connect_rejected", "ProtocolError", "C", [(DISCONNECT, PE)], True, None
+    ),
+    "did:web client id": (
+        _did_web_client_id, "connect_rejected", "ProtocolError", "C", [(DISCONNECT, PE)], True, None
+    ),
+    "connect without auth data": (
+        _connect_without_auth_data, "connect_rejected", "ProtocolError", "C", [(DISCONNECT, PE)], True, None
+    ),
+    "sealed static DID that does not parse": (
+        _sealed_static_did("not a DID"), "connect_rejected", "ProtocolError", "C", [(DISCONNECT, PE)], True, None
+    ),
+    "sealed did:web static DID": (
+        _sealed_static_did("did:web:publisher-owner.example"), "connect_rejected", "ProtocolError", "C",
+        [(DISCONNECT, PE)], True, None,
+    ),
     "connect on an open session": (
         _connect_on_open_session, "protocol_error", "ProtocolOrderError", "C", [(DISCONNECT, PE)], True, False
     ),
@@ -1454,6 +1513,9 @@ REFUSALS = {
     ),
     "auth response replayed when established": (
         _auth_response_replayed_when_established, "auth_rejected", "ReplayError", "G", [], False, True
+    ),
+    "auth response at the next nonce when established": (
+        _auth_response_at_the_next_nonce_when_established, "auth_rejected", "ProtocolOrderError", "G", [], False, True
     ),
     "tampered auth response": (
         _tampered_auth_response, "auth_rejected", "AuthenticationError", "G",

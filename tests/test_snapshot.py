@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,8 @@ from daxiot.credential import (
     save_credential_files,
 )
 from daxiot.crypto import generate_signing_keypair, load_signing_key, save_signing_key
-from daxiot.did import DirectoryWebSource, Resolver
+from daxiot.did import DirectoryWebSource, Resolver, write_didweb_document
 from daxiot.errors import TrustFileError
-from daxiot.scenario import write_didweb_document
 from daxiot.snapshot import RACY_SLACK_NS, FileSnapshot, replace_file
 from helpers import source_nodes
 
@@ -371,3 +371,22 @@ def test_every_file_is_written_through_replace_file():
         if isinstance(node, ast.Call) and _opens_for_writing(node)
     }
     assert writers == {("snapshot.py", "replace_file")}, writers
+
+
+def test_each_file_format_is_written_beside_its_reader():
+    # The module that reads a format back is the one that writes it, so what
+    # is written and what is accepted cannot drift apart: the key file, the
+    # two trust files, the credential file, did:web documents, the broker config.
+    writers = Counter(
+        (path, function)
+        for path, function, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and "replace_file" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert writers == {
+        ("crypto.py", "save_signing_key"): 1,
+        ("credential.py", "save"): 2,  # TrustedIssuerList.save and RevocationRegistry.save
+        ("credential.py", "save_credential_files"): 1,
+        ("did.py", "write_didweb_document"): 1,
+        ("broker_service.py", "save"): 1,  # BrokerConfig.save
+    }, writers
