@@ -237,7 +237,7 @@ class Presentation:
         return cls(credential=SdJwtCredential.parse(segments[0]), segments=tuple(segments[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorizationGrant:
     """Topic sets a verifier extracted from the disclosures aimed at it."""
 

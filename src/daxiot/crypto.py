@@ -25,17 +25,12 @@ No ``repr`` shows a secret: secret fields and memos are left out of it.
 
 An AEAD envelope is plain bytes, laid out as XChaCha20-Poly1305 defines it
 (draft-irtf-cfrg-xchacha): the 24-byte nonce, then ciphertext and tag. The
-nonce is a 16-byte prefix and an 8-byte big-endian counter. :func:`aead_encrypt`
-and :func:`aead_decrypt` check only lengths; which nonce comes next, and
-that none repeats, is decided by ``protocol.Channel`` alone.
-
-Each :class:`SessionKey` memoizes the ChaCha20-Poly1305 cipher of every
-nonce prefix it has been used with. A prefix stays fixed for a whole run of
-nonces, so its HChaCha20 subkey is derived once rather than on every AEAD
-call. The memo holds nothing more secret than the key itself, lives exactly
-as long as the key, and keeps at most :data:`_CIPHERS_PER_KEY` entries: the
-protocol uses no more prefixes than that under one key. Two threads racing on
-one key at worst derive the same subkey twice.
+nonce is a 16-byte prefix and an 8-byte big-endian counter. An
+:class:`XChaCha20Poly1305` is the cipher of one key and one prefix, so its
+HChaCha20 subkey is derived once for a whole run of nonces; the run's owner,
+``protocol.Channel``, builds it and drops it with the run. :func:`aead_encrypt`
+and :func:`aead_decrypt` refuse a nonce or an envelope of any other prefix;
+which nonce comes next, and that none repeats, is decided by the channel alone.
 
 Two results depend on nothing but their input bytes, and a peer that
 reconnects asks for them again, so each is memoized in a bounded table
@@ -92,8 +87,6 @@ _LANE_TOPS = 0x80000000_80000000_80000000_80000000  # the top bit of each 32-bit
 _ZERO_BLOCK = bytes(64)
 # XChaCha20 runs ChaCha20 under 4 zero bytes || the last 8 nonce bytes.
 _CHACHA_NONCE_PAD = bytes(4)
-# The challenge prefix, c2b and b2c: the most prefixes one key ever serves.
-_CIPHERS_PER_KEY = 3
 # Verified signatures and did:key conversions kept for returning peers: a
 # broker's working set is one credential and one static key per device. A
 # verdict costs about 150 bytes and a conversion about 240, so both tables
@@ -145,22 +138,10 @@ class SessionKey:
     """A 32-byte AEAD key derived by one of the ``ecdh_*`` agreements."""
 
     key: bytes = field(repr=False)
-    _ciphers: dict[bytes, ChaCha20Poly1305] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if len(self.key) != KEY_LEN:
             raise CryptoError("session key must be 32 bytes")
-
-    def _cipher(self, prefix: bytes) -> ChaCha20Poly1305:
-        """The ChaCha20-Poly1305 cipher under HChaCha20(key, prefix), derived once."""
-        cipher = self._ciphers.get(prefix)
-        if cipher is None:
-            if len(self._ciphers) >= _CIPHERS_PER_KEY:
-                self._ciphers.clear()
-            cipher = self._ciphers[prefix] = ChaCha20Poly1305(_hchacha20(self.key, prefix))
-        return cipher
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +363,38 @@ def _lanes_minus(x: int, y: int) -> int:
     return ((x | _LANE_TOPS) - (y & ~_LANE_TOPS)) ^ ((x ^ ~y) & _LANE_TOPS)
 
 
-def aead_encrypt(key: SessionKey, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+class XChaCha20Poly1305:
+    """ChaCha20-Poly1305 under HChaCha20(key, prefix): one key and one nonce prefix."""
+
+    __slots__ = ("prefix", "_aead")
+
+    def __init__(self, key: SessionKey, prefix: bytes) -> None:
+        if len(prefix) != NONCE_PREFIX_LEN:
+            raise CryptoError(f"nonce prefix must be {NONCE_PREFIX_LEN} bytes, got {len(prefix)}")
+        self.prefix = prefix
+        self._aead = ChaCha20Poly1305(_hchacha20(key.key, prefix))
+
+
+def aead_encrypt(cipher: XChaCha20Poly1305, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
     """Encrypt under XChaCha20-Poly1305 into the envelope nonce || ciphertext+tag.
 
     The caller must never reuse a nonce under one key.
     """
     if len(nonce) != NONCE_LEN:
         raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
-    cipher = key._cipher(nonce[:NONCE_PREFIX_LEN])
-    return nonce + cipher.encrypt(_CHACHA_NONCE_PAD + nonce[NONCE_PREFIX_LEN:], plaintext, aad)
+    if not nonce.startswith(cipher.prefix):
+        raise CryptoError("nonce has another prefix than the cipher")
+    return nonce + cipher._aead.encrypt(_CHACHA_NONCE_PAD + nonce[NONCE_PREFIX_LEN:], plaintext, aad)
 
 
-def aead_decrypt(key: SessionKey, envelope: bytes, aad: bytes) -> bytes:
+def aead_decrypt(cipher: XChaCha20Poly1305, envelope: bytes, aad: bytes) -> bytes:
     """Decrypt and authenticate an envelope; any bit flip in nonce, ciphertext, or aad fails."""
     if len(envelope) < NONCE_LEN + TAG_LEN:
         raise CryptoError(f"envelope must be at least {NONCE_LEN + TAG_LEN} bytes, got {len(envelope)}")
-    cipher = key._cipher(envelope[:NONCE_PREFIX_LEN])
+    if not envelope.startswith(cipher.prefix):
+        raise IntegrityError("AEAD authentication failed: the nonce has another prefix")
     try:
-        return cipher.decrypt(
+        return cipher._aead.decrypt(
             _CHACHA_NONCE_PAD + envelope[NONCE_PREFIX_LEN:NONCE_LEN], envelope[NONCE_LEN:], aad
         )
     except InvalidTag as exc:

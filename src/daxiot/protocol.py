@@ -69,6 +69,7 @@ from .crypto import (
     TAG_LEN,
     SessionKey,
     SigningKeyPair,
+    XChaCha20Poly1305,
     aead_decrypt,
     aead_encrypt,
     agreement_secret,
@@ -128,7 +129,7 @@ def _fresh_nonce() -> bytes:
 
 
 class Channel:
-    """One run of nonces under one key: its AAD binding, its prefix and counter.
+    """One run of nonces under one key: its cipher, its AAD binding, its prefix and counter.
 
     The only code that seals or opens an envelope. The nonce at counter n is
     ``prefix || n`` as 8 big-endian bytes. :meth:`seal` encrypts under the
@@ -141,15 +142,15 @@ class Channel:
     opens one the peer started, the one place that requires counter zero.
     """
 
-    __slots__ = ("key", "_did", "_aads", "prefix", "counter")
+    __slots__ = ("key", "cipher", "_did", "prefix", "counter")
 
     def __init__(self, key: SessionKey, ephemeral_did: str, nonce: bytes) -> None:
         if len(nonce) != NONCE_LEN:
             raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
         self.key = key
         self._did = ephemeral_did.encode("utf-8")
-        self._aads: dict[PacketKind, bytes] = {}
         self.prefix = nonce[:NONCE_PREFIX_LEN]
+        self.cipher = XChaCha20Poly1305(key, self.prefix)
         self.counter = int.from_bytes(nonce[NONCE_PREFIX_LEN:], "big")
 
     @property
@@ -157,22 +158,19 @@ class Channel:
         """The next nonce this channel uses or accepts."""
         return self.prefix + self.counter.to_bytes(8, "big")
 
-    def _next(self, kind: PacketKind, count: int) -> tuple[int, bytes]:
-        """The first of the next ``count`` counters and the AAD of ``kind``; nothing is committed."""
+    def _next(self, count: int) -> int:
+        """The first of the next ``count`` counters; nothing is committed."""
         first = self.counter
         if first + count > _LAST_COUNTER:
             raise NonceOverflowError("nonce counter exhausted; terminate the session")
-        aad = self._aads.get(kind)
-        if aad is None:
-            aad = self._aads[kind] = _aad(kind, self._did)
-        return first, aad
+        return first
 
     def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[bytes]:
         """Encrypt each plaintext into an envelope under the next consecutive nonce."""
-        first, aad = self._next(kind, len(plaintexts))
-        key, prefix = self.key, self.prefix
+        first = self._next(len(plaintexts))
+        cipher, prefix, aad = self.cipher, self.prefix, _aad(kind, self._did)
         envelopes = [
-            aead_encrypt(key, prefix + (first + offset).to_bytes(8, "big"), plaintext, aad)
+            aead_encrypt(cipher, prefix + (first + offset).to_bytes(8, "big"), plaintext, aad)
             for offset, plaintext in enumerate(plaintexts)
         ]
         self.counter = first + len(plaintexts)
@@ -183,14 +181,14 @@ class Channel:
         consecutive nonces; each nonce is checked before its envelope's length."""
         if None in envelopes:
             raise ProtocolError(f"{kind.name.lower()} is missing an encrypted field")
-        first, aad = self._next(kind, len(envelopes))
+        first = self._next(len(envelopes))
         prefix = self.prefix
         for offset, envelope in enumerate(envelopes):
             if envelope[:NONCE_LEN] != prefix + (first + offset).to_bytes(8, "big"):
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
             _envelope(envelope, kind)
-        key = self.key
-        plaintexts = [aead_decrypt(key, envelope, aad) for envelope in envelopes]
+        cipher, aad = self.cipher, _aad(kind, self._did)
+        plaintexts = [aead_decrypt(cipher, envelope, aad) for envelope in envelopes]
         self.counter = first + len(envelopes)
         return plaintexts
 
@@ -211,9 +209,10 @@ class Channel:
     ) -> tuple[Channel, bytes]:
         """Open the first envelope of a channel the peer started at a fresh
         nonce, so at counter zero; return the channel, now at one, and the plaintext."""
-        channel = cls(key, ephemeral_did, _envelope(envelope, kind)[:NONCE_LEN])
-        if channel.counter != 0:
+        nonce = _envelope(envelope, kind)[:NONCE_LEN]
+        if nonce[NONCE_PREFIX_LEN:] != bytes(8):  # checked before the channel derives its subkey
             raise ProtocolOrderError(f"{kind.name.lower()} must start its channel at counter zero")
+        channel = cls(key, ephemeral_did, nonce)
         return channel, channel.authenticate(kind, envelope)
 
 
@@ -393,7 +392,7 @@ class DaxiotClient:
 # Broker
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class BrokerSession:
     """Per-client broker state keyed by the client's ephemeral DID.
 
@@ -405,7 +404,7 @@ class BrokerSession:
     c2b: Channel
     grant: AuthorizationGrant | None = None
     b2c: Channel | None = None
-    topics: set[str] = field(default_factory=set)  # what it subscribed to, so eviction visits only these
+    topics: frozenset[str] = frozenset()  # what it subscribed to, so eviction visits only these
 
 
 @dataclass(slots=True)
@@ -660,7 +659,7 @@ class DaxiotBroker:
                 packets=[Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.NOT_AUTHORIZED)]
             )
         self.topics.setdefault(topic, {})[session_id] = session
-        session.topics.add(topic)
+        session.topics |= {topic}
         self._emit("subscribed", session_id)
         return Reply(packets=[Packet(kind=PacketKind.SUBACK, reason_code=ReasonCode.SUCCESS)])
 

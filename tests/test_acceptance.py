@@ -23,6 +23,7 @@ from daxiot.bench import run_bench
 from daxiot.cli import main as cli_main
 from daxiot.credential import AuthorizationClaim, Disclosure, RevocationRegistry, issue
 from daxiot.crypto import (
+    XChaCha20Poly1305,
     aead_decrypt,
     aead_encrypt,
     ecdh_1pu,
@@ -503,7 +504,8 @@ class _AdversarialHarness:
             b"DAXiot-1PU" + client.static_did.encode() + self.env.broker_did.encode(),
         )
         aad = bytes([PacketKind.AUTH_CHALLENGE]) + connect.client_id.encode()
-        forged = aead_encrypt(key, self.rng.randbytes(16) + bytes(8), self.rng.randbytes(24), aad)
+        prefix = self.rng.randbytes(16)
+        forged = aead_encrypt(XChaCha20Poly1305(key, prefix), prefix + bytes(8), self.rng.randbytes(24), aad)
         try:
             client.handle_challenge(Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=forged))
         except AuthenticationError:
@@ -702,10 +704,10 @@ def test_criterion_7_crypto_vectors():
 
     assert _hchacha20(vectors.HCHACHA_KEY, vectors.HCHACHA_INPUT).hex() == vectors.HCHACHA_SUBKEY
 
-    from daxiot.crypto import SessionKey, aead_encrypt
+    from daxiot.crypto import SessionKey
 
     envelope = aead_encrypt(
-        SessionKey(key=vectors.XCHACHA_KEY),
+        XChaCha20Poly1305(SessionKey(key=vectors.XCHACHA_KEY), vectors.XCHACHA_NONCE[:16]),
         vectors.XCHACHA_NONCE,
         vectors.XCHACHA_PLAINTEXT,
         vectors.XCHACHA_AAD,

@@ -33,7 +33,7 @@ from daxiot.crypto import generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork, TcpClientConnection, run_handshake
-from daxiot.wire import MAX_FRAME, Packet, PacketKind, ReasonCode, encode_frame
+from daxiot.wire import MAX_FRAME, Packet, PacketKind, ReasonCode, decode_frame, encode_frame
 from helpers import source_nodes
 
 
@@ -590,6 +590,58 @@ def test_reconnecting_devices_leave_only_their_replay_entries(env):
     assert (network.engine.sessions, network.engine.topics, network.router.connections) == ({}, {}, {})
     assert daxiot.crypto._montgomery_u.cache_info().currsize == 2
     assert growth / 500 < 250, f"{growth / 500:.0f} B per handshake"
+
+
+def test_an_idle_session_holds_two_ciphers_a_side_and_little_else(env):
+    # Each side of an established session keeps one cipher per direction;
+    # the one-shot CONNECT and challenge ciphers go with their channels.
+    # Both sides' Python heap together grow by about 3.6 KB per idle session
+    # (about 5.8 KB while each key kept a cipher memo and each channel an AAD
+    # table). A cipher's subkey state is native, outside tracemalloc, so the
+    # cipher objects are counted instead, past any an earlier test left alive.
+    earlier = {id(obj): obj for obj in gc.get_objects() if type(obj).__name__ == "XChaCha20Poly1305"}
+    network = LoopbackNetwork(env.config.engine())
+    member, resolver = env.publisher, env.resolver()
+
+    def devices(count: int) -> list[daxiot.DaxiotClient]:
+        return [
+            daxiot.DaxiotClient(member.keypair, member.credential, member.disclosures, resolver) for _ in range(count)
+        ]
+
+    def establish(clients) -> None:
+        for client in clients:
+            run_handshake(client, network.open(), env.broker_did)
+            network.captures.clear()
+
+    warm = devices(10)
+    establish(warm)
+    sessions = 200
+    clients = devices(sessions)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        establish(clients)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth / sessions < 4500, f"{growth / sessions:.0f} B per idle session"
+
+    last = devices(1)[0]
+    run_handshake(last, network.open(), env.broker_did)
+    connect, challenge = (decode_frame(frame).auth_data for _, frame in network.captures[:2])
+    engine_sessions = network.engine.sessions.values()
+    held = [cipher for session in engine_sessions for cipher in (session.c2b.cipher, session.b2c.cipher)]
+    held += [cipher for client in warm + clients + [last] for cipher in (client._send.cipher, client._recv.cipher)]
+    alive = [
+        obj for obj in gc.get_objects() if isinstance(obj, daxiot.crypto.XChaCha20Poly1305) and id(obj) not in earlier
+    ]
+    assert len(engine_sessions) == 10 + sessions + 1
+    assert sorted(map(id, alive)) == sorted(map(id, held))
+    assert len(set(map(id, held))) == 4 * len(engine_sessions)
+    prefixes = {cipher.prefix for cipher in alive}
+    assert connect[:16] not in prefixes and challenge[:16] not in prefixes
 
 
 def test_traced_codec_names_cover_the_router(env, monkeypatch):

@@ -53,16 +53,19 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 # Service endpoints a client cannot dial: it dials only tcp://host:port, and not
 # port 0. A path and a scheme in capitals were accepted, and an unclosed bracket
-# raised ValueError, before the listen address's parser read endpoints too.
+# raised ValueError, before the listen address's parser read endpoints too; a NUL
+# byte or a 64-character label in the host ended publish with a traceback.
 BAD_ENDPOINTS = pytest.mark.parametrize(
     "endpoint",
     [
         "tcp://127.0.0.1:abc", "tcp://127.0.0.1:70000", "tcp://127.0.0.1", "udp://127.0.0.1:1883",
         "tcp://127.0.0.1:0", "tcp://127.0.0.1:1883/path", "TCP://127.0.0.1:1883", "tcp://[::1:1883",
+        "tcp://a\x00b:1883", f"tcp://{'a' * 64}.example:1883",
     ],
     ids=[
         "port not a number", "port above 65535", "no port", "not tcp",
         "port 0", "a path", "scheme in capitals", "unclosed bracket",
+        "a NUL byte", "a 64-character label",
     ],
 )
 
@@ -332,10 +335,13 @@ def test_a_listen_port_that_is_not_0_to_65535_exits_2(runner, tmp_path, port):
 
 
 @pytest.mark.parametrize(
-    "address", ["::1:1883", "127.0.0.1:" + "9" * 5000], ids=["IPv6 without brackets", "5000-digit port"]
+    "address",
+    ["::1:1883", "127.0.0.1:" + "9" * 5000, "a\x00b:0", "a" * 64 + ".example:0"],
+    ids=["IPv6 without brackets", "5000-digit port", "a NUL byte", "a 64-character label"],
 )
 def test_a_listen_address_off_the_rule_exits_2(runner, tmp_path, address):
-    # The first bound ::1 port 1883; the second raised ValueError past int()'s digit limit.
+    # The first bound ::1 port 1883; the second raised ValueError past int()'s
+    # digit limit; the last two raised ValueError and UnicodeError from the bind.
     path = tmp_path / "broker.json"
     path.write_text(json.dumps({**_CONFIG, "listen_address": address}))
     result = runner.invoke(main, ["broker", "--config", str(path)])
@@ -605,6 +611,43 @@ class TestClientCommands:
         assert result.stderr == (
             f"error: DaxiotError: {env.broker_did} service endpoint {endpoint!r} is not tcp://host:port\n"
         )
+
+    @pytest.mark.parametrize("host", ["a\x00b", "a" * 64 + ".example"], ids=["a NUL byte", "a 64-character label"])
+    def test_subscribe_refuses_an_endpoint_host_no_resolver_takes_before_dialling(
+        self, runner, tmp_path, monkeypatch, host
+    ):
+        # publish meets the same hosts in BAD_ENDPOINTS; name resolution refused
+        # them with ValueError or UnicodeError, not OSError.
+        import daxiot.transport
+
+        def create_connection(*args, **kwargs):
+            attempts.append(args)
+            raise OSError("no connection expected")
+
+        attempts: list = []
+        monkeypatch.setattr(daxiot.transport.socket, "create_connection", create_connection)
+        env = build_scenario(tmp_path / "env")
+        endpoint = f"tcp://{host}:1883"
+        broker_key = load_signing_key(env.config.signing_key_path)
+        write_didweb_document(Path(env.config.did_web_dir), broker_key, env.broker_did, endpoint)
+        save_credential_files(tmp_path / "sub-cred", env.subscriber.credential, env.subscriber.disclosures)
+        result = runner.invoke(
+            main,
+            [
+                "subscribe",
+                "--key", str(tmp_path / "env" / "keys" / "subscriber.key"),
+                "--credential-dir", str(tmp_path / "sub-cred"),
+                "--broker-did", env.broker_did,
+                "--did-web-dir", env.config.did_web_dir,
+                "--topic", env.topic,
+            ],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: DaxiotError: {env.broker_did} service endpoint {endpoint!r} is not tcp://host:port\n"
+        )
+        assert attempts == []
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_subscribe_refuses_a_count_below_one_before_connecting(self, runner, tmp_path, monkeypatch, count):

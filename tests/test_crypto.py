@@ -13,9 +13,9 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 import daxiot.crypto
 from daxiot.credential import AuthorizationClaim, issue
 from daxiot.crypto import (
-    _CIPHERS_PER_KEY,
     _VERDICTS,
     SessionKey,
+    XChaCha20Poly1305,
     aead_decrypt,
     aead_encrypt,
     convert_public_key,
@@ -165,11 +165,14 @@ class TestNoKeyInRepr:
         sign(keypair, b"load the memo")
         agreement = to_agreement_keypair(keypair)
         session = SessionKey(key=bytes(range(100, 132)))
-        aead_encrypt(session, os.urandom(24), b"x", b"")
+        nonce = os.urandom(24)
+        cipher = XChaCha20Poly1305(session, nonce[:16])
+        aead_encrypt(cipher, nonce, b"x", b"")
         for text, secret in (
             (repr(keypair), keypair.secret),
             (repr(agreement), agreement.secret),
             (repr(session), session.key),
+            (repr(cipher), session.key),
         ):
             assert not _shows(text, secret)
         assert repr(keypair.public) in repr(keypair)
@@ -380,97 +383,121 @@ def _flip(data: bytes, position: int, mask: int = 0x01) -> bytes:
 
 
 class TestAead:
-    def _key(self):
-        return SessionKey(key=b"\x42" * 32)
+    def _cipher(self, nonce: bytes, key: bytes = b"\x42" * 32) -> XChaCha20Poly1305:
+        return XChaCha20Poly1305(SessionKey(key=key), nonce[:16])
 
     @settings(max_examples=60, deadline=None)
     @given(plaintext=st.binary(max_size=256), aad=st.binary(max_size=64))
     def test_roundtrip(self, plaintext, aad):
-        envelope = aead_encrypt(self._key(), os.urandom(24), plaintext, aad)
-        assert aead_decrypt(self._key(), envelope, aad) == plaintext
+        nonce = os.urandom(24)
+        envelope = aead_encrypt(self._cipher(nonce), nonce, plaintext, aad)
+        assert aead_decrypt(self._cipher(nonce), envelope, aad) == plaintext
 
     def test_tampered_ciphertext_rejected(self):
-        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
+        nonce = os.urandom(24)
+        envelope = aead_encrypt(self._cipher(nonce), nonce, b"hello", b"aad")
         with pytest.raises(IntegrityError):
-            aead_decrypt(self._key(), _flip(envelope, 24), b"aad")
+            aead_decrypt(self._cipher(nonce), _flip(envelope, 24), b"aad")
 
     def test_tampered_nonce_rejected(self):
-        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
+        nonce = os.urandom(24)
+        envelope = aead_encrypt(self._cipher(nonce), nonce, b"hello", b"aad")
         for position in (0, 23):  # the prefix and the counter
             with pytest.raises(IntegrityError):
-                aead_decrypt(self._key(), _flip(envelope, position), b"aad")
+                aead_decrypt(self._cipher(nonce), _flip(envelope, position), b"aad")
 
     def test_wrong_aad_rejected(self):
-        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
+        nonce = os.urandom(24)
+        envelope = aead_encrypt(self._cipher(nonce), nonce, b"hello", b"aad")
         with pytest.raises(IntegrityError):
-            aead_decrypt(self._key(), envelope, b"other")
+            aead_decrypt(self._cipher(nonce), envelope, b"other")
 
     def test_wrong_key_rejected(self):
-        envelope = aead_encrypt(self._key(), os.urandom(24), b"hello", b"aad")
-        other = SessionKey(key=b"\x43" * 32)
+        nonce = os.urandom(24)
+        envelope = aead_encrypt(self._cipher(nonce), nonce, b"hello", b"aad")
+        other = self._cipher(nonce, key=b"\x43" * 32)
         with pytest.raises(IntegrityError):
             aead_decrypt(other, envelope, b"aad")
 
     def test_fixed_inputs_fixed_ciphertext(self):
         nonce = _nonce(b"\xaa" * 16, 7)
-        one = aead_encrypt(self._key(), nonce, b"payload", b"aad")
-        two = aead_encrypt(self._key(), nonce, b"payload", b"aad")
+        one = aead_encrypt(self._cipher(nonce), nonce, b"payload", b"aad")
+        two = aead_encrypt(self._cipher(nonce), nonce, b"payload", b"aad")
         assert one == two
 
     def test_envelope_serialization(self):
         nonce = os.urandom(24)
-        envelope = aead_encrypt(self._key(), nonce, b"payload", b"")
+        envelope = aead_encrypt(self._cipher(nonce), nonce, b"payload", b"")
         assert envelope[:24] == nonce
         assert len(envelope) == 24 + len(b"payload") + 16
 
     def test_envelope_too_short(self):
+        cipher = self._cipher(bytes(24))
         for length in (0, 30, 39):
             with pytest.raises(CryptoError) as refused:
-                aead_decrypt(self._key(), b"\x00" * length, b"")
+                aead_decrypt(cipher, b"\x00" * length, b"")
             assert refused.type is CryptoError
         with pytest.raises(IntegrityError):  # long enough: refused by its tag
-            aead_decrypt(self._key(), b"\x00" * 40, b"")
+            aead_decrypt(cipher, b"\x00" * 40, b"")
 
     def test_nonce_of_wrong_length_refused(self):
+        cipher = self._cipher(bytes(24))
         for length in (0, 16, 23, 25):
             with pytest.raises(CryptoError):
-                aead_encrypt(self._key(), b"\x00" * length, b"x", b"")
+                aead_encrypt(cipher, b"\x00" * length, b"x", b"")
 
 
-class TestCipherMemo:
-    def test_alternating_prefixes_match_independent_path(self):
+class TestPrefixBinding:
+    """A cipher serves one key and one nonce prefix, the run a ``Channel`` owns."""
+
+    KEY = SessionKey(key=b"\x42" * 32)
+
+    def test_each_prefix_matches_the_independent_path(self):
         key = SessionKey(key=bytes(range(32)))
-        prefixes = [b"\x01" * 16, b"\x02" * 16]
+        ciphers = [XChaCha20Poly1305(key, b"\x01" * 16), XChaCha20Poly1305(key, b"\x02" * 16)]
         for counter in range(20):
-            for prefix in prefixes:
-                nonce = _nonce(prefix, counter)
-                envelope = aead_encrypt(key, nonce, b"reading %d" % counter, b"aad")
-                reference = ChaCha20Poly1305(hchacha20_oracle(key.key, prefix)).encrypt(
+            for cipher in ciphers:
+                nonce = _nonce(cipher.prefix, counter)
+                envelope = aead_encrypt(cipher, nonce, b"reading %d" % counter, b"aad")
+                reference = ChaCha20Poly1305(hchacha20_oracle(key.key, cipher.prefix)).encrypt(
                     bytes(4) + counter.to_bytes(8, "big"), b"reading %d" % counter, b"aad"
                 )
                 assert envelope == nonce + reference
-                assert aead_decrypt(key, envelope, b"aad") == b"reading %d" % counter
+                assert aead_decrypt(cipher, envelope, b"aad") == b"reading %d" % counter
 
-    def test_bit_flip_under_warm_cache_rejected(self):
-        key = SessionKey(key=b"\x42" * 32)
-        envelope = aead_encrypt(key, os.urandom(24), b"hello", b"aad")
-        assert aead_decrypt(key, envelope, b"aad") == b"hello"
+    def test_a_used_cipher_still_refuses_a_bit_flip(self):
+        nonce = os.urandom(24)
+        cipher = XChaCha20Poly1305(self.KEY, nonce[:16])
+        envelope = aead_encrypt(cipher, nonce, b"hello", b"aad")
+        assert aead_decrypt(cipher, envelope, b"aad") == b"hello"
         for position in (24, len(envelope) - 1):
             with pytest.raises(IntegrityError):
-                aead_decrypt(key, _flip(envelope, position, 0x80), b"aad")
-        assert aead_decrypt(key, envelope, b"aad") == b"hello"
+                aead_decrypt(cipher, _flip(envelope, position, 0x80), b"aad")
+        assert aead_decrypt(cipher, envelope, b"aad") == b"hello"
 
-    def test_memo_stays_within_its_bound(self):
-        key = SessionKey(key=b"\x42" * 32)
-        for index in range(50):
-            envelope = aead_encrypt(key, _nonce(index.to_bytes(16, "big"), 0), b"x", b"")
-            assert aead_decrypt(key, envelope, b"") == b"x"
-            assert len(key._ciphers) <= _CIPHERS_PER_KEY
+    @settings(max_examples=40, deadline=None)
+    @given(prefix=st.binary(min_size=16, max_size=16), other=st.binary(min_size=16, max_size=16))
+    def test_a_nonce_of_another_prefix_is_refused(self, prefix, other):
+        if other == prefix:
+            other = bytes(b ^ 0xFF for b in prefix)
+        with pytest.raises(CryptoError) as refused:
+            aead_encrypt(XChaCha20Poly1305(self.KEY, prefix), _nonce(other, 0), b"x", b"")
+        assert refused.type is CryptoError
 
-    def test_memo_is_not_part_of_key_identity(self):
-        used, fresh = SessionKey(key=b"\x42" * 32), SessionKey(key=b"\x42" * 32)
-        aead_encrypt(used, os.urandom(24), b"x", b"")
-        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    @settings(max_examples=40, deadline=None)
+    @given(prefix=st.binary(min_size=16, max_size=16), other=st.binary(min_size=16, max_size=16))
+    def test_an_envelope_of_another_prefix_is_refused(self, prefix, other):
+        # Sealed under the same key, so only the prefix tells the two ciphers apart.
+        if other == prefix:
+            other = bytes(b ^ 0xFF for b in prefix)
+        envelope = aead_encrypt(XChaCha20Poly1305(self.KEY, other), _nonce(other, 0), b"x", b"")
+        with pytest.raises(IntegrityError):
+            aead_decrypt(XChaCha20Poly1305(self.KEY, prefix), envelope, b"")
+
+    def test_a_prefix_of_the_wrong_length_is_refused(self):
+        for length in (0, 15, 17, 24):
+            with pytest.raises(CryptoError):
+                XChaCha20Poly1305(self.KEY, bytes(length))
 
 
 class TestNonce:

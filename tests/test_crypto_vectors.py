@@ -10,6 +10,7 @@ import pytest
 
 from daxiot.crypto import (
     SessionKey,
+    XChaCha20Poly1305,
     _dh,
     _hchacha20,
     aead_decrypt,
@@ -132,19 +133,21 @@ XCHACHA_TAG = "c0875924c1c7987947deafd8780acf49"
 
 
 def test_xchacha20poly1305_draft_vector():
-    key = SessionKey(key=XCHACHA_KEY)
-    envelope = aead_encrypt(key, XCHACHA_NONCE, XCHACHA_PLAINTEXT, XCHACHA_AAD)
+    cipher = XChaCha20Poly1305(SessionKey(key=XCHACHA_KEY), XCHACHA_NONCE[:16])
+    envelope = aead_encrypt(cipher, XCHACHA_NONCE, XCHACHA_PLAINTEXT, XCHACHA_AAD)
     assert envelope[:24] == XCHACHA_NONCE
     assert envelope[24:].hex() == XCHACHA_CIPHERTEXT + XCHACHA_TAG
-    assert aead_decrypt(key, envelope, XCHACHA_AAD) == XCHACHA_PLAINTEXT
+    assert aead_decrypt(cipher, envelope, XCHACHA_AAD) == XCHACHA_PLAINTEXT
 
 
 def test_xchacha20poly1305_draft_vector_on_a_warm_key():
     key = SessionKey(key=XCHACHA_KEY)
-    aead_encrypt(key, b"\xff" * 16 + bytes(8), b"warm-up", b"")
-    envelope = aead_encrypt(key, XCHACHA_NONCE, XCHACHA_PLAINTEXT, XCHACHA_AAD)
+    warm = XChaCha20Poly1305(key, b"\xff" * 16)
+    aead_encrypt(warm, b"\xff" * 16 + bytes(8), b"warm-up", b"")
+    cipher = XChaCha20Poly1305(key, XCHACHA_NONCE[:16])
+    envelope = aead_encrypt(cipher, XCHACHA_NONCE, XCHACHA_PLAINTEXT, XCHACHA_AAD)
     assert envelope == XCHACHA_NONCE + bytes.fromhex(XCHACHA_CIPHERTEXT + XCHACHA_TAG)
-    assert aead_decrypt(key, envelope, XCHACHA_AAD) == XCHACHA_PLAINTEXT
+    assert aead_decrypt(cipher, envelope, XCHACHA_AAD) == XCHACHA_PLAINTEXT
 
 
 ZERO_SEED_ED25519_PUBLIC = "3b6a27bcceb6a42d62a3a8d02a6f0d73653215771de243a63ac048a18b59da29"

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import ast
 import base64
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,7 @@ from daxiot.credential import (
     load_credential_files,
     save_credential_files,
 )
-from daxiot.crypto import aead_encrypt, ecdh_es, generate_signing_keypair, load_agreement_key, to_agreement_keypair
+from daxiot.crypto import XChaCha20Poly1305, aead_encrypt, ecdh_es, generate_signing_keypair, load_agreement_key, to_agreement_keypair
 from daxiot.did import document_from_json, didkey_encode
 from daxiot.errors import (
     MAX_JSON_DEPTH,
@@ -91,7 +93,10 @@ def _static_did_site(env, tmp_path):
         broker_key,
         protocol._es_context(ephemeral_did, env.broker_did),
     )
-    envelope = aead_encrypt(key, protocol._fresh_nonce(), NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did.encode()))
+    nonce = protocol._fresh_nonce()
+    envelope = aead_encrypt(
+        XChaCha20Poly1305(key, nonce[:16]), nonce, NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did.encode())
+    )
     packet = Packet(
         kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope
     )
@@ -319,6 +324,17 @@ ADDRESSES = {
     "no host": (":1883", None),
     "empty brackets": ("[]:1883", None),
     "nested brackets": ("[[::1]]:1883", None),
+    # Name resolution refuses these with ValueError or UnicodeError, not OSError.
+    "a NUL byte": ("a\x00b:1883", None),
+    "a NUL byte in brackets": ("[::1\x00]:1883", None),
+    "a 64-character label": ("a" * 64 + ".example:1883", None),
+    "an empty label": ("a..example:1883", None),
+    "a 64-character IPv6 zone": ("[fe80::1%" + "z" * 60 + "]:1883", None),
+    "a 63-character label": ("a" * 63 + ".example:1883", ("a" * 63 + ".example", 1883)),
+    "a trailing dot": ("broker.example.:1883", ("broker.example.", 1883)),
+    "an IPv6 zone": ("[fe80::1%eth0]:1883", ("fe80::1%eth0", 1883)),
+    "a non-ASCII name": ("b\u00fccher.example:1883", ("b\u00fccher.example", 1883)),
+    "a non-ASCII label over 63 characters as IDNA": ("\u00fc" * 60 + ".example:1883", None),
 }
 
 
@@ -336,6 +352,40 @@ def test_a_listen_address_and_an_endpoint_follow_one_rule(case):
             _tcp_address("did:web:broker.example", f"tcp://{text}")
     else:
         assert _tcp_address("did:web:broker.example", f"tcp://{text}") == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(host=st.text("a.\u00fc", min_size=1, max_size=140))
+@example(host="a" * 64)
+@example(host="a" * 63 + ".")
+@example(host="a..")
+def test_a_host_is_refused_exactly_when_the_idna_codec_refuses_it(host):
+    # getaddrinfo encodes every host with the IDNA codec first; decode_address
+    # checks an ASCII host by the codec's rule without loading it.
+    try:
+        host.encode("idna")
+        expected = (host, 1883)
+    except UnicodeError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ConfigError):
+            decode_address(f"{host}:1883", ConfigError, "listen_address")
+    else:
+        assert decode_address(f"{host}:1883", ConfigError, "listen_address") == expected
+
+
+def test_an_ascii_host_is_checked_without_loading_the_idna_codec():
+    code = (
+        "import sys\n"
+        "from daxiot.errors import ConfigError, decode_address\n"
+        "decode_address('broker.example:1883', ConfigError, 'listen_address')\n"
+        "print('encodings.idna' in sys.modules)\n"
+    )
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}
+    )
+    assert result.stdout == "False\n"
 
 
 def test_addresses_are_split_only_by_decode_address():

@@ -27,7 +27,7 @@ import daxiot.crypto
 import daxiot.did
 import daxiot.protocol
 import daxiot.snapshot
-from daxiot.crypto import SessionKey, aead_encrypt, load_signing_key
+from daxiot.crypto import SessionKey, XChaCha20Poly1305, aead_encrypt, load_signing_key
 from daxiot.errors import (
     AuthenticationError,
     ConnectionRejected,
@@ -209,7 +209,7 @@ class TestChannel:
                     sender.seal(PacketKind.PUBLISH, *fields)
                 # Envelopes at the counters a sender would have needed, up to the last one.
                 envelopes = [
-                    aead_encrypt(CHANNEL_KEY, _nonce(prefix, min(start + i, LAST_COUNTER)), field, aad)
+                    aead_encrypt(sender.cipher, _nonce(prefix, min(start + i, LAST_COUNTER)), field, aad)
                     for i, field in enumerate(fields)
                 ]
                 with pytest.raises(NonceOverflowError):
@@ -577,7 +577,8 @@ class TestTampering:
         connection.recv()
         key = loopback.engine.sessions[client.ephemeral_did].c2b.key
         aad = bytes([PacketKind.AUTH_CHALLENGE]) + client.ephemeral_did.encode()
-        envelope = aead_encrypt(key, daxiot.protocol._fresh_nonce(), bytes(length), aad)
+        nonce = daxiot.protocol._fresh_nonce()
+        envelope = aead_encrypt(XChaCha20Poly1305(key, nonce[:16]), nonce, bytes(length), aad)
         challenge = Packet(kind=PacketKind.AUTH_CHALLENGE, auth_data=envelope)
         with pytest.raises(ProtocolError) as refused:
             client.handle_challenge(challenge)
@@ -697,9 +698,10 @@ class TestAuthorization:
         connection = loopback.open()
         connection.send(client.begin_connect(env.broker_did))
         client.handle_challenge(connection.recv())  # no response sent
+        nonce = daxiot.protocol._fresh_nonce()
         envelope = aead_encrypt(
-            client._send.key,
-            daxiot.protocol._fresh_nonce(),
+            XChaCha20Poly1305(client._send.key, nonce[:16]),
+            nonce,
             env.topic.encode(),
             bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode(),
         )
@@ -951,7 +953,7 @@ class TestBrokerState:
         session.c2b.counter = first
         aad = bytes([kind]) + client.ephemeral_did.encode()
         envelopes = [
-            aead_encrypt(client._send.key, _nonce(prefix, first + i), field, aad)
+            aead_encrypt(client._send.cipher, _nonce(prefix, first + i), field, aad)
             for i, field in enumerate(fields)
         ]
         packet = Packet(kind=kind, topic=envelopes[0], payload=envelopes[1] if len(envelopes) > 1 else None)
@@ -1246,16 +1248,18 @@ def test_the_broker_static_key_opens_a_recorded_session(env):
     broker_key = daxiot.crypto.load_agreement_key(broker.secret)
     ephemeral_public = env.resolver().resolve(connect.client_id).agreement_key
     k_es = daxiot.crypto.ecdh_es(broker_key, ephemeral_public, b"DAXiot-ES" + session + env.broker_did.encode())
-    static_did = daxiot.crypto.aead_decrypt(k_es, connect.auth_data, bytes([PacketKind.CONNECT]) + session)
+    static_did = daxiot.crypto.aead_decrypt(
+        XChaCha20Poly1305(k_es, connect.auth_data[:16]), connect.auth_data, bytes([PacketKind.CONNECT]) + session
+    )
     k_1pu = daxiot.crypto.ecdh_1pu_receiver(
         broker_key,
         ephemeral_public,
         env.resolver().resolve(static_did.decode()).agreement_key,
         b"DAXiot-1PU" + static_did + env.broker_did.encode(),
     )
-    aad = bytes([PacketKind.PUBLISH]) + session
-    assert daxiot.crypto.aead_decrypt(k_1pu, publish.topic, aad) == env.topic.encode()
-    assert daxiot.crypto.aead_decrypt(k_1pu, publish.payload, aad) == b"21.5 C"
+    aad, c2b = bytes([PacketKind.PUBLISH]) + session, XChaCha20Poly1305(k_1pu, publish.topic[:16])
+    assert daxiot.crypto.aead_decrypt(c2b, publish.topic, aad) == env.topic.encode()
+    assert daxiot.crypto.aead_decrypt(c2b, publish.payload, aad) == b"21.5 C"
 
 
 # ---------------------------------------------------------------------------
@@ -1448,7 +1452,7 @@ def _exhausted_c2b(env, loopback):
     session = loopback.engine.sessions[client.ephemeral_did]
     session.c2b.counter = LAST_COUNTER
     aad = bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode()
-    envelope = aead_encrypt(session.c2b.key, session.c2b.nonce, env.topic.encode(), aad)
+    envelope = aead_encrypt(session.c2b.cipher, session.c2b.nonce, env.topic.encode(), aad)
     packet = Packet(kind=PacketKind.SUBSCRIBE, topic=envelope)
     return client.ephemeral_did, packet
 
