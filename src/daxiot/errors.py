@@ -164,10 +164,8 @@ def decode_address(text: str, error: type[DaxiotError], what: str) -> tuple[str,
     only that, so the port is what follows the last colon. A host that name
     resolution can never take is refused too: one with a NUL byte, or with a label
     the IDNA codec refuses, since ``getaddrinfo`` encodes every host with it, an
-    IPv6 zone included. An ASCII host is checked by the codec's rule for one (no
-    empty label but the last, none over 63 characters) without loading the codec
-    and the Unicode tables it imports, about 0.4 MiB. The host is returned as
-    written; whether it resolves is for the bind or the dial to find out."""
+    IPv6 zone included. The host is returned as written; whether it resolves is
+    for the bind or the dial to find out."""
     host, _, port = text.rpartition(":")
     ipv6 = host.startswith("[") and host.endswith("]")
     if ipv6:
@@ -176,14 +174,10 @@ def decode_address(text: str, error: type[DaxiotError], what: str) -> tuple[str,
         not host or (":" in host) is not ipv6 or "[" in host or "]" in host or "\0" in host
         or not (port.isascii() and port.isdecimal() and len(port) <= 5 and int(port) <= 65535)
     )
-    if host.isascii():
-        *labels, last = host.split(".")
-        refused = refused or len(last) > 63 or not all(0 < len(label) < 64 for label in labels)
-    else:
-        try:
-            host.encode("idna")
-        except UnicodeError:
-            refused = True
+    try:
+        host.encode("idna")
+    except UnicodeError:
+        refused = True
     if refused:
         raise error(
             f"{what} must be host:port or [IPv6]:port, port 0-65535, with a host name resolution can take, got {text!r}"

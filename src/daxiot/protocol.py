@@ -142,21 +142,20 @@ class Channel:
     opens one the peer started, the one place that requires counter zero.
     """
 
-    __slots__ = ("key", "cipher", "_did", "prefix", "counter")
+    __slots__ = ("key", "cipher", "_did", "counter")
 
     def __init__(self, key: SessionKey, ephemeral_did: str, nonce: bytes) -> None:
         if len(nonce) != NONCE_LEN:
             raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
         self.key = key
         self._did = ephemeral_did.encode("utf-8")
-        self.prefix = nonce[:NONCE_PREFIX_LEN]
-        self.cipher = XChaCha20Poly1305(key, self.prefix)
+        self.cipher = XChaCha20Poly1305(key, nonce[:NONCE_PREFIX_LEN])
         self.counter = int.from_bytes(nonce[NONCE_PREFIX_LEN:], "big")
 
     @property
     def nonce(self) -> bytes:
         """The next nonce this channel uses or accepts."""
-        return self.prefix + self.counter.to_bytes(8, "big")
+        return self.cipher.prefix + self.counter.to_bytes(8, "big")
 
     def _next(self, count: int) -> int:
         """The first of the next ``count`` counters; nothing is committed."""
@@ -168,9 +167,9 @@ class Channel:
     def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[bytes]:
         """Encrypt each plaintext into an envelope under the next consecutive nonce."""
         first = self._next(len(plaintexts))
-        cipher, prefix, aad = self.cipher, self.prefix, _aad(kind, self._did)
+        cipher, aad = self.cipher, _aad(kind, self._did)
         envelopes = [
-            aead_encrypt(cipher, prefix + (first + offset).to_bytes(8, "big"), plaintext, aad)
+            aead_encrypt(cipher, cipher.prefix + (first + offset).to_bytes(8, "big"), plaintext, aad)
             for offset, plaintext in enumerate(plaintexts)
         ]
         self.counter = first + len(plaintexts)
@@ -182,7 +181,7 @@ class Channel:
         if None in envelopes:
             raise ProtocolError(f"{kind.name.lower()} is missing an encrypted field")
         first = self._next(len(envelopes))
-        prefix = self.prefix
+        prefix = self.cipher.prefix
         for offset, envelope in enumerate(envelopes):
             if envelope[:NONCE_LEN] != prefix + (first + offset).to_bytes(8, "big"):
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")

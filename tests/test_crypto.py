@@ -511,7 +511,7 @@ class TestNonce:
         channel = self._channel(raw)
         assert len(channel.nonce) == 24
         assert channel.nonce == raw
-        assert channel.prefix == b"\x01" * 16
+        assert channel.cipher.prefix == b"\x01" * 16
         assert channel.counter == 0x0102030405060708
         (envelope,) = channel.seal(PacketKind.PUBLISH, b"x")
         assert envelope[:24] == raw
@@ -521,7 +521,7 @@ class TestNonce:
         (envelope,) = channel.seal(PacketKind.PUBLISH, b"x")
         assert envelope[:24] == _nonce(b"\x02" * 16, 41)
         assert channel.counter == 42
-        assert channel.prefix == b"\x02" * 16
+        assert channel.cipher.prefix == b"\x02" * 16
         assert channel.nonce == _nonce(b"\x02" * 16, 42)
 
     def test_zero_to_one(self):

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import ast
 import base64
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -360,8 +358,7 @@ def test_a_listen_address_and_an_endpoint_follow_one_rule(case):
 @example(host="a" * 63 + ".")
 @example(host="a..")
 def test_a_host_is_refused_exactly_when_the_idna_codec_refuses_it(host):
-    # getaddrinfo encodes every host with the IDNA codec first; decode_address
-    # checks an ASCII host by the codec's rule without loading it.
+    # getaddrinfo encodes every host with the IDNA codec first.
     try:
         host.encode("idna")
         expected = (host, 1883)
@@ -372,20 +369,6 @@ def test_a_host_is_refused_exactly_when_the_idna_codec_refuses_it(host):
             decode_address(f"{host}:1883", ConfigError, "listen_address")
     else:
         assert decode_address(f"{host}:1883", ConfigError, "listen_address") == expected
-
-
-def test_an_ascii_host_is_checked_without_loading_the_idna_codec():
-    code = (
-        "import sys\n"
-        "from daxiot.errors import ConfigError, decode_address\n"
-        "decode_address('broker.example:1883', ConfigError, 'listen_address')\n"
-        "print('encodings.idna' in sys.modules)\n"
-    )
-    src = str(Path(protocol.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}
-    )
-    assert result.stdout == "False\n"
 
 
 def test_addresses_are_split_only_by_decode_address():

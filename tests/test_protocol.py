@@ -168,7 +168,7 @@ class TestChannel:
             assert receiver.open(PacketKind.PUBLISH, *envelopes) == fields
             expected += size
             assert sender.counter == receiver.counter == expected
-            assert sender.prefix == receiver.prefix == prefix
+            assert sender.cipher.prefix == receiver.cipher.prefix == prefix
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -548,7 +548,7 @@ class TestReplayProtection:
         publisher = env.publisher_client()
         establish(loopback, publisher, env.broker_did)
         session = loopback.engine.sessions[publisher.ephemeral_did]
-        assert session.b2c.prefix != session.c2b.prefix
+        assert session.b2c.cipher.prefix != session.c2b.cipher.prefix
 
 
 class TestTampering:
@@ -659,7 +659,7 @@ class TestTampering:
         foreign = Packet(
             kind=PacketKind.PUBLISH,
             topic=_renonce(packet.topic, c2b.nonce),
-            payload=_renonce(packet.payload, _nonce(c2b.prefix, c2b.counter + 1)),
+            payload=_renonce(packet.payload, _nonce(c2b.cipher.prefix, c2b.counter + 1)),
         )
         loopback.engine.handle_packet(publisher_b.ephemeral_did, foreign)
         assert refusal(loopback.events) == ("publish_rejected", "IntegrityError", "J")
@@ -949,7 +949,7 @@ class TestBrokerState:
         establish(loopback, client, env.broker_did)
         session = loopback.engine.sessions[client.ephemeral_did]
         fields = [env.topic.encode(), b"last"] if kind is PacketKind.PUBLISH else [env.topic.encode()]
-        prefix, first = session.c2b.prefix, LAST_COUNTER + 1 - len(fields)
+        prefix, first = session.c2b.cipher.prefix, LAST_COUNTER + 1 - len(fields)
         session.c2b.counter = first
         aad = bytes([kind]) + client.ephemeral_did.encode()
         envelopes = [
