@@ -159,6 +159,8 @@ class _Connection(asyncio.BufferedProtocol):
     in one step, so connections can share the area.
     """
 
+    __slots__ = ("_service", "_buffer", "_session_id", "transport", "lost")
+
     def __init__(self, service: "BrokerService") -> None:
         self._service = service
         self._buffer = bytearray()

@@ -48,6 +48,23 @@ def _fail(message: str, code: int = 1) -> None:
     sys.exit(code)
 
 
+class _Text(click.types.StringParamType):
+    """An option's text, refused as a usage error (exit 2) unless UTF-8 can
+    encode it: argv bytes that are not UTF-8 arrive as lone surrogates, which
+    no file, frame or document can carry."""
+
+    def convert(self, value, param, ctx) -> str:
+        value = super().convert(value, param, ctx)
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            self.fail(f"{value!r} is not UTF-8 text", param, ctx)
+        return value
+
+
+_TEXT = _Text()
+
+
 # ---------------------------------------------------------------------------
 # Keys and documents
 # ---------------------------------------------------------------------------
@@ -78,8 +95,8 @@ def did_show(key_path: Path) -> None:
 
 @main.command("didweb-emit")
 @click.option("--key", "key_path", required=True, type=click.Path(path_type=Path))
-@click.option("--did", "did_text", required=True)
-@click.option("--endpoint", default=None, help="Service endpoint URI, e.g. tcp://host:port.")
+@click.option("--did", "did_text", required=True, type=_TEXT)
+@click.option("--endpoint", default=None, type=_TEXT, help="Service endpoint URI, e.g. tcp://host:port.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def didweb_emit(key_path: Path, did_text: str, endpoint: str | None, out_dir: Path) -> None:
     """Write the DID document for a did:web identity into --out-dir."""
@@ -113,10 +130,10 @@ def _tcp_address(did: str, uri: str) -> tuple[str, int]:
 
 @main.command()
 @click.option("--key", "key_path", required=True, type=click.Path(path_type=Path))
-@click.option("--issuer-did", required=True)
-@click.option("--subject-did", required=True)
+@click.option("--issuer-did", required=True, type=_TEXT)
+@click.option("--subject-did", required=True, type=_TEXT)
 @click.option("--claims", "claims_path", required=True, type=click.Path(path_type=Path))
-@click.option("--jti", required=True, help="Credential id; uniqueness is the issuer's duty.")
+@click.option("--jti", required=True, type=_TEXT, help="Credential id; uniqueness is the issuer's duty.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def issue(key_path: Path, issuer_did: str, subject_did: str, claims_path: Path, jti: str, out_dir: Path) -> None:
     """Issue a credential from a claims file into OUT_DIR/credential.sdjwt; prints that path.
@@ -156,7 +173,7 @@ def _edit_trust_file(path: Path, kind: type, edit: Callable, done: str) -> None:
 
 @main.command()
 @click.option("--rr", "rr_path", required=True, type=click.Path(path_type=Path))
-@click.option("--jti", required=True)
+@click.option("--jti", required=True, type=_TEXT)
 def revoke(rr_path: Path, jti: str) -> None:
     """Mark a credential id REVOKED in the registry file (idempotent)."""
     _edit_trust_file(rr_path, RevocationRegistry, lambda registry: registry.revoke(jti), f"{jti}: REVOKED")
@@ -164,7 +181,7 @@ def revoke(rr_path: Path, jti: str) -> None:
 
 @main.command("til-add")
 @click.option("--til", "til_path", required=True, type=click.Path(path_type=Path))
-@click.option("--did", "did_text", required=True)
+@click.option("--did", "did_text", required=True, type=_TEXT)
 def til_add(til_path: Path, did_text: str) -> None:
     """Add an issuer DID to the trusted issuer list (idempotent)."""
     _edit_trust_file(til_path, TrustedIssuerList, lambda til: til.with_member(Did.parse(did_text)), f"added {did_text}")
@@ -172,7 +189,7 @@ def til_add(til_path: Path, did_text: str) -> None:
 
 @main.command("til-remove")
 @click.option("--til", "til_path", required=True, type=click.Path(path_type=Path))
-@click.option("--did", "did_text", required=True)
+@click.option("--did", "did_text", required=True, type=_TEXT)
 def til_remove(til_path: Path, did_text: str) -> None:
     """Remove an issuer DID from the trusted issuer list (idempotent)."""
     _edit_trust_file(til_path, TrustedIssuerList, lambda til: til.without_member(Did.parse(did_text)), f"removed {did_text}")
@@ -234,10 +251,10 @@ def _connect_client(
 @main.command()
 @click.option("--key", "key_path", required=True, type=click.Path(path_type=Path))
 @click.option("--credential-dir", required=True, type=click.Path(path_type=Path))
-@click.option("--broker-did", required=True)
+@click.option("--broker-did", required=True, type=_TEXT)
 @click.option("--did-web-dir", required=True, type=click.Path(path_type=Path))
-@click.option("--topic", required=True)
-@click.option("--message", required=True)
+@click.option("--topic", required=True, type=_TEXT)
+@click.option("--message", required=True, type=_TEXT)
 def publish(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path, topic: str, message: str) -> None:
     """Connect, publish one message, and disconnect."""
     try:
@@ -254,9 +271,9 @@ def publish(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: 
 @main.command()
 @click.option("--key", "key_path", required=True, type=click.Path(path_type=Path))
 @click.option("--credential-dir", required=True, type=click.Path(path_type=Path))
-@click.option("--broker-did", required=True)
+@click.option("--broker-did", required=True, type=_TEXT)
 @click.option("--did-web-dir", required=True, type=click.Path(path_type=Path))
-@click.option("--topic", required=True)
+@click.option("--topic", required=True, type=_TEXT)
 @click.option("--count", default=1, show_default=True, type=click.IntRange(min=1), help="Messages to receive before exiting.")
 def subscribe(key_path: Path, credential_dir: Path, broker_did: str, did_web_dir: Path, topic: str, count: int) -> None:
     """Connect, subscribe, and print received messages."""

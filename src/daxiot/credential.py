@@ -237,12 +237,17 @@ class Presentation:
         return cls(credential=SdJwtCredential.parse(segments[0]), segments=tuple(segments[1:]))
 
 
+# The one empty topic set: an empty frozenset is not shared by CPython, and a
+# grant or a session holding none of either role keeps no set of its own.
+NO_TOPICS: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True, slots=True)
 class AuthorizationGrant:
     """Topic sets a verifier extracted from the disclosures aimed at it."""
 
-    publish_topics: frozenset[str] = frozenset()
-    subscribe_topics: frozenset[str] = frozenset()
+    publish_topics: frozenset[str] = NO_TOPICS
+    subscribe_topics: frozenset[str] = NO_TOPICS
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +470,8 @@ def verify_presentation(
         publish |= claim.publish_topics
         subscribe |= claim.subscribe_topics
     return AuthorizationGrant(
-        publish_topics=frozenset(publish), subscribe_topics=frozenset(subscribe)
+        publish_topics=frozenset(publish) if publish else NO_TOPICS,
+        subscribe_topics=frozenset(subscribe) if subscribe else NO_TOPICS,
     )
 
 

@@ -5,7 +5,7 @@ The handshake runs over the connect/challenge/response exchange:
 * the client connects under a fresh ephemeral identity and ships its static
   identity encrypted under an ephemeral-static agreement, so the wire never
   shows who is connecting and connections are unlinkable; from then until
-  step E it keeps only the one-pass unified key, and no X25519 key object;
+  step H it keeps only the one-pass unified key, and no X25519 key object;
 * the broker answers with a challenge nonce encrypted under the one-pass
   unified key; decrypting it authenticates the broker to the client;
 * the client answers with a selective credential presentation encrypted
@@ -13,12 +13,12 @@ The handshake runs over the connect/challenge/response exchange:
   the client's static identity to the broker, and the verified disclosures
   become the session's publish/subscribe grant.
 
-A client's phase is which of its fields are set: idle without a session key,
-CONNECT sent with the key alone, challenged once its sending channel exists,
-established once its receiving channel does. Each step sets its field last, so
-a step that raises leaves the phase as it was. A DISCONNECT in place of any
-reply the client awaits is the broker's refusal, raised as
-:class:`ConnectionRejected` with its reason code.
+A client's phase is which of its fields are set: idle without an ephemeral
+DID, CONNECT sent with the session key alone, challenged once its sending
+channel exists, established once its receiving channel does, when it drops
+the key. Each step sets its fields last, so a step that raises leaves the
+phase as it was. A DISCONNECT in place of any reply the client awaits is the
+broker's refusal, raised as :class:`ConnectionRejected` with its reason code.
 
 An envelope is bytes, exactly as the wire carries it: the 24-byte nonce,
 then ciphertext and tag. Every envelope, the handshake's included, is sealed
@@ -33,7 +33,9 @@ Nonce discipline after the challenge: each direction of a session is one
 channel under the session key. The client-to-broker channel starts at the
 challenge nonce; the broker-to-client channel starts at a fresh prefix
 announced in the success acknowledgement, so the two directions never share
-nonce space under the one session key. Every envelope takes the next value of
+nonce space under the one session key. Once both channels exist, neither
+side keeps the key: each channel holds only its cipher, and both hold the
+session's one ephemeral DID string. Every envelope takes the next value of
 its channel, and a receiver accepts exactly that value and nothing else; a
 publish takes two consecutive values (topic at n, payload at n+1), which
 proves both fields belong to the same message. :func:`_seal_publish` and
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .credential import (
+    NO_TOPICS,
     AuthorizationGrant,
     Disclosure,
     Presentation,
@@ -117,10 +120,10 @@ def _one_pu_context(static_did: str, broker_did: str) -> bytes:
     return _ONE_PU_LABEL + static_did.encode("utf-8") + broker_did.encode("utf-8")
 
 
-def _aad(kind: PacketKind, ephemeral_did: bytes) -> bytes:
+def _aad(kind: PacketKind, ephemeral_did: str) -> bytes:
     # Binds each envelope to its packet kind and session (the UTF-8 ephemeral
     # DID), blocking cross-context splicing of otherwise valid ciphertexts.
-    return bytes([kind]) + ephemeral_did
+    return bytes([kind]) + ephemeral_did.encode("utf-8")
 
 
 def _fresh_nonce() -> bytes:
@@ -140,15 +143,18 @@ class Channel:
     :class:`NonceOverflowError` and keeps its counter. A one-shot handshake
     envelope is a channel of its own at a fresh nonce; :meth:`open_first`
     opens one the peer started, the one place that requires counter zero.
+
+    It keeps the cipher it builds from the key, not the key, and the caller's
+    ephemeral DID string, not a copy, so a session's channels share the one
+    DID object the session is known by; the AAD encodes it on each call.
     """
 
-    __slots__ = ("key", "cipher", "_did", "counter")
+    __slots__ = ("cipher", "ephemeral_did", "counter")
 
     def __init__(self, key: SessionKey, ephemeral_did: str, nonce: bytes) -> None:
         if len(nonce) != NONCE_LEN:
             raise CryptoError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
-        self.key = key
-        self._did = ephemeral_did.encode("utf-8")
+        self.ephemeral_did = ephemeral_did
         self.cipher = XChaCha20Poly1305(key, nonce[:NONCE_PREFIX_LEN])
         self.counter = int.from_bytes(nonce[NONCE_PREFIX_LEN:], "big")
 
@@ -167,7 +173,7 @@ class Channel:
     def seal(self, kind: PacketKind, *plaintexts: bytes) -> list[bytes]:
         """Encrypt each plaintext into an envelope under the next consecutive nonce."""
         first = self._next(len(plaintexts))
-        cipher, aad = self.cipher, _aad(kind, self._did)
+        cipher, aad = self.cipher, _aad(kind, self.ephemeral_did)
         envelopes = [
             aead_encrypt(cipher, cipher.prefix + (first + offset).to_bytes(8, "big"), plaintext, aad)
             for offset, plaintext in enumerate(plaintexts)
@@ -186,7 +192,7 @@ class Channel:
             if envelope[:NONCE_LEN] != prefix + (first + offset).to_bytes(8, "big"):
                 raise ReplayError(f"{kind.name.lower()} does not use the next expected nonce")
             _envelope(envelope, kind)
-        cipher, aad = self.cipher, _aad(kind, self._did)
+        cipher, aad = self.cipher, _aad(kind, self.ephemeral_did)
         plaintexts = [aead_decrypt(cipher, envelope, aad) for envelope in envelopes]
         self.counter = first + len(envelopes)
         return plaintexts
@@ -264,7 +270,7 @@ class DaxiotClient:
     def _reset_session(self) -> None:
         self.ephemeral_did: str | None = None
         self.broker_did: str | None = None
-        self._session_key: SessionKey | None = None  # the 1PU key, derived in begin_connect
+        self._session_key: SessionKey | None = None  # the 1PU key, from begin_connect to step H
         self._send: Channel | None = None  # set at step F
         self._recv: Channel | None = None  # set at step H
         self._pending = {PacketKind.SUBACK: 0, PacketKind.PUBACK: 0}  # acks the broker owes
@@ -273,7 +279,7 @@ class DaxiotClient:
 
     def begin_connect(self, broker_did: Did | str) -> Packet:
         """Steps A and B: fresh ephemeral identity, encrypted static identity."""
-        if self._session_key is not None:
+        if self.ephemeral_did is not None:
             raise ProtocolOrderError("cannot connect: a session is already open; disconnect first")
         broker_did = str(Did.parse(broker_did))
         document = self._resolver.resolve(broker_did)
@@ -337,6 +343,7 @@ class DaxiotClient:
         if status != bytes([ReasonCode.SUCCESS]):
             raise AuthenticationError("connection ack payload contradicts its reason code")
         self._recv = recv
+        self._session_key = None  # both channels exist: nothing reads it again
 
     # -- established-session operations --------------------------------------
 
@@ -395,15 +402,17 @@ class DaxiotClient:
 class BrokerSession:
     """Per-client broker state keyed by the client's ephemeral DID.
 
-    Step H sets ``grant`` and ``b2c`` together, and a failed step H ends the
-    session, so a session is established exactly when ``b2c`` is set.
+    Step H sets ``grant`` and ``b2c`` together and clears ``key``, which only
+    step H reads, and a failed step H ends the session, so a session is
+    established exactly when ``b2c`` is set.
     """
 
     static_did: str
     c2b: Channel
+    key: SessionKey | None  # the 1PU key, from step D to step H
     grant: AuthorizationGrant | None = None
     b2c: Channel | None = None
-    topics: frozenset[str] = frozenset()  # what it subscribed to, so eviction visits only these
+    topics: frozenset[str] = NO_TOPICS  # what it subscribed to, so eviction visits only these
 
 
 @dataclass(slots=True)
@@ -603,7 +612,7 @@ class DaxiotBroker:
             PacketKind.AUTH_CHALLENGE, challenge_nonce
         )
         self.sessions[ephemeral_did] = BrokerSession(
-            static_did=static_did, c2b=Channel(k_1pu, ephemeral_did, challenge_nonce)
+            static_did=static_did, c2b=Channel(k_1pu, ephemeral_did, challenge_nonce), key=k_1pu
         )
         self._emit("challenge_sent", ephemeral_did)
         return ephemeral_did, Reply(
@@ -628,9 +637,9 @@ class DaxiotBroker:
             rr=RevocationRegistry.load(self._rr_path),
             resolver=self._resolver,
         )
-        session.grant = grant
-        session.b2c = Channel(session.c2b.key, session_id, _fresh_nonce())
-        (connack_envelope,) = session.b2c.seal(PacketKind.CONNACK, bytes([ReasonCode.SUCCESS]))
+        b2c = Channel(session.key, session.c2b.ephemeral_did, _fresh_nonce())
+        (connack_envelope,) = b2c.seal(PacketKind.CONNACK, bytes([ReasonCode.SUCCESS]))
+        session.grant, session.b2c, session.key = grant, b2c, None
         self._emit("authenticated", session_id, reason=session.static_did)
         return Reply(
             packets=[

@@ -28,7 +28,7 @@ import daxiot.crypto
 import daxiot.protocol
 from daxiot.bench import PlaintextBroker, PlaintextEngine
 from daxiot.broker_service import BrokerConfig, BrokerService, _Connection, json_lines
-from daxiot.credential import RevocationRegistry, TrustedIssuerList
+from daxiot.credential import NO_TOPICS, RevocationRegistry, TrustedIssuerList
 from daxiot.crypto import generate_signing_keypair
 from daxiot.errors import BindError, ConfigError, ConnectionRejected, FramingError
 from daxiot.scenario import build_scenario
@@ -594,12 +594,16 @@ def test_reconnecting_devices_leave_only_their_replay_entries(env):
 
 def test_an_idle_session_holds_two_ciphers_a_side_and_little_else(env):
     # Each side of an established session keeps one cipher per direction;
-    # the one-shot CONNECT and challenge ciphers go with their channels.
-    # Both sides' Python heap together grow by about 3.6 KB per idle session
-    # (about 5.8 KB while each key kept a cipher memo and each channel an AAD
-    # table). A cipher's subkey state is native, outside tracemalloc, so the
-    # cipher objects are counted instead, past any an earlier test left alive.
-    earlier = {id(obj): obj for obj in gc.get_objects() if type(obj).__name__ == "XChaCha20Poly1305"}
+    # the one-shot CONNECT and challenge ciphers go with their channels, and
+    # no session key outlives step H. A session's channels share the one DID
+    # string it is known by, and a grant role with no topic is the one shared
+    # empty set. Both sides' Python heap together grow by about 2.6 KB per
+    # idle session (3.6 KB while each channel kept the key and its own copy
+    # of the DID, 5.8 KB while each key kept a cipher memo). A cipher's subkey
+    # state is native, outside tracemalloc, so the cipher objects are counted
+    # instead, past any an earlier test left alive.
+    kept = (daxiot.crypto.XChaCha20Poly1305, daxiot.crypto.SessionKey)
+    earlier = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, kept)}
     network = LoopbackNetwork(env.config.engine())
     member, resolver = env.publisher, env.resolver()
 
@@ -626,7 +630,7 @@ def test_an_idle_session_holds_two_ciphers_a_side_and_little_else(env):
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert growth / sessions < 4500, f"{growth / sessions:.0f} B per idle session"
+    assert growth / sessions < 3200, f"{growth / sessions:.0f} B per idle session"
 
     last = devices(1)[0]
     run_handshake(last, network.open(), env.broker_did)
@@ -634,14 +638,19 @@ def test_an_idle_session_holds_two_ciphers_a_side_and_little_else(env):
     engine_sessions = network.engine.sessions.values()
     held = [cipher for session in engine_sessions for cipher in (session.c2b.cipher, session.b2c.cipher)]
     held += [cipher for client in warm + clients + [last] for cipher in (client._send.cipher, client._recv.cipher)]
-    alive = [
-        obj for obj in gc.get_objects() if isinstance(obj, daxiot.crypto.XChaCha20Poly1305) and id(obj) not in earlier
-    ]
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, kept) and id(obj) not in earlier]
     assert len(engine_sessions) == 10 + sessions + 1
     assert sorted(map(id, alive)) == sorted(map(id, held))
     assert len(set(map(id, held))) == 4 * len(engine_sessions)
     prefixes = {cipher.prefix for cipher in alive}
     assert connect[:16] not in prefixes and challenge[:16] not in prefixes
+
+    for session_id, session in network.engine.sessions.items():
+        assert session.c2b.ephemeral_did is session.b2c.ephemeral_did is session_id
+        assert session.key is None
+        assert session.grant.subscribe_topics is NO_TOPICS and session.topics is NO_TOPICS
+    for client in warm + clients + [last]:
+        assert client._send.ephemeral_did is client._recv.ephemeral_did is client.ephemeral_did
 
 
 def test_traced_codec_names_cover_the_router(env, monkeypatch):

@@ -13,12 +13,15 @@ import sys
 import threading
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import daxiot
 import daxiot.credential
-from daxiot.cli import main
+from daxiot.cli import _TEXT, main
 from daxiot.credential import (
     RevocationRegistry,
     TrustedIssuerList,
@@ -28,7 +31,7 @@ from daxiot.credential import (
     present,
 )
 from daxiot.crypto import generate_signing_keypair, load_signing_key, save_signing_key
-from daxiot.did import DirectoryWebSource, Resolver, write_didweb_document
+from daxiot.did import DirectoryWebSource, Resolver, didkey_encode, document_from_json, write_didweb_document
 from daxiot.errors import MalformedCredential
 from daxiot.scenario import build_scenario
 from daxiot.wire import ReasonCode
@@ -423,6 +426,149 @@ class TestRegistryCommands:
         assert json.loads(rr_path.read_text()) == {f"J{i}": "REVOKED" for i in range(6)}
         assert json.loads(til_path.read_text()) == sorted(f"did:web:owner{i}.example" for i in range(6))
         assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+# Every command that takes text, with each of its options; the text options are
+# the ones that name no file. A file named here is never read: a refused value
+# ends the command before it runs.
+COMMAND_OPTIONS = {
+    "didweb-emit": {"--key": "k", "--did": "did:web:a.example", "--endpoint": "tcp://a.example:1883", "--out-dir": "docs"},
+    "issue": {
+        "--key": "k", "--issuer-did": "did:web:a.example", "--subject-did": "did:key:z", "--claims": "c.json",
+        "--jti": "J1", "--out-dir": "out",
+    },
+    "revoke": {"--rr": "rr.json", "--jti": "J1"},
+    "til-add": {"--til": "til.json", "--did": "did:web:a.example"},
+    "til-remove": {"--til": "til.json", "--did": "did:web:a.example"},
+    "publish": {
+        "--key": "k", "--credential-dir": "cred", "--broker-did": "did:web:b.example", "--did-web-dir": "docs",
+        "--topic": "t", "--message": "m",
+    },
+    "subscribe": {
+        "--key": "k", "--credential-dir": "cred", "--broker-did": "did:web:b.example", "--did-web-dir": "docs",
+        "--topic": "t",
+    },
+}
+TEXT_OPTIONS = [
+    ("didweb-emit", "--did"), ("didweb-emit", "--endpoint"), ("issue", "--issuer-did"), ("issue", "--subject-did"),
+    ("issue", "--jti"), ("revoke", "--jti"), ("til-add", "--did"), ("til-remove", "--did"),
+    ("publish", "--broker-did"), ("publish", "--topic"), ("publish", "--message"),
+    ("subscribe", "--broker-did"), ("subscribe", "--topic"),
+]
+
+
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+class TestOptionText:
+    """On Linux, argv bytes that are not UTF-8 arrive as lone surrogates. Each
+    text option refuses them as a usage error, before any file is read or
+    written: a TIL or RR holding one could not be loaded again, and a DID,
+    topic or message holding one ended the command with a traceback."""
+
+    def test_every_text_option_is_checked(self):
+        types = {
+            (name, param.opts[0]): param.type
+            for name, command in main.commands.items()
+            for param in command.params
+            if isinstance(param.type, click.types.StringParamType)
+        }
+        assert types == {option: _TEXT for option in TEXT_OPTIONS}
+
+    @pytest.mark.parametrize("command,option", TEXT_OPTIONS, ids=[" ".join(option) for option in TEXT_OPTIONS])
+    def test_text_utf8_cannot_encode_exits_2(self, runner, tmp_path, command, option):
+        options = {**COMMAND_OPTIONS[command], option: "did:web:\udcff"}
+        args = [command]
+        for name, value in options.items():
+            args += [name, value if (command, name) in TEXT_OPTIONS else str(tmp_path / value)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output and "is not UTF-8 text" in result.output
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_raw_argv_bytes_that_are_not_utf8_exit_2(self, tmp_path):
+        # CliRunner passes str; only a real argv goes through the interpreter's decoding.
+        til_path = tmp_path / "til.json"
+        result = _python("-m", "daxiot.cli", "til-add", "--til", str(til_path), "--did", b"did:web:\xff")
+        assert result.returncode == 2
+        assert "is not UTF-8 text" in result.stderr and "Traceback" not in result.stderr
+        assert not til_path.exists()
+
+
+@pytest.fixture(scope="class")
+def text_files(tmp_path_factory):
+    """A trust file of each kind with one entry, an issuer key, a claims file and
+    a document directory, shared by the examples of one property."""
+    root = tmp_path_factory.mktemp("text")
+    TrustedIssuerList(frozenset({"did:web:issuer.example"})).save(root / "til.json")
+    RevocationRegistry().revoke("J0").save(root / "rr.json")
+    keypair = generate_signing_keypair(bytes(32))
+    save_signing_key(root / "issuer.key", keypair)
+    (root / "claims.json").write_text(json.dumps({"did:web:broker.example": {"pub": ["t"]}}))
+    (root / "docs").mkdir()
+    return root
+
+
+ZERO_SEED_DID = str(didkey_encode(generate_signing_keypair(bytes(32)).public))
+ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates included
+
+
+def _file_state(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestOptionTextProperty:
+    # Each command writes the value into a file. It either lands there and
+    # reads back, or the command exits non-zero without a traceback and
+    # every file is as it was.
+    COMMANDS = {
+        "til-add --did": (
+            lambda root, value: ["til-add", "--til", root / "til.json", "--did", value],
+            lambda root, value, output: TrustedIssuerList.load(root / "til.json").contains(value),
+        ),
+        "revoke --jti": (
+            lambda root, value: ["revoke", "--rr", root / "rr.json", "--jti", value],
+            lambda root, value, output: value in RevocationRegistry.load(root / "rr.json"),
+        ),
+        "issue --jti": (
+            lambda root, value: [
+                "issue", "--key", root / "issuer.key", "--issuer-did", "did:web:issuer.example",
+                "--subject-did", ZERO_SEED_DID, "--claims", root / "claims.json",
+                "--jti", value, "--out-dir", root / "issued",
+            ],
+            lambda root, value, output: load_credential_files(Path(output.strip()).parent)[0].payload["jti"] == value,
+        ),
+        "didweb-emit --did": (
+            lambda root, value: ["didweb-emit", "--key", root / "issuer.key", "--did", value, "--out-dir", root / "docs"],
+            lambda root, value, output: str(document_from_json(Path(output.strip()).read_bytes()).id) == value,
+        ),
+    }
+
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(value=st.one_of(ANY_TEXT, ANY_TEXT.map("did:web:".__add__)))
+    @example(value="did:web:\udcff")
+    @example(value="\udcff")
+    @example(value="did:web:fine.example")
+    def test_any_text_lands_in_its_file_or_changes_nothing(self, runner, text_files, value):
+        for name, (args, holds) in self.COMMANDS.items():
+            before = _file_state(text_files)
+            result = runner.invoke(main, [str(arg) for arg in args(text_files, value)])
+            if result.exit_code == 0:
+                assert holds(text_files, value, result.output), name
+            else:
+                assert isinstance(result.exception, SystemExit), (name, result.exception)
+                assert "Traceback" not in result.output, name
+                assert _file_state(text_files) == before, name
+            if not _is_utf8(value):
+                assert result.exit_code == 2, name
 
 
 class TestClientCommands:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import base64
+import copy
 import sys
 import tracemalloc
 
@@ -43,7 +44,7 @@ from daxiot.errors import (
     TrustFileError,
     decode_address,
 )
-from daxiot.protocol import Channel, DaxiotClient
+from daxiot.protocol import DaxiotClient
 from daxiot.scenario import build_scenario
 from daxiot.transport import LoopbackNetwork
 from daxiot.wire import MAX_FRAME, Packet, PacketKind, decode_frame
@@ -75,8 +76,7 @@ def trusted_env(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 def _seal_to_broker(engine, session_id: str, kind: PacketKind, plaintext: bytes) -> Packet:
-    c2b = engine.sessions[session_id].c2b
-    (envelope,) = Channel(c2b.key, session_id, c2b.nonce).seal(kind, plaintext)
+    (envelope,) = copy.copy(engine.sessions[session_id].c2b).seal(kind, plaintext)
     if kind is PacketKind.AUTH_RESPONSE:
         return Packet(kind=kind, auth_data=envelope)
     return Packet(kind=kind, topic=envelope)
@@ -93,7 +93,7 @@ def _static_did_site(env, tmp_path):
     )
     nonce = protocol._fresh_nonce()
     envelope = aead_encrypt(
-        XChaCha20Poly1305(key, nonce[:16]), nonce, NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did.encode())
+        XChaCha20Poly1305(key, nonce[:16]), nonce, NOT_UTF8, protocol._aad(PacketKind.CONNECT, ephemeral_did)
     )
     packet = Packet(
         kind=PacketKind.CONNECT, client_id=ephemeral_did, auth_method=protocol.AUTH_METHOD, auth_data=envelope

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import hashlib
 import os
@@ -63,10 +64,11 @@ def _renonce(data: bytes, nonce: bytes) -> bytes:
 
 
 def _client_state(client):
-    """What a client's phase and debts are: its session key, each channel
-    with its next nonce, and the acks it waits for."""
+    """What a client's phase and debts are: its ephemeral DID, its session
+    key, each channel with its next nonce, and the acks it waits for."""
     send, recv = client._send, client._recv
     return (
+        client.ephemeral_did,
         client._session_key,
         send, send and send.nonce,
         recv, recv and recv.nonce,
@@ -195,7 +197,7 @@ class TestChannel:
 
     def test_the_last_usable_counter_is_2_64_minus_2(self):
         prefix = b"\x07" * 16
-        aad = daxiot.protocol._aad(PacketKind.PUBLISH, CHANNEL_DID.encode())
+        aad = daxiot.protocol._aad(PacketKind.PUBLISH, CHANNEL_DID)
         for start in range(LAST_COUNTER - 3, LAST_COUNTER + 1):
             for count in (1, 2):
                 fields = [b"field %d" % index for index in range(count)]
@@ -248,17 +250,25 @@ def test_a_seeded_session_puts_the_same_bytes_on_the_wire(tmp_path, monkeypatch)
 class TestHandshake:
     def test_full_flow_with_key_agreement(self, env, loopback):
         publisher = env.publisher_client()
-        connection = establish(loopback, publisher, env.broker_did)
+        connection = loopback.open()
+        connection.send(publisher.begin_connect(env.broker_did))
         session = loopback.engine.sessions[publisher.ephemeral_did]
+        # Both ends hold the one-pass unified key until step H. (The ES key
+        # agreed, or the broker could not have decrypted the connect.)
+        assert publisher._session_key == session.key
+        connection.send(publisher.handle_challenge(connection.recv()))
+        publisher.handle_connack(connection.recv())
 
         assert publisher._recv is not None
         assert session.b2c is not None
-        # Both directions share the one-pass unified key and stand at the
-        # same next nonce on either end. (The ES key agreed, or the broker
-        # could not have decrypted the connect.)
-        assert publisher._send.key == session.c2b.key == session.b2c.key == publisher._recv.key
+        assert publisher._session_key is None and session.key is None
+        # Both directions run under that key and stand at the same next nonce
+        # on either end: what one end's channel seals, the other end's opens.
         assert publisher._send.nonce == session.c2b.nonce
         assert publisher._recv.nonce == session.b2c.nonce
+        for sender, receiver in ((publisher._send, session.c2b), (session.b2c, publisher._recv)):
+            envelopes = copy.copy(sender).seal(PacketKind.PUBLISH, b"topic", b"payload")
+            assert copy.copy(receiver).open(PacketKind.PUBLISH, *envelopes) == [b"topic", b"payload"]
         assert session.static_did == publisher.static_did
         assert session.grant.publish_topics == frozenset({env.topic})
         assert session.grant.subscribe_topics == frozenset()
@@ -575,7 +585,7 @@ class TestTampering:
         connection = loopback.open()
         connection.send(client.begin_connect(env.broker_did))
         connection.recv()
-        key = loopback.engine.sessions[client.ephemeral_did].c2b.key
+        key = loopback.engine.sessions[client.ephemeral_did].key
         aad = bytes([PacketKind.AUTH_CHALLENGE]) + client.ephemeral_did.encode()
         nonce = daxiot.protocol._fresh_nonce()
         envelope = aead_encrypt(XChaCha20Poly1305(key, nonce[:16]), nonce, bytes(length), aad)
@@ -700,7 +710,7 @@ class TestAuthorization:
         client.handle_challenge(connection.recv())  # no response sent
         nonce = daxiot.protocol._fresh_nonce()
         envelope = aead_encrypt(
-            XChaCha20Poly1305(client._send.key, nonce[:16]),
+            XChaCha20Poly1305(client._session_key, nonce[:16]),
             nonce,
             env.topic.encode(),
             bytes([PacketKind.SUBSCRIBE]) + client.ephemeral_did.encode(),
@@ -835,14 +845,14 @@ def test_client_operations_in_every_state(env, loopback, state, operation):
     # A client's state is which of its fields are set; an operation out of
     # order is refused before it changes any of them.
     client, packets = _client_at(env, loopback, state)
-    key, send, recv = client._session_key, client._send, client._recv
-    assert (key is not None, send is not None, recv is not None) == (
-        state != "idle", state in ("challenged", "established"), state == "established"
+    did, key, send, recv = client.ephemeral_did, client._session_key, client._send, client._recv
+    assert (did is not None, key is not None, send is not None, recv is not None) == (
+        state != "idle", state in ("connect-sent", "challenged"), state in ("challenged", "established"), state == "established"
     )
     call = CLIENT_OPERATIONS[operation]
     if operation == "disconnect":
         assert call(env, client, packets).kind is PacketKind.DISCONNECT
-        assert _client_state(client) == (None, None, None, None, None, {PacketKind.SUBACK: 0, PacketKind.PUBACK: 0})
+        assert _client_state(client) == (None, None, None, None, None, None, {PacketKind.SUBACK: 0, PacketKind.PUBACK: 0})
     elif operation in IN_ORDER[state]:
         call(env, client, packets)
     else:
@@ -1428,8 +1438,7 @@ def _revoked_credential(env, loopback):
 def _non_utf8_presentation(env, loopback):
     client, _, _ = _challenged(env, loopback)
     session = loopback.engine.sessions[client.ephemeral_did]
-    channel = Channel(session.c2b.key, client.ephemeral_did, session.c2b.nonce)
-    (envelope,) = channel.seal(PacketKind.AUTH_RESPONSE, b"\xff\xfe~")
+    (envelope,) = copy.copy(session.c2b).seal(PacketKind.AUTH_RESPONSE, b"\xff\xfe~")
     packet = Packet(kind=PacketKind.AUTH_RESPONSE, auth_data=envelope)
     return client.ephemeral_did, packet
 
