@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,10 @@ X25519_MULTICODEC = b"\xec\x01"
 
 # "z" + base58btc of the 34-byte multicodec-prefixed key; always this long.
 _DIDKEY_ED25519_LEN = 48
+
+# DID Core's method-specific-id: idchars (ALPHA / DIGIT / "." / "-" / "_" /
+# pct-encoded) in ":"-separated segments, the last one not empty.
+_METHOD_SPECIFIC_ID = re.compile(r"(?:[A-Za-z0-9._:-]|%[0-9A-Fa-f]{2})*(?:[A-Za-z0-9._-]|%[0-9A-Fa-f]{2})")
 
 
 def base58btc_encode(data: bytes) -> str:
@@ -70,8 +75,8 @@ class Did:
     def __post_init__(self) -> None:
         if self.method not in ("key", "web"):
             raise DidError(f"unsupported DID method {self.method!r}")
-        if not self.identifier:
-            raise DidError("DID identifier must not be empty")
+        if not _METHOD_SPECIFIC_ID.fullmatch(self.identifier):
+            raise DidError(f"DID identifier {self.identifier!r} is not a DID Core method-specific-id")
 
     @classmethod
     def parse(cls, text: "Did | str") -> "Did":

@@ -454,7 +454,7 @@ class DaxiotBroker:
     """Broker protocol engine: sessions, authorization, and topic routing.
 
     Transport-agnostic and single-threaded by contract: callers must
-    serialize invocations (an asyncio event loop or one lock suffices).
+    serialize invocations (the service's one loop thread, or one lock).
     The trusted-issuer list at ``til_path`` and the revocation registry at
     ``rr_path`` are loaded on every verification, so edits take effect
     without a restart; a file is parsed again only when it changed. A returning

@@ -57,7 +57,7 @@ class TcpClientConnection:
 
 class LoopbackConnection:
     """One client's endpoint on a :class:`LoopbackNetwork`; to the router it
-    is a connection, as an asyncio transport is on TCP."""
+    is a connection, as the service's socket connection is on TCP."""
 
     def __init__(self, network: "LoopbackNetwork") -> None:
         self._network = network

@@ -375,6 +375,20 @@ class TestRegistryCommands:
         invoke(runner, "til-remove", "--til", til_path, "--did", "did:web:new-owner.example")
         assert til_path.read_bytes() == original
 
+    @pytest.mark.parametrize("did", ["did:web:owner.example ", "did:web:owner\t.example"], ids=["trailing space", "tab"])
+    @pytest.mark.parametrize("command", ["til-add", "til-remove"])
+    def test_a_did_outside_the_did_syntax_exits_1_and_changes_nothing(self, runner, tmp_path, command, did):
+        # Such a member could never equal an issuer's DID, so it is refused,
+        # not written.
+        til_path = tmp_path / "til.json"
+        TrustedIssuerList(frozenset({"did:web:owner.example"})).save(til_path)
+        before = til_path.read_bytes()
+        result = runner.invoke(main, [command, "--til", str(til_path), "--did", did])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: DID identifier {did[8:]!r} is not a DID Core method-specific-id\n"
+        assert til_path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [til_path]
+
     def test_revoke_idempotent(self, runner, tmp_path):
         rr_path = tmp_path / "rr.json"
         invoke(runner, "revoke", "--rr", rr_path, "--jti", "AC-9")
@@ -1007,6 +1021,18 @@ def test_didweb_emit_loads_no_broker_code(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[1:] == ["[]", ""], result.stdout
     assert Resolver(DirectoryWebSource(tmp_path / "docs")).resolve("did:web:owner.example").service_endpoint
+
+
+def test_the_broker_loads_neither_asyncio_nor_ssl():
+    # The broker serves on one selectors loop; asyncio would bring ssl, the
+    # system's libssl and libcrypto, and about 60 more modules, 2.4 MiB of RSS.
+    probe = (
+        "import sys, daxiot.cli, daxiot.broker_service\n"
+        "print([name for name in ('asyncio', 'ssl') if name in sys.modules])"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n", result.stdout
 
 
 def test_the_broker_command_imports_only_what_it_runs():

@@ -102,6 +102,22 @@ class TestDidParsing:
         with pytest.raises(DidError):
             Did.parse("did:key:")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["did:web:owner.example ", "did:web:owner.example\t", "did:web: owner.example", "did:web:owner.example\n",
+         "did:web:owner.example:", "did:web:owner%2", "did:web:owner%zz.example", "did:web:ówner.example",
+         "did:web:owner/path", "did:web:owner.example#key-1"],
+    )
+    def test_rejects_an_identifier_outside_the_did_syntax(self, text):
+        with pytest.raises(DidError, match="not a DID Core method-specific-id"):
+            Did.parse(text)
+
+    @pytest.mark.parametrize(
+        "text", ["did:web:owner.example", "did:web:localhost%3A8443:user:alice", "did:web:a::b", "did:web:A-Z_0.9"]
+    )
+    def test_accepts_every_idchar_and_segment(self, text):
+        assert str(Did.parse(text)) == text
+
 
 class _ExplodingSource:
     def document(self, identifier):  # pragma: no cover - must never run
